@@ -2,48 +2,38 @@
 //! undefined behavior its parent seed did not already have.
 //!
 //! Cost is the whole game here. A campaign compiles mutants through the
-//! *incremental* engine (one mini-parse of the edited declaration), so a
-//! gate that fully re-parses and re-analyzes every mutant would dominate
-//! the iteration. The gate therefore mirrors the incremental compiler's
-//! structure, in one of two modes:
+//! content-addressed memo engine (one mini-parse of the edited
+//! declaration), so a gate that fully re-parses and re-analyzes every
+//! mutant would dominate the iteration. The gate therefore mirrors the
+//! memoized compiler's structure.
 //!
-//! **Interprocedural mode** (the default). Editing one function can
-//! change findings in *unedited* callers — a callee that now returns 0
-//! creates a division by zero at an old call site — so per-chunk
-//! verdicts are unsound here. Instead the gate splices each edited
-//! chunk's mini-parsed function into the parent's declaration list and
-//! re-runs the whole-unit summary analysis, with both the per-function
-//! summary and the per-function UB-key set memoized in the shared
-//! [`QueryDb`] under a **content-addressed summary key**: the hash of
-//! (global fingerprint, function text, resolved callee summary keys),
-//! computed bottom-up over the call-graph SCCs. A single-declaration
-//! mutant therefore re-summarizes only the edited function and its SCC
-//! ancestors (transitive callers); every other function is a memo hit —
-//! observable via [`UbGate::summary_hits`] / [`UbGate::summary_recomputes`]
-//! and the `analyze_summary_hits` / `analyze_summary_recomputes`
-//! telemetry counters.
+//! Editing one function can change findings in *unedited* callers — a
+//! callee that now returns 0 creates a division by zero at an old call
+//! site — so per-chunk verdicts would be unsound. Instead the gate
+//! splices each edited chunk's mini-parsed function into the parent's
+//! declaration list and re-runs the whole-unit summary analysis, with
+//! both the per-function summary and the per-function UB-key set
+//! memoized in a [`QueryDb`] under a **content-addressed summary key**:
+//! the hash of (global fingerprint, function text, resolved callee
+//! summary keys), computed bottom-up over the call-graph SCCs. A
+//! single-declaration mutant therefore re-summarizes only the edited
+//! function and its SCC ancestors (transitive callers); every other
+//! function is a memo hit — observable via [`UbGate::summary_hits`] /
+//! [`UbGate::summary_recomputes`] and the `analyze_summary_hits` /
+//! `analyze_summary_recomputes` telemetry counters.
 //!
-//! **Intraprocedural mode** ([`UbGate::with_interproc`]`(false)`): the
-//! PR 5 behavior, byte-for-byte. New UB can only originate in an edited
-//! chunk, so each dirty chunk is analyzed as a stand-alone function
-//! against the parent's globals and the verdicts are OR-ed, memoized
-//! per `(parent, chunk content)` on the shared database.
-//!
-//! In both modes anything the fast path cannot handle — non-function
-//! edits, chunk-count changes, parse failures — falls back to a full
-//! parse + analyze (which in interprocedural mode still reuses the
-//! summary memos). A mutant that does not parse is **never** gated: the
+//! Anything the splice path cannot handle — non-function edits,
+//! chunk-count changes, parse failures — falls back to a full parse +
+//! analyze, which still reuses the summary memos. A mutant that does
+//! not parse is **never** gated: the
 //! compiler must see it and reject it so compilable-ratio accounting
 //! stays truthful. Verdicts are cached per `(parent, mutant)` content
 //! hash.
 
-use crate::analyses::{
-    analyze_function, analyze_function_with, analyze_unit_with, collect_globals,
-    summarize_function, GlobalInfo,
-};
+use crate::analyses::{analyze_function_with, collect_globals, summarize_function, GlobalInfo};
 use crate::callgraph::CallGraph;
 use crate::findings::{ub_keys, Finding, FindingKey};
-use crate::summary::{summarize_functions, FnSummary, Summaries};
+use crate::summary::{FnSummary, Summaries};
 use metamut_lang::ast::{ExternalDecl, FunctionDef, TranslationUnit};
 use metamut_lang::chash::{hash128, Sip128};
 use metamut_lang::fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -67,9 +57,6 @@ struct ParentInfo {
     typedefs: FxHashSet<String>,
     /// File-scope facts for analyzing a lone edited function.
     globals: GlobalInfo,
-    /// Whether the parent parsed (if not, `ub` is empty and the baseline
-    /// for "new" is the empty set).
-    parsed: bool,
     /// The parent source, for slicing declaration texts (summary keys
     /// hash the exact decl text).
     src: String,
@@ -212,11 +199,9 @@ fn summary_keys(
     skeys
 }
 
-/// The gate's registered analysis kinds on a shared [`QueryDb`]
-/// (installed once per database via the extension store).
+/// The gate's registered analysis kinds on a [`QueryDb`] (installed once
+/// per database via the extension store).
 struct GateKinds {
-    /// Intraprocedural per-chunk verdicts, keyed `(parent, chunk text)`.
-    chunk: KindId,
     /// Per-function [`FnSummary`], keyed by content-addressed summary key.
     summary: KindId,
     /// Per-function UB finding-key set, same key as `summary`.
@@ -232,16 +217,32 @@ pub struct UbGate {
     fast_path: AtomicU64,
     summary_hits: AtomicU64,
     summary_recomputes: AtomicU64,
-    /// Whether call-site summary propagation is on (the default). Off
-    /// reproduces the strictly intraprocedural PR 5 gate byte-for-byte.
-    interproc: bool,
-    /// Optional shared query database memoizing per-chunk analyses,
-    /// per-function summaries, and per-function UB keys.
-    db: Option<(Arc<QueryDb>, Arc<GateKinds>)>,
+    /// The query database memoizing per-function summaries and
+    /// per-function UB keys.
+    db: Arc<QueryDb>,
+    kinds: Arc<GateKinds>,
 }
 
 impl Default for UbGate {
     fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl UbGate {
+    /// Creates an empty gate memoizing into a private query database.
+    pub fn new() -> Self {
+        Self::with_db(Arc::new(QueryDb::new()))
+    }
+
+    /// Creates a gate that memoizes analyses on `db` — pass the
+    /// campaign's shared query database so repeated mutations of the same
+    /// function body analyze once.
+    pub fn with_db(db: Arc<QueryDb>) -> Self {
+        let kinds = db.extension(|| GateKinds {
+            summary: db.register_kind("fn-summary"),
+            fn_ub: db.register_kind("fn-ub"),
+        });
         UbGate {
             parents: Mutex::default(),
             verdicts: Mutex::default(),
@@ -250,39 +251,9 @@ impl Default for UbGate {
             fast_path: AtomicU64::new(0),
             summary_hits: AtomicU64::new(0),
             summary_recomputes: AtomicU64::new(0),
-            interproc: true,
-            db: None,
+            db,
+            kinds,
         }
-    }
-}
-
-impl UbGate {
-    /// Creates an empty interprocedural gate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a gate that memoizes analyses on `db` — pass the
-    /// campaign's shared query database so repeated mutations of the same
-    /// function body analyze once.
-    pub fn with_db(db: Arc<QueryDb>) -> Self {
-        let kinds = db.extension(|| GateKinds {
-            chunk: db.register_input("ub-chunk"),
-            summary: db.register_input("fn-summary"),
-            fn_ub: db.register_input("fn-ub"),
-        });
-        UbGate {
-            db: Some((db, kinds)),
-            ..UbGate::default()
-        }
-    }
-
-    /// Selects interprocedural (`true`, the default) or strictly
-    /// intraprocedural (`false`) gating. Set it before the first query:
-    /// cached parent baselines and verdicts are mode-specific.
-    pub fn with_interproc(mut self, on: bool) -> Self {
-        self.interproc = on;
-        self
     }
 
     /// Gate queries so far (including verdict-cache hits).
@@ -300,7 +271,7 @@ impl UbGate {
         self.fast_path.load(Ordering::Relaxed)
     }
 
-    /// Function-summary memo hits (interprocedural mode with a database).
+    /// Function-summary memo hits.
     pub fn summary_hits(&self) -> u64 {
         self.summary_hits.load(Ordering::Relaxed)
     }
@@ -355,24 +326,7 @@ impl UbGate {
                 EMPTY.get_or_init(BTreeSet::new)
             }
         };
-        if self.interproc {
-            self.decide_interproc(info.as_deref(), mutant, baseline)
-        } else {
-            self.decide_intraproc(info.as_deref(), mutant, baseline)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Interprocedural mode
-    // ------------------------------------------------------------------
-
-    fn decide_interproc(
-        &self,
-        info: Option<&ParentInfo>,
-        mutant: &str,
-        baseline: &BTreeSet<FindingKey>,
-    ) -> bool {
-        if let Some(i) = info {
+        if let Some(i) = &info {
             if let Some(verdict) = self.spliced_verdict(i, mutant, baseline) {
                 return verdict;
             }
@@ -481,22 +435,11 @@ impl UbGate {
         globals: &GlobalInfo,
         globals_hash: u128,
     ) -> BTreeSet<FindingKey> {
-        let Some((db, kinds)) = &self.db else {
-            // No shared database: same analysis, nothing memoized.
-            let env = summarize_functions(funcs, globals);
-            let mut all = BTreeSet::new();
-            for f in funcs {
-                let findings = analyze_function_with(f, globals, &env);
-                count_findings(&findings);
-                all.extend(ub_keys(&findings));
-            }
-            return all;
-        };
+        let (db, kinds) = (&self.db, &self.kinds);
         let telemetry = metamut_telemetry::handle();
         let cg = CallGraph::build(funcs);
         let fn_hashes: Vec<u128> = texts.iter().map(|t| hash128(t.as_bytes())).collect();
         let skeys = summary_keys(&cg, funcs, &fn_hashes, globals_hash);
-        let key_of = |skey: u128| db.intern2((skey >> 64) as u64, skey as u64);
 
         // Summaries, bottom-up: every SCC member computes against the
         // environment excluding its own SCC, insertion deferred (matches
@@ -507,7 +450,7 @@ impl UbGate {
             let computed: Vec<(usize, Arc<FnSummary>)> = scc
                 .iter()
                 .map(|&i| {
-                    let (value, hit) = db.memo_once(kinds.summary, key_of(skeys[i]), || {
+                    let (value, hit) = db.memo_once(kinds.summary, skeys[i], || {
                         Arc::new(summarize_function(funcs[i], globals, &env))
                     });
                     if hit {
@@ -535,7 +478,7 @@ impl UbGate {
         // sound memo key for the findings too.
         let mut all = BTreeSet::new();
         for (i, f) in funcs.iter().enumerate() {
-            let (value, _) = db.memo_once(kinds.fn_ub, key_of(skeys[i]), || {
+            let (value, _) = db.memo_once(kinds.fn_ub, skeys[i], || {
                 let findings = analyze_function_with(f, globals, &env);
                 count_findings(&findings);
                 Arc::new(ub_keys(&findings))
@@ -546,101 +489,6 @@ impl UbGate {
             all.extend(keys.iter().copied());
         }
         all
-    }
-
-    // ------------------------------------------------------------------
-    // Intraprocedural mode (the PR 5 gate, unchanged)
-    // ------------------------------------------------------------------
-
-    fn decide_intraproc(
-        &self,
-        info: Option<&ParentInfo>,
-        mutant: &str,
-        baseline: &BTreeSet<FindingKey>,
-    ) -> bool {
-        // Fast path: every edited chunk is a lone function definition, so
-        // only the dirty set re-analyzes and the verdicts union. New UB
-        // can only originate in an edited chunk — unedited chunks are
-        // byte-identical to the parent, whose findings are the baseline.
-        if let Some(i) = info {
-            if let (Some(parent_hashes), Some((_, chunks))) =
-                (&i.chunk_hashes, split_source(mutant))
-            {
-                if i.parsed && chunks.len() == parent_hashes.len() {
-                    let hashes: Vec<u128> = chunks.iter().map(|c| c.hash).collect();
-                    let edited = dirty_set(parent_hashes, &hashes).unwrap_or_default();
-                    if edited.is_empty() {
-                        // Byte-shuffled but chunk-identical: nothing new.
-                        return false;
-                    }
-                    let pkey = content_hash(&i.src);
-                    let mut new_ub = Some(false);
-                    for &c in &edited {
-                        match (
-                            new_ub,
-                            self.fast_check(pkey, chunks[c].text(mutant), i, baseline),
-                        ) {
-                            (Some(acc), Some(v)) => new_ub = Some(acc || v),
-                            _ => {
-                                new_ub = None;
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(new_ub) = new_ub {
-                        self.fast_path.fetch_add(1, Ordering::Relaxed);
-                        return new_ub;
-                    }
-                }
-            }
-        }
-
-        // Full path: parse and analyze the whole mutant.
-        let Ok(ast) = parse("<ub-gate>", mutant) else {
-            return false;
-        };
-        let findings = analyze_unit_with(&ast.unit, &Summaries::default());
-        count_findings(&findings);
-        let keys = ub_keys(&findings);
-        !keys.is_subset(baseline)
-    }
-
-    /// Analyzes one edited chunk as a stand-alone function definition,
-    /// memoized on the shared query database when one is attached.
-    /// Returns `None` when the chunk is not a lone function (caller falls
-    /// back to the full path).
-    fn fast_check(
-        &self,
-        pkey: u64,
-        chunk_src: &str,
-        parent: &ParentInfo,
-        baseline: &BTreeSet<FindingKey>,
-    ) -> Option<bool> {
-        if let Some((db, kinds)) = &self.db {
-            let key = db.intern2(pkey, content_hash(chunk_src));
-            let memo = db.get_or_insert_with(kinds.chunk, key, || {
-                Arc::new(Self::chunk_verdict(chunk_src, parent, baseline))
-            });
-            return *memo.downcast::<Option<bool>>().ok()?;
-        }
-        Self::chunk_verdict(chunk_src, parent, baseline)
-    }
-
-    /// The uncached per-chunk analysis behind [`UbGate::fast_check`].
-    fn chunk_verdict(
-        chunk_src: &str,
-        parent: &ParentInfo,
-        baseline: &BTreeSet<FindingKey>,
-    ) -> Option<bool> {
-        let ast = parse_with_typedefs("<ub-gate-chunk>", chunk_src, &parent.typedefs).ok()?;
-        let [ExternalDecl::Function(f)] = &ast.unit.decls[..] else {
-            return None;
-        };
-        f.body.as_ref()?;
-        let findings = analyze_function(f, &parent.globals);
-        count_findings(&findings);
-        let keys = ub_keys(&findings);
-        Some(!keys.is_subset(baseline))
     }
 
     // ------------------------------------------------------------------
@@ -665,20 +513,15 @@ impl UbGate {
                     .as_ref()
                     .map(|(_, chunks)| align_chunks(chunks, &ast.unit.decls))
                     .unwrap_or_default();
-                // Interprocedural baselines run through the memo engine:
+                // Parent baselines run through the memo engine:
                 // analyzing the parent pre-warms the summary store, so
                 // the first mutant only pays for its own edit.
-                let ub = if self.interproc {
-                    self.unit_ub_keys(&ast, parent)
-                } else {
-                    ub_keys(&analyze_unit_with(&ast.unit, &Summaries::default()))
-                };
+                let ub = self.unit_ub_keys(&ast, parent);
                 Arc::new(ParentInfo {
                     chunk_hashes,
                     ub,
                     typedefs,
                     globals,
-                    parsed: true,
                     src: parent.to_owned(),
                     ast: Some(ast),
                     chunk_decl,
@@ -690,7 +533,6 @@ impl UbGate {
                 ub: BTreeSet::new(),
                 typedefs: FxHashSet::default(),
                 globals: GlobalInfo::default(),
-                parsed: false,
                 src: parent.to_owned(),
                 ast: None,
                 chunk_decl: Vec::new(),

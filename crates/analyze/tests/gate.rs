@@ -110,31 +110,6 @@ fn multi_function_edits_take_the_fast_path() {
 }
 
 #[test]
-fn shared_db_memoizes_chunk_analyses() {
-    // The intraprocedural mode's per-chunk memo contract: a chunk's
-    // verdict depends only on (parent, chunk text), so re-editing two
-    // already-seen chunks together is pure cache hits.
-    use std::sync::Arc;
-    let db = Arc::new(metamut_query::QueryDb::new());
-    let gate = UbGate::with_db(Arc::clone(&db)).with_interproc(false);
-    let a = PARENT.replace("int acc = 0;", "int acc = 2;");
-    let b = PARENT.replace("a * b + g", "a * b - g");
-    // Mutant c re-edits both chunks already analyzed for a and b.
-    let c = PARENT
-        .replace("int acc = 0;", "int acc = 2;")
-        .replace("a * b + g", "a * b - g");
-    assert!(!gate.introduces_new_ub(Some(PARENT), &a));
-    assert!(!gate.introduces_new_ub(Some(PARENT), &b));
-    let memos = db.len();
-    assert!(!gate.introduces_new_ub(Some(PARENT), &c));
-    assert_eq!(db.len(), memos, "chunk re-analyses must be memo hits");
-    assert_eq!(gate.fast_path(), 3);
-    // Verdicts agree with a database-less gate.
-    let plain = UbGate::new();
-    assert!(!plain.introduces_new_ub(Some(PARENT), &c));
-}
-
-#[test]
 fn interproc_memos_are_shared_across_gates() {
     // Summary and finding memos are content-addressed on the shared
     // database, so a second gate re-deciding the same mutant computes
@@ -176,10 +151,9 @@ fn single_decl_edit_resummarizes_only_scc_ancestors() {
 }
 
 #[test]
-fn interproc_gate_catches_cross_call_ub() {
+fn gate_catches_cross_call_ub() {
     // Editing only the callee creates a division by zero at an *unedited*
-    // call site — visible to the summary-driven gate, invisible to the
-    // strictly intraprocedural one.
+    // call site — visible only through the callee's summary.
     let parent = "int zero(void) { return 1; }\n\
                   int f(void) { return 10 / zero(); }\n\
                   int main(void) { return f(); }\n";
@@ -187,11 +161,6 @@ fn interproc_gate_catches_cross_call_ub() {
     let gate = UbGate::new();
     assert!(gate.introduces_new_ub(Some(parent), &mutant));
     assert_eq!(gate.fast_path(), 1, "a lone body edit stays incremental");
-    let intra = UbGate::new().with_interproc(false);
-    assert!(
-        !intra.introduces_new_ub(Some(parent), &mutant),
-        "the intraprocedural gate cannot see cross-call UB"
-    );
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! Experiment: the interprocedural summary layer — cross-call recall,
-//! precision, memo locality, and what summary propagation costs the
-//! campaign gate.
+//! precision, and memo locality in the campaign gate.
 //!
 //! PR 5's analyses stopped at function boundaries: a callee that divides
 //! by its parameter, returns null, or silently loops was invisible at
@@ -12,17 +11,14 @@
 //!    none of them is visible to the intraprocedural analysis alone.
 //! 2. **Precision**: zero findings of any severity on the
 //!    interprocedural clean controls *and* the original clean corpus.
-//! 3. **Cost**: the campaign with the interprocedural gate may cost at
-//!    most **5%** more wall time than the same campaign with the PR 5
-//!    intraprocedural gate (`--no-interproc-gate`), because per-function
-//!    summaries and finding sets are memoized under content-addressed
-//!    keys: a single-declaration mutant re-summarizes only the edited
-//!    function and its transitive callers. The memo hit rate backs that
-//!    up in the report.
+//! 3. **Memo locality**: a gated campaign reports its summary memo hit
+//!    rate. Per-function summaries and finding sets are memoized under
+//!    content-addressed keys, so a single-declaration mutant
+//!    re-summarizes only the edited function and its transitive callers.
 //!
 //! Usage: `exp_interproc [--iterations N] [--repeats N] [--smoke]`.
-//! `--smoke` shrinks the campaign, skips the cost gate, and parks its
-//! report under `target/experiments/` so CI never dirties the tree.
+//! `--smoke` shrinks the campaign and parks its report under
+//! `target/experiments/` so CI never dirties the tree.
 
 use metamut_analyze::fixtures::{CLEAN_FIXTURES, INTERPROC_CLEAN_FIXTURES, INTERPROC_UB_FIXTURES};
 use metamut_analyze::{analyze_source, analyze_unit_with, Severity, Summaries};
@@ -50,14 +46,11 @@ struct CorpusStats {
 }
 
 #[derive(Serialize)]
-struct GateCost {
+struct GateStats {
     iterations: usize,
-    intraproc_s: f64,
-    interproc_s: f64,
-    overhead_pct: f64,
+    campaign_s: f64,
     mutants_checked: u64,
-    mutants_filtered_intraproc: u64,
-    mutants_filtered_interproc: u64,
+    mutants_filtered: u64,
     fast_path_rate_pct: f64,
     summary_hits: u64,
     summary_recomputes: u64,
@@ -69,13 +62,12 @@ struct InterprocReport {
     repeats: usize,
     gate: String,
     corpus: CorpusStats,
-    campaign: GateCost,
+    campaign: GateStats,
     note: String,
 }
 
-/// One serial campaign over the seed corpus with the UB gate armed;
-/// `interproc` selects summary propagation vs the PR 5 per-chunk gate.
-fn campaign(iterations: usize, interproc: bool) -> CampaignReport {
+/// One serial campaign over the seed corpus with the UB gate armed.
+fn campaign(iterations: usize) -> CampaignReport {
     let seeds: Vec<String> = seed_corpus().iter().map(|s| s.to_string()).collect();
     let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
     let config = CampaignConfig {
@@ -83,7 +75,6 @@ fn campaign(iterations: usize, interproc: bool) -> CampaignReport {
         seed: 0xA11B,
         sample_every: (iterations / 10).max(1),
         ub_filter: true,
-        interproc_gate: interproc,
         ..Default::default()
     };
     let mut fuzzer = MuCFuzz::new(
@@ -106,7 +97,9 @@ fn main() {
     let iterations = arg("--iterations").unwrap_or(if smoke { 300 } else { 3000 });
     let repeats = arg("--repeats").unwrap_or(if smoke { 1 } else { 3 });
 
-    println!("== Interprocedural summaries: recall, precision, gate cost (best of {repeats}) ==\n");
+    println!(
+        "== Interprocedural summaries: recall, precision, gate memos (best of {repeats}) ==\n"
+    );
 
     // -- Recall: every cross-call defect flagged, none visible intraproc --
     let mut flagged = 0usize;
@@ -171,47 +164,33 @@ fn main() {
         analyses_per_sec: corpus_srcs.len() as f64 / sweep_s.max(1e-9),
     };
 
-    // -- Gate cost: identical campaign, intraproc vs interproc gate --
-    let mut intraproc_s = f64::INFINITY;
-    let mut interproc_s = f64::INFINITY;
-    let mut intra_report = None;
-    let mut inter_report = None;
+    // -- Gate memos: a gated campaign, best-of-N wall time --
+    let mut campaign_s = f64::INFINITY;
+    let mut last_report = None;
     for _ in 0..repeats {
         let started = Instant::now();
-        intra_report = Some(campaign(iterations, false));
-        intraproc_s = intraproc_s.min(started.elapsed().as_secs_f64());
-
-        let started = Instant::now();
-        inter_report = Some(campaign(iterations, true));
-        interproc_s = interproc_s.min(started.elapsed().as_secs_f64());
+        last_report = Some(campaign(iterations));
+        campaign_s = campaign_s.min(started.elapsed().as_secs_f64());
     }
-    let intra_ub = intra_report
+    let ub = last_report
         .as_ref()
         .and_then(|r| r.ub)
-        .expect("intraproc campaign carries UB stats");
-    let inter_ub = inter_report
-        .as_ref()
-        .and_then(|r| r.ub)
-        .expect("interproc campaign carries UB stats");
-    let overhead_pct = 100.0 * (interproc_s - intraproc_s) / intraproc_s;
-    let summarized = inter_ub.summary_hits + inter_ub.summary_recomputes;
-    let campaign_stats = GateCost {
+        .expect("gated campaign carries UB stats");
+    let summarized = ub.summary_hits + ub.summary_recomputes;
+    let campaign_stats = GateStats {
         iterations,
-        intraproc_s,
-        interproc_s,
-        overhead_pct,
-        mutants_checked: inter_ub.checked,
-        mutants_filtered_intraproc: intra_ub.filtered,
-        mutants_filtered_interproc: inter_ub.filtered,
-        fast_path_rate_pct: if inter_ub.checked > 0 {
-            100.0 * inter_ub.fast_path as f64 / inter_ub.checked as f64
+        campaign_s,
+        mutants_checked: ub.checked,
+        mutants_filtered: ub.filtered,
+        fast_path_rate_pct: if ub.checked > 0 {
+            100.0 * ub.fast_path as f64 / ub.checked as f64
         } else {
             0.0
         },
-        summary_hits: inter_ub.summary_hits,
-        summary_recomputes: inter_ub.summary_recomputes,
+        summary_hits: ub.summary_hits,
+        summary_recomputes: ub.summary_recomputes,
         summary_hit_rate_pct: if summarized > 0 {
-            100.0 * inter_ub.summary_hits as f64 / summarized as f64
+            100.0 * ub.summary_hits as f64 / summarized as f64
         } else {
             0.0
         },
@@ -246,48 +225,29 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &[
-                "Gate",
-                "Wall s",
-                "Filtered",
-                "Fast path",
-                "Memo hits",
-                "Overhead"
-            ],
-            &[
-                vec![
-                    "intraproc".into(),
-                    format!("{:.2}", campaign_stats.intraproc_s),
-                    campaign_stats.mutants_filtered_intraproc.to_string(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ],
-                vec![
-                    "interproc".into(),
-                    format!("{:.2}", campaign_stats.interproc_s),
-                    campaign_stats.mutants_filtered_interproc.to_string(),
-                    format!("{:.0}%", campaign_stats.fast_path_rate_pct),
-                    format!("{:.0}%", campaign_stats.summary_hit_rate_pct),
-                    format!("{:+.1}%", campaign_stats.overhead_pct),
-                ],
-            ],
+            &["Wall s", "Checked", "Filtered", "Fast path", "Memo hits"],
+            &[vec![
+                format!("{:.2}", campaign_stats.campaign_s),
+                campaign_stats.mutants_checked.to_string(),
+                campaign_stats.mutants_filtered.to_string(),
+                format!("{:.0}%", campaign_stats.fast_path_rate_pct),
+                format!("{:.0}%", campaign_stats.summary_hit_rate_pct),
+            ]],
         )
     );
 
     let gate = "100% of cross-call UB fixtures flagged (all invisible intraprocedurally), \
-                0 findings on both clean corpora, interproc gate costs <= 5% campaign \
-                wall time over the intraprocedural gate"
+                0 findings on both clean corpora"
         .to_string();
     let report = InterprocReport {
         repeats,
         gate: gate.clone(),
         corpus,
         campaign: campaign_stats,
-        note: "recall/precision over metamut_analyze::fixtures::INTERPROC_*; cost = \
-               serial uCFuzz campaign over the seed corpus vs gcc-sim -O2, interproc_gate \
-               on vs off (ub_filter on in both legs), best-of-N wall time; memo hit rate \
-               from the gate's content-addressed summary store"
+        note: "recall/precision over metamut_analyze::fixtures::INTERPROC_*; campaign = \
+               serial uCFuzz campaign over the seed corpus vs gcc-sim -O2 with the UB gate \
+               on, best-of-N wall time; memo hit rate from the gate's content-addressed \
+               summary store"
             .into(),
     };
 
@@ -320,22 +280,11 @@ fn main() {
         intraproc_fp.is_empty(),
         "summaries broke the intraproc clean corpus: {intraproc_fp:?}"
     );
-    if smoke {
-        println!("(smoke run: cost gate skipped, recall/precision enforced)");
-    } else {
-        assert!(
-            report.campaign.overhead_pct <= 5.0,
-            "interproc gate costs {:.1}% campaign wall time (gate: {gate})",
-            report.campaign.overhead_pct
-        );
-        println!(
-            "gate ok: recall {}/{}, 0 false positives, overhead {:+.1}% <= 5%, \
-             summary memo hit rate {:.0}% — {gate}",
-            report.corpus.interproc_ub_flagged,
-            report.corpus.interproc_ub_fixtures,
-            report.campaign.overhead_pct,
-            report.campaign.summary_hit_rate_pct
-        );
-    }
+    println!(
+        "gate ok: recall {}/{}, 0 false positives, summary memo hit rate {:.0}% — {gate}",
+        report.corpus.interproc_ub_flagged,
+        report.corpus.interproc_ub_fixtures,
+        report.campaign.summary_hit_rate_pct
+    );
     metamut_bench::finish();
 }

@@ -1,16 +1,12 @@
-//! Experiment: the demand-driven query engine vs the PR 4 baseline path
-//! vs cold compilation.
+//! Experiment: the content-addressed query engine vs cold compilation.
 //!
-//! PR 4's `Baseline` fast path handled exactly one edited declaration and
-//! bailed to a cold compile for anything else. The query engine
-//! (`metamut_simcomp::query`) memoizes the per-declaration pipeline as
-//! red-green queries over a shared database, so a k-declaration mutant
-//! recomputes k pipelines and validates the rest green. This bin measures
-//! all three engines on campaign-shaped workloads — single-declaration
-//! mutants (PR 4's home turf) and 3-declaration mutants (where the
-//! baseline path collapses to cold) — cross-checking every query result
-//! against its cold compile and recording everything in
-//! `BENCH_query.json` at the repository root.
+//! The query engine (`metamut_simcomp::query`) memoizes the
+//! per-declaration pipeline under content keys in a shared database, so a
+//! k-declaration mutant recomputes k pipelines and hits the memos for the
+//! rest. This bin measures it against cold compilation on campaign-shaped
+//! workloads — single-declaration and 3-declaration mutants —
+//! cross-checking every query result against its cold compile and
+//! recording everything in `BENCH_query.json` at the repository root.
 //!
 //! Enforced gates: the query engine clears **3×** cold throughput on
 //! 1-declaration mutants and **2×** on 3-declaration mutants, with
@@ -24,7 +20,7 @@
 //! so CI never dirties the tree.
 
 use metamut_bench::render_table;
-use metamut_simcomp::{coverage_equal, Baseline, CompileOptions, Compiler, Profile, QueryCache};
+use metamut_simcomp::{coverage_equal, CompileOptions, Compiler, Profile, QueryCache};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -36,13 +32,10 @@ struct QueryRow {
     seed_bytes: usize,
     mutants: usize,
     cold_s: f64,
-    baseline_s: f64,
     query_s: f64,
     cold_per_sec: f64,
-    baseline_per_sec: f64,
     query_per_sec: f64,
     query_speedup_vs_cold: f64,
-    baseline_speedup_vs_cold: f64,
     fast_path_rate_pct: f64,
     cross_check_mismatches: usize,
 }
@@ -116,9 +109,7 @@ fn main() {
     let repeats = arg("--repeats").unwrap_or(if smoke { 1 } else { 3 });
     let funcs: usize = if smoke { 16 } else { 32 };
 
-    println!(
-        "== Query engine vs baseline path vs cold ({mutants_per_row} mutants per row, best of {repeats}) ==\n"
-    );
+    println!("== Query engine vs cold ({mutants_per_row} mutants per row, best of {repeats}) ==\n");
 
     let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
     let seed = make_program(funcs, &[]);
@@ -147,10 +138,8 @@ fn main() {
         let fast_rate = 100.0 * cache.hit_rate();
 
         // Best-of-N wall time. The query run pays the one-time seed-slot
-        // build inside the clock, as a campaign worker would; the PR 4
-        // baseline run likewise pays its Baseline build.
+        // build inside the clock, as a campaign worker would.
         let mut cold_s = f64::INFINITY;
-        let mut baseline_s = f64::INFINITY;
         let mut query_s = f64::INFINITY;
         for _ in 0..repeats {
             let started = Instant::now();
@@ -158,13 +147,6 @@ fn main() {
                 std::hint::black_box(compiler.compile(m));
             }
             cold_s = cold_s.min(started.elapsed().as_secs_f64());
-
-            let started = Instant::now();
-            let b = Baseline::build(&compiler, &seed).expect("seed must be cacheable");
-            for m in &mutants {
-                std::hint::black_box(compiler.compile_incremental(m, &b));
-            }
-            baseline_s = baseline_s.min(started.elapsed().as_secs_f64());
 
             let started = Instant::now();
             let fresh = QueryCache::default();
@@ -180,13 +162,10 @@ fn main() {
             seed_bytes: seed.len(),
             mutants: mutants.len(),
             cold_s,
-            baseline_s,
             query_s,
             cold_per_sec: mutants.len() as f64 / cold_s,
-            baseline_per_sec: mutants.len() as f64 / baseline_s,
             query_per_sec: mutants.len() as f64 / query_s,
             query_speedup_vs_cold: cold_s / query_s,
-            baseline_speedup_vs_cold: cold_s / baseline_s,
             fast_path_rate_pct: fast_rate,
             cross_check_mismatches: mismatches,
         });
@@ -198,9 +177,7 @@ fn main() {
             vec![
                 r.edited_decls.to_string(),
                 format!("{:.0}", r.cold_per_sec),
-                format!("{:.0}", r.baseline_per_sec),
                 format!("{:.0}", r.query_per_sec),
-                format!("{:.2}x", r.baseline_speedup_vs_cold),
                 format!("{:.2}x", r.query_speedup_vs_cold),
                 format!("{:.0}%", r.fast_path_rate_pct),
                 r.cross_check_mismatches.to_string(),
@@ -213,9 +190,7 @@ fn main() {
             &[
                 "Edited decls",
                 "Cold/s",
-                "Baseline/s",
                 "Query/s",
-                "Baseline speedup",
                 "Query speedup",
                 "Fast path",
                 "Mismatches"
@@ -245,8 +220,7 @@ fn main() {
         speedup_three_decl: speedup_three,
         rows,
         note: "k-declaration mutants of a synthetic many-function seed vs gcc-sim -O2; query \
-               timing includes the one-time seed-slot build; the PR 4 baseline path handles \
-               only k=1 and bails cold on k=3 by design; cross-check = outcome equality + \
+               timing includes the one-time seed-slot build; cross-check = outcome equality + \
                coverage-set equality against a cold compile per mutant"
             .into(),
     };

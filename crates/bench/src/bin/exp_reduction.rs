@@ -5,10 +5,9 @@
 //! records per-crash reduction ratio, oracle-call count, and per-pass byte
 //! accounting in `BENCH_reduction.json` at the repository root.
 //!
-//! The enforced gate matches the ISSUE 3 acceptance criterion: every
-//! witness must reduce to at most 25% of its original byte size with the
-//! top-two-frame crash signature preserved exactly under the same profile
-//! and flags.
+//! The enforced gate: every witness must reduce to at most 25% of its
+//! original byte size with the top-two-frame crash signature preserved
+//! exactly under the same profile and flags.
 //!
 //! Usage: `exp_reduction [--seed N] [--smoke]`. `--smoke` parks the
 //! miniature report under `target/experiments/` and skips the gate so CI

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: binaries under `src/bin/` regenerate every table
 //! and figure of the paper's evaluation (see DESIGN.md's per-experiment
-//! index), and the Criterion benches under `benches/` measure the hot paths
-//! behind them. This library holds the shared plumbing: scaled campaign
+//! index); `exp_perf` at the repository root measures the hot paths behind
+//! them layer by layer. This library holds the shared plumbing: scaled campaign
 //! matrices, fixed-width table rendering, ASCII series plots, and JSON
 //! report output under `target/experiments/`.
 

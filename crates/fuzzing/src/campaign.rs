@@ -45,15 +45,12 @@ pub struct CampaignConfig {
     /// Exchange newly discovered seeds across shards every this many
     /// iterations per worker (`0` disables exchange).
     pub exchange_every: usize,
-    /// Compile mutants incrementally against their parent seed's memoized
-    /// pipeline queries (see `metamut_simcomp::query`). Results are
-    /// bit-identical to cold compiles — a pure throughput knob, like
-    /// [`CampaignConfig::dedup`]. `--no-incremental` turns it off.
-    pub incremental: bool,
-    /// Cross-check every Nth incremental compile against a cold compile
-    /// (`0` disables). A correctness belt for experiments; mismatches
-    /// surface through `QueryCache::mismatches` and the
-    /// `query_mismatches` telemetry counter.
+    /// Cross-check every Nth memoized compile against a cold compile
+    /// (`0` disables). Mutants of a pooled parent always compile through
+    /// the content-addressed [`QueryCache`], bit-identical to a cold
+    /// compile; this is the correctness belt that proves it at runtime.
+    /// Mismatches surface through `QueryCache::mismatches` and the
+    /// `query_mismatches` telemetry counter, and the cold result wins.
     pub cross_check_every: usize,
     /// Statically analyze mutants before compiling and skip any that
     /// introduce undefined behavior their parent seed did not have (see
@@ -61,18 +58,14 @@ pub struct CampaignConfig {
     /// not compilable. `--no-ub-filter` turns it off, reproducing the
     /// unfiltered engine bit-for-bit.
     pub ub_filter: bool,
-    /// Propagate interprocedural function summaries in the UB gate (the
-    /// default): an edited callee can gate on new UB it creates at
-    /// *unedited* call sites, with per-function summaries memoized under
-    /// content-addressed keys. `--no-interproc-gate` falls back to the
-    /// strictly intraprocedural per-chunk gate.
-    pub interproc_gate: bool,
-    /// Maximum seed slots the incremental [`QueryCache`] may hold before
-    /// LRU eviction kicks in (`0` = unbounded). Slot evictions are counted
-    /// by the `query_slot_evictions` telemetry counter; the memos each
-    /// retired slot held are dropped from the query database with it.
+    /// Maximum seed slots the [`QueryCache`] may hold before LRU eviction
+    /// kicks in (`0` = unbounded). Slot evictions are counted by the
+    /// `query_slot_evictions` telemetry counter. A retired slot's memos
+    /// stay in the query database, where other seeds sharing its
+    /// declarations still hit them; a database-wide LRU sweep sized from
+    /// the cap is what bounds memory.
     pub query_cache_cap: usize,
-    /// The query database incremental compilation memoizes into. `None`
+    /// The query database memoized compilation and the UB gate use. `None`
     /// gives the campaign a private database; pass a shared one to let
     /// triage (the reduction oracle, the UB gate) reuse the campaign's
     /// memos.
@@ -96,10 +89,8 @@ impl Default for CampaignConfig {
             workers: 0,
             dedup: true,
             exchange_every: 64,
-            incremental: true,
             cross_check_every: 0,
             ub_filter: true,
-            interproc_gate: true,
             query_cache_cap: 0,
             query_db: None,
             stop: None,
@@ -296,10 +287,10 @@ pub(crate) struct CampaignShared {
     /// corpus feed).
     pub(crate) corpus_log: Mutex<Vec<CorpusEntry>>,
     dedup: Option<DedupCache>,
-    /// Query-engine cache for incremental mutant compilation, shared
-    /// across every worker/shard so a seed's queries memoize once per
+    /// Content-addressed memo cache for mutant compilation, shared
+    /// across every worker/shard so a seed's stages memoize once per
     /// campaign (and with triage, when the config shares a database).
-    incremental: Option<QueryCache>,
+    query_cache: QueryCache,
     /// The UB pre-compile gate, shared so parent analyses and verdicts are
     /// computed once per campaign. `None` when the filter is off — the
     /// worker loop is then structurally identical to the unfiltered engine.
@@ -316,8 +307,8 @@ impl CampaignShared {
         config: &CampaignConfig,
         telemetry: Telemetry,
     ) -> Self {
-        // One query database underlies both incremental compilation and the
-        // UB gate's chunk memos (and triage, when the config shares it).
+        // One query database underlies both memoized compilation and the
+        // UB gate's summary memos (and triage, when the config shares it).
         let query_db = config
             .query_db
             .clone()
@@ -331,15 +322,12 @@ impl CampaignShared {
             next_iter: AtomicUsize::new(0),
             corpus_log: Mutex::new(Vec::new()),
             dedup: config.dedup.then(DedupCache::new),
-            incremental: config.incremental.then(|| {
-                QueryCache::new(std::sync::Arc::clone(&query_db))
-                    .with_cross_check(config.cross_check_every)
-                    .with_capacity(config.query_cache_cap)
-            }),
-            ub_gate: config.ub_filter.then(|| {
-                UbGate::with_db(std::sync::Arc::clone(&query_db))
-                    .with_interproc(config.interproc_gate)
-            }),
+            query_cache: QueryCache::new(std::sync::Arc::clone(&query_db))
+                .with_cross_check(config.cross_check_every)
+                .with_capacity(config.query_cache_cap),
+            ub_gate: config
+                .ub_filter
+                .then(|| UbGate::with_db(std::sync::Arc::clone(&query_db))),
             telemetry,
         }
     }
@@ -516,17 +504,17 @@ pub(crate) fn fuzz_iteration(
                 // parent's memoized pipeline queries (bit-identical to
                 // cold, so nothing downstream can tell); parentless
                 // candidates and query guard failures compile cold.
-                let result = match (&shared.incremental, seed) {
-                    (Some(cache), Some(seed)) => {
-                        let _compile_span = telemetry.span_fast("compile_incremental");
-                        cache.compile_hashed(
+                let result = match seed {
+                    Some(seed) => {
+                        let _compile_span = telemetry.span_fast("compile_memo");
+                        shared.query_cache.compile_hashed(
                             &shared.compiler,
                             &seed,
                             &candidate.program,
                             mutant_hash,
                         )
                     }
-                    _ => {
+                    None => {
                         let _compile_span = telemetry.span_fast("compile_cold");
                         shared.compiler.compile(&candidate.program)
                     }
@@ -642,11 +630,10 @@ fn sample_series_point(
             .as_ref()
             .map(|d| rate(d.hits(), d.hits() + d.misses()))
             .unwrap_or(0.0),
-        incremental_hit_rate: shared
-            .incremental
-            .as_ref()
-            .map(|c| rate(c.hits(), c.hits() + c.misses()))
-            .unwrap_or(0.0),
+        incremental_hit_rate: rate(
+            shared.query_cache.hits(),
+            shared.query_cache.hits() + shared.query_cache.misses(),
+        ),
         ub_filter_rate: shared
             .ub_gate
             .as_ref()
@@ -754,12 +741,13 @@ mod tests {
 
     #[test]
     fn incremental_does_not_change_the_report() {
-        // The `--no-incremental` escape hatch must reproduce campaign
-        // results bit-for-bit: incremental compilation is a throughput
-        // knob, never a behavior change. Cross-checking every incremental
-        // compile against a cold one must observe zero mismatches.
+        // Memoized compilation must be a throughput knob, never a behavior
+        // change. Cross-checking every memoized compile against a cold one
+        // substitutes the cold result on any disagreement, so the
+        // cross-checked report IS the cold engine's report: it must equal
+        // the plain run, with zero mismatches observed.
         let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
-        let run = |incremental: bool| {
+        let run = |cross_check_every: usize| {
             let mut f = MuCFuzz::new(
                 "uCFuzz.s",
                 Arc::new(metamut_mutators::supervised_registry()),
@@ -769,15 +757,18 @@ mod tests {
                 iterations: 120,
                 seed: 7,
                 sample_every: 20,
-                incremental,
-                cross_check_every: 1,
+                cross_check_every,
                 ..Default::default()
             };
-            run_campaign(&mut f, &compiler, &cfg)
+            let shared = CampaignShared::new_with(&compiler, &cfg, Telemetry::disabled());
+            let mutants = run_worker(0, &mut f, &shared, None, 0);
+            let mismatches = shared.query_cache.mismatches();
+            (shared.into_report(f.name(), mutants, 1), mismatches)
         };
-        let with = run(true);
-        let without = run(false);
-        assert_eq!(with, without, "incremental compilation changed a report");
+        let (checked, mismatches) = run(1);
+        let (plain, _) = run(0);
+        assert_eq!(mismatches, 0, "memoized compile diverged from cold");
+        assert_eq!(checked, plain, "memoized compilation changed a report");
     }
 
     #[test]
@@ -797,7 +788,7 @@ mod tests {
         };
         let shared = CampaignShared::new_with(&compiler, &cfg, Telemetry::disabled());
         let _ = run_worker(0, &mut f, &shared, None, 0);
-        let cache = shared.incremental.as_ref().expect("incremental on");
+        let cache = &shared.query_cache;
         assert!(cache.hits() > 0, "no mutant took the incremental fast path");
         assert_eq!(cache.mismatches(), 0, "incremental diverged from cold");
     }

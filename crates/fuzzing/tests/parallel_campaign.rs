@@ -7,7 +7,7 @@ use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::parallel::{run_parallel_campaign, run_parallel_campaign_with};
 use metamut_fuzzing::{run_campaign, CampaignConfig};
-use metamut_simcomp::{CompileOptions, Compiler, Profile};
+use metamut_simcomp::{CompileOptions, Compiler, Profile, QueryCache, QueryDb};
 use metamut_telemetry::Telemetry;
 use std::sync::Arc;
 
@@ -45,33 +45,40 @@ fn one_worker_matches_serial_exactly() {
     assert_eq!(serial, parallel);
 }
 
-/// The query engine is a throughput knob, never a behavior change: one
-/// parallel worker compiling through an externally shared [`QueryDb`]
-/// (cross-checks on) reproduces the pre-engine serial report — the same
-/// campaign with incremental compilation disabled entirely — bit for
-/// bit, while the database demonstrably accumulated memos.
+/// The query engine is a throughput knob, never a behavior change: a
+/// serial run that cross-checks every memoized compile against a cold one
+/// (the cold result wins on any disagreement, so its report is the cold
+/// engine's report) observes zero mismatches, and one parallel worker
+/// compiling through the memos alone reproduces it bit for bit.
 #[test]
 fn query_engine_one_worker_matches_pre_engine_serial_exactly() {
     let seeds = corpus();
     let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
-    let pre_engine = CampaignConfig {
+    let db = Arc::new(QueryDb::new());
+    let cross_checked = CampaignConfig {
         iterations: 150,
         seed: 0xD15C0,
         sample_every: 25,
         workers: 1,
-        incremental: false,
+        cross_check_every: 1,
+        query_db: Some(Arc::clone(&db)),
         ..Default::default()
     };
     let reg = registry();
     let mut serial_fuzzer = MuCFuzz::new("uCFuzz.s", reg.clone(), seeds.iter().cloned());
-    let serial = run_campaign(&mut serial_fuzzer, &compiler, &pre_engine);
+    let serial = run_campaign(&mut serial_fuzzer, &compiler, &cross_checked);
+    let cache = QueryCache::new(Arc::clone(&db));
+    assert!(cache.hits() > 0, "no mutant compiled through the memos");
+    assert_eq!(
+        cache.mismatches(),
+        0,
+        "a memoized compile diverged from cold"
+    );
 
-    let db = Arc::new(metamut_simcomp::QueryDb::new());
     let engine = CampaignConfig {
-        cross_check_every: 7,
-        incremental: true,
-        query_db: Some(Arc::clone(&db)),
-        ..pre_engine
+        cross_check_every: 0,
+        query_db: None,
+        ..cross_checked
     };
     let parallel = run_parallel_campaign(
         &seeds,
@@ -80,7 +87,6 @@ fn query_engine_one_worker_matches_pre_engine_serial_exactly() {
         &engine,
     );
     assert_eq!(serial, parallel, "the query engine changed a report");
-    assert!(!db.is_empty(), "the shared database accumulated no memos");
 }
 
 /// The observatory must not perturb the engine: one parallel worker with

@@ -1,4 +1,4 @@
-//! The parse-cache acceptance criterion, asserted through telemetry.
+//! The parse-cache acceptance check, asserted through telemetry.
 //!
 //! This file holds exactly one test on purpose: it enables the
 //! process-global telemetry handle and asserts on counter *deltas*, so it

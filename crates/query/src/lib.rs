@@ -1,86 +1,39 @@
-//! Demand-driven incremental query engine.
+//! Content-addressed memo store.
 //!
-//! A [`QueryDb`] memoizes *queries*: named computations keyed by interned
-//! `(u64, u64)` pairs. Queries come in two flavours:
+//! A [`QueryDb`] maps `(kind, 128-bit content key)` to a computed value.
+//! Callers derive the key from a collision-resistant hash of *every* input
+//! the computation can observe, so the key IS the input: a stored value can
+//! never go stale, and there is nothing to validate or invalidate.
+//! [`QueryDb::memo_once`] is the whole engine — look the key up, or compute
+//! the value once and store it.
 //!
-//! - **Inputs** ([`QueryDb::register_input`] / [`QueryDb::set_input`]) are
-//!   base facts the driver pushes in, each with a content *fingerprint*.
-//!   Setting an input whose fingerprint is unchanged is a no-op (input-level
-//!   early cutoff); a genuinely new value bumps the global revision counter.
-//! - **Derived queries** ([`QueryDb::register_query`]) run a compute
-//!   function. While it runs, every nested [`QueryDb::fetch`] is recorded as
-//!   a dependency edge, so the engine knows exactly which memos a result was
-//!   built from.
+//! Kinds ([`QueryDb::register_kind`]) partition the key space and label the
+//! `query_hits{kind}` / `query_recomputes{kind}` telemetry counters.
 //!
-//! On fetch the engine runs a red-green algorithm with *exact* dependency
-//! validation: each dependency edge records the fingerprint the dependency
-//! had when the memo was computed, and a memo is green exactly when every
-//! dependency (recursively revalidated) still carries its recorded
-//! fingerprint. Only a genuine fingerprint change triggers the compute
-//! function. When a recompute produces a value with the same fingerprint as
-//! before, dependents' recorded edges still match — *early cutoff* — so the
-//! invalidation wave stops there.
+//! Memory is bounded by [`QueryDb::enforce_cap`], which evicts the
+//! least-recently-used memos down to a cap; an evicted memo is simply
+//! recomputed on its next use.
 //!
-//! Each derived memo additionally keeps its *previous* version (value,
-//! fingerprint, and dependency edges). When validation finds the current
-//! version red but the previous version's edges all match, the two versions
-//! swap in O(1) instead of recomputing. Mutation-style workloads that
-//! ping-pong an input between two contents — a fuzzing campaign flipping a
-//! seed's chunk to a mutant and back — thus pay the pipeline once per
-//! distinct content, not once per flip.
-//!
-//! Memory is bounded two ways: [`QueryDb::enforce_cap`] evicts
-//! least-recently-used *derived* memos down to a cap, and
-//! [`QueryDb::evict_group`] drops every memo (inputs included) whose key's
-//! first component matches a group id — the hook callers use to retire a
-//! whole unit of work (e.g. one seed program's slot) at once.
-//!
-//! The engine is concurrency-safe: memo tables are sharded behind mutexes,
+//! The store is concurrency-safe: memo tables are sharded behind mutexes,
 //! no lock is held across a compute function, and compute functions are
 //! required to be pure, so a racing duplicate computation is wasted work but
 //! never an error.
 
-use metamut_lang::fxhash::{FxHashMap, FxHasher};
+use metamut_lang::fxhash::FxHashMap;
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
-use std::cell::RefCell;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of memo-table shards (power of two).
 const SHARDS: usize = 16;
 
-/// A dynamically typed, shareable query value.
+/// A dynamically typed, shareable memo value.
 pub type DynValue = Arc<dyn Any + Send + Sync>;
 
-/// A compute function for a derived query.
-///
-/// Returns the value plus its *fingerprint* — a content hash the engine
-/// compares across recomputations to decide whether dependents must be
-/// invalidated. Two runs producing the same fingerprint MUST be
-/// interchangeable for every downstream consumer.
-pub type ComputeFn = Arc<dyn Fn(&QueryDb, Key) -> (DynValue, u64) + Send + Sync>;
-
-/// Identifies a registered query kind.
+/// Identifies a registered memo kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KindId(u32);
-
-/// An interned `(u64, u64)` query key.
-///
-/// The first component conventionally names a *group* (a compilation slot, a
-/// file, ...) and the second a member within it, but the engine only
-/// interprets the first component — for [`QueryDb::evict_group`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Key(u32);
-
-/// Hashes anything hashable with the same `FxHasher` the rest of the
-/// workspace uses; convenient for building fingerprints.
-pub fn fingerprint_of(value: &impl Hash) -> u64 {
-    let mut h = FxHasher::default();
-    value.hash(&mut h);
-    h.finish()
-}
 
 /// Indices of positions where `current` differs from `baseline`.
 ///
@@ -101,71 +54,25 @@ pub fn dirty_set<T: PartialEq>(baseline: &[T], current: &[T]) -> Option<Vec<usiz
     )
 }
 
-/// One dependency edge: the `(kind, key)` fetched and the fingerprint it
-/// carried at the time.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Dep {
-    kind: KindId,
-    key: Key,
-    fp: u64,
-}
-
-/// The previously current version of a derived memo, kept for O(1)
-/// restoration when an input ping-pongs between two contents.
-struct Prev {
-    value: DynValue,
-    fingerprint: u64,
-    deps: Box<[Dep]>,
-}
-
-/// One memoized query result (current version plus at most one previous).
+/// One stored value plus its LRU stamp from the db-wide use clock.
 struct Memo {
     value: DynValue,
-    fingerprint: u64,
-    /// Revision at which the memo was last known valid.
-    verified_at: u64,
-    /// Dependency edges recorded during the last computation (empty for
-    /// inputs).
-    deps: Box<[Dep]>,
-    /// The version this one replaced, if any (derived memos only).
-    prev: Option<Box<Prev>>,
-    /// LRU stamp from the db-wide use clock.
     last_used: u64,
-    input: bool,
 }
 
-struct KindInfo {
-    name: &'static str,
-    compute: Option<ComputeFn>,
-}
+type Shard = Mutex<FxHashMap<(KindId, u128), Memo>>;
 
-#[derive(Default)]
-struct Interner {
-    map: FxHashMap<(u64, u64), u32>,
-    pairs: Vec<(u64, u64)>,
-}
-
-thread_local! {
-    /// Stack of dependency frames for queries currently computing on this
-    /// thread. `fetch` appends the fetched edge to the top frame.
-    static ACTIVE: RefCell<Vec<Vec<Dep>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The memo database: registered query kinds, interned keys, sharded memo
-/// tables, and the global revision counter.
+/// The memo database: registered kind names, sharded memo tables, and
+/// typed extension storage.
 pub struct QueryDb {
-    revision: AtomicU64,
     use_clock: AtomicU64,
-    interner: RwLock<Interner>,
-    kinds: RwLock<Vec<KindInfo>>,
-    shards: [Mutex<FxHashMap<(KindId, Key), Memo>>; SHARDS],
+    kinds: RwLock<Vec<&'static str>>,
+    shards: [Shard; SHARDS],
     /// Per-db typed extension storage, for layering domain state (e.g. a
     /// compiler's slot registry) onto a shared database.
     extensions: Mutex<FxHashMap<std::any::TypeId, DynValue>>,
     hits: AtomicU64,
     recomputes: AtomicU64,
-    early_cutoffs: AtomicU64,
-    restores: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -178,33 +85,23 @@ impl Default for QueryDb {
 impl std::fmt::Debug for QueryDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryDb")
-            .field("revision", &self.revision.load(Ordering::Relaxed))
             .field("memos", &self.len())
             .finish()
     }
 }
 
 impl QueryDb {
-    /// An empty database at revision 0 with no registered kinds.
+    /// An empty database with no registered kinds.
     pub fn new() -> Self {
         QueryDb {
-            revision: AtomicU64::new(0),
             use_clock: AtomicU64::new(0),
-            interner: RwLock::new(Interner::default()),
             kinds: RwLock::new(Vec::new()),
             shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
             extensions: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
-            early_cutoffs: AtomicU64::new(0),
-            restores: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The current revision (bumped by every effective input change).
-    pub fn revision(&self) -> u64 {
-        self.revision.load(Ordering::Acquire)
     }
 
     /// Total number of live memos across all shards.
@@ -217,7 +114,7 @@ impl QueryDb {
         self.len() == 0
     }
 
-    /// Green hits served without running a compute function.
+    /// Lookups served from a stored memo.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -227,388 +124,46 @@ impl QueryDb {
         self.recomputes.load(Ordering::Relaxed)
     }
 
-    /// Recomputations whose result fingerprint was unchanged, stopping the
-    /// invalidation wave at that query.
-    pub fn early_cutoffs(&self) -> u64 {
-        self.early_cutoffs.load(Ordering::Relaxed)
-    }
-
-    /// Red memos served by swapping back their still-valid previous
-    /// version instead of recomputing.
-    pub fn restores(&self) -> u64 {
-        self.restores.load(Ordering::Relaxed)
-    }
-
-    /// Memos dropped by [`Self::enforce_cap`] or [`Self::evict_group`].
+    /// Memos dropped by [`Self::enforce_cap`].
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Interns `(a, b)` and returns its key.
-    pub fn intern2(&self, a: u64, b: u64) -> Key {
-        if let Some(&id) = self.interner.read().map.get(&(a, b)) {
-            return Key(id);
-        }
-        let mut int = self.interner.write();
-        if let Some(&id) = int.map.get(&(a, b)) {
-            return Key(id);
-        }
-        let id = u32::try_from(int.pairs.len()).expect("interner overflow");
-        int.pairs.push((a, b));
-        int.map.insert((a, b), id);
-        Key(id)
-    }
-
-    /// The `(a, b)` pair behind an interned key.
-    pub fn key_parts(&self, key: Key) -> (u64, u64) {
-        self.interner.read().pairs[key.0 as usize]
-    }
-
-    /// Registers a derived query kind. `name` labels its telemetry counters
+    /// Registers a memo kind. `name` labels its telemetry counters
     /// (`query_hits{name}` / `query_recomputes{name}`).
-    pub fn register_query(
-        &self,
-        name: &'static str,
-        compute: impl Fn(&QueryDb, Key) -> (DynValue, u64) + Send + Sync + 'static,
-    ) -> KindId {
+    pub fn register_kind(&self, name: &'static str) -> KindId {
         let mut kinds = self.kinds.write();
         let id = u32::try_from(kinds.len()).expect("kind overflow");
-        kinds.push(KindInfo {
-            name,
-            compute: Some(Arc::new(compute)),
-        });
+        kinds.push(name);
         KindId(id)
     }
 
-    /// Registers an input kind, set via [`Self::set_input`].
-    pub fn register_input(&self, name: &'static str) -> KindId {
-        let mut kinds = self.kinds.write();
-        let id = u32::try_from(kinds.len()).expect("kind overflow");
-        kinds.push(KindInfo {
-            name,
-            compute: None,
-        });
-        KindId(id)
-    }
-
-    fn shard(&self, kind: KindId, key: Key) -> &Mutex<FxHashMap<(KindId, Key), Memo>> {
-        let mut h = FxHasher::default();
-        (kind.0, key.0).hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    fn shard(&self, kind: KindId, key: u128) -> &Shard {
+        // Keys are content hashes, so their low bits are already uniform.
+        &self.shards[((key as usize) ^ kind.0 as usize) % SHARDS]
     }
 
     fn stamp(&self) -> u64 {
         self.use_clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Sets input `(kind, key)` to `value` with content fingerprint `fp`.
-    ///
-    /// Returns `true` when the input actually changed. An unchanged
-    /// fingerprint keeps the stored value and does *not* bump the revision,
-    /// so downstream memos stay green without any validation walk.
-    pub fn set_input(&self, kind: KindId, key: Key, value: DynValue, fp: u64) -> bool {
-        let stamp = self.stamp();
-        let mut shard = self.shard(kind, key).lock();
-        match shard.get_mut(&(kind, key)) {
-            Some(memo) if memo.fingerprint == fp => {
-                memo.last_used = stamp;
-                false
-            }
-            Some(memo) => {
-                self.revision.fetch_add(1, Ordering::AcqRel);
-                memo.value = value;
-                memo.fingerprint = fp;
-                memo.last_used = stamp;
-                true
-            }
-            None => {
-                shard.insert(
-                    (kind, key),
-                    Memo {
-                        value,
-                        fingerprint: fp,
-                        verified_at: 0,
-                        deps: Box::new([]),
-                        prev: None,
-                        last_used: stamp,
-                        input: true,
-                    },
-                );
-                true
-            }
-        }
-    }
-
-    /// Fetches `(kind, key)`, recomputing only when some transitive input
-    /// fingerprint changed since the memo was last computed. Records a
-    /// dependency edge into the enclosing compute function, if any.
-    ///
-    /// Returns the value and its fingerprint.
-    ///
-    /// # Panics
-    ///
-    /// Panics when asked for an input that was never set, or a kind that was
-    /// never registered.
-    pub fn fetch(&self, kind: KindId, key: Key) -> (DynValue, u64) {
-        let rev = self.revision();
-        let (value, fp, recomputed) = self.ensure(kind, key, rev);
-        if !recomputed {
-            self.note_hit(kind);
-        }
-        self.record_dep(kind, key, fp);
-        (value, fp)
-    }
-
-    /// Brings `(kind, key)` up to date at revision `rev` and returns its
-    /// value, fingerprint, and whether the compute function ran. The
-    /// validation walk itself goes through this path, so dependency probes
-    /// skip the hit counters and dependency recording that [`Self::fetch`]
-    /// adds on top.
-    fn ensure(&self, kind: KindId, key: Key, rev: u64) -> (DynValue, u64, bool) {
-        // Fast path: inputs are always current, and a derived memo verified
-        // in this revision is green by definition.
-        let recorded = {
-            let stamp = self.stamp();
-            let mut shard = self.shard(kind, key).lock();
-            match shard.get_mut(&(kind, key)) {
-                Some(memo) if memo.input || memo.verified_at == rev => {
-                    memo.last_used = stamp;
-                    return (memo.value.clone(), memo.fingerprint, false);
-                }
-                Some(memo) => Some(memo.deps.clone()),
-                None => None,
-            }
-        };
-        // Exact validation: green iff every recorded edge still carries the
-        // fingerprint it had when this memo was computed. No lock is held
-        // while probing.
-        if let Some(deps) = recorded {
-            if self.deps_match(&deps, rev) {
-                let mut shard = self.shard(kind, key).lock();
-                if let Some(memo) = shard.get_mut(&(kind, key)) {
-                    memo.verified_at = rev;
-                    return (memo.value.clone(), memo.fingerprint, false);
-                }
-            } else if let Some(prev_deps) = {
-                // Red: clone the previous version's edges only now, on the
-                // rare path — green validations stay allocation-light.
-                let shard = self.shard(kind, key).lock();
-                shard
-                    .get(&(kind, key))
-                    .and_then(|m| m.prev.as_ref().map(|p| p.deps.clone()))
-            }
-            .filter(|prev_deps| self.deps_match(prev_deps, rev))
-            {
-                // The current version is red but the previous one matches
-                // today's inputs exactly: swap the two versions instead of
-                // recomputing (an input ping-ponged back).
-                let mut shard = self.shard(kind, key).lock();
-                if let Some(memo) = shard.get_mut(&(kind, key)) {
-                    if memo.verified_at == rev {
-                        // Another thread revalidated meanwhile.
-                        return (memo.value.clone(), memo.fingerprint, false);
-                    }
-                    if let Some(prev) = memo.prev.as_mut() {
-                        if *prev.deps == *prev_deps {
-                            std::mem::swap(&mut memo.value, &mut prev.value);
-                            std::mem::swap(&mut memo.fingerprint, &mut prev.fingerprint);
-                            std::mem::swap(&mut memo.deps, &mut prev.deps);
-                            memo.verified_at = rev;
-                            let out = (memo.value.clone(), memo.fingerprint, false);
-                            drop(shard);
-                            self.restores.fetch_add(1, Ordering::Relaxed);
-                            let tele = metamut_telemetry::handle();
-                            if tele.enabled() {
-                                tele.counter_add("query_restores", 1);
-                            }
-                            return out;
-                        }
-                    }
-                }
-            }
-        }
-        let (value, fp) = self.compute(kind, key, rev);
-        (value, fp, true)
-    }
-
-    /// True when every edge's dependency, brought up to date, still carries
-    /// the recorded fingerprint.
-    fn deps_match(&self, deps: &[Dep], rev: u64) -> bool {
-        deps.iter()
-            .all(|d| self.ensure(d.kind, d.key, rev).1 == d.fp)
-    }
-
-    /// Fetches and downcasts to the concrete value type.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the stored value is not a `T`.
-    pub fn get<T: Send + Sync + 'static>(&self, kind: KindId, key: Key) -> Arc<T> {
-        self.fetch(kind, key)
-            .0
-            .downcast::<T>()
-            .expect("query value type mismatch")
-    }
-
-    fn compute(&self, kind: KindId, key: Key, rev: u64) -> (DynValue, u64) {
-        let compute = {
-            let kinds = self.kinds.read();
-            let info = kinds.get(kind.0 as usize).expect("unregistered kind");
-            info.compute
-                .clone()
-                .unwrap_or_else(|| panic!("input query `{}` fetched before set_input", info.name))
-        };
-        ACTIVE.with(|stack| stack.borrow_mut().push(Vec::new()));
-        let (value, fp) = compute(self, key);
-        let deps = ACTIVE
-            .with(|stack| stack.borrow_mut().pop())
-            .unwrap_or_default()
-            .into_boxed_slice();
-        self.note_recompute(kind);
-        let stamp = self.stamp();
-        let mut shard = self.shard(kind, key).lock();
-        match shard.get_mut(&(kind, key)) {
-            // Early cutoff: same fingerprint as the previous value, so
-            // dependents' recorded edges still match and stay green.
-            Some(memo) if memo.fingerprint == fp => {
-                self.early_cutoffs.fetch_add(1, Ordering::Relaxed);
-                if metamut_telemetry::handle().enabled() {
-                    metamut_telemetry::handle().counter_add("query_early_cutoffs", 1);
-                }
-                memo.value = value.clone();
-                memo.verified_at = rev;
-                memo.deps = deps;
-                memo.last_used = stamp;
-                (value, fp)
-            }
-            Some(memo) => {
-                // Demote the displaced version so a later flip back to
-                // today's inputs can restore it without recomputing.
-                let old_value = std::mem::replace(&mut memo.value, value.clone());
-                let old_deps = std::mem::replace(&mut memo.deps, deps);
-                memo.prev = Some(Box::new(Prev {
-                    value: old_value,
-                    fingerprint: memo.fingerprint,
-                    deps: old_deps,
-                }));
-                memo.fingerprint = fp;
-                memo.verified_at = rev;
-                memo.last_used = stamp;
-                (value, fp)
-            }
-            None => {
-                shard.insert(
-                    (kind, key),
-                    Memo {
-                        value: value.clone(),
-                        fingerprint: fp,
-                        verified_at: rev,
-                        deps,
-                        prev: None,
-                        last_used: stamp,
-                        input: false,
-                    },
-                );
-                (value, fp)
-            }
-        }
-    }
-
-    fn record_dep(&self, kind: KindId, key: Key, fp: u64) {
-        ACTIVE.with(|stack| {
-            if let Some(frame) = stack.borrow_mut().last_mut() {
-                frame.push(Dep { kind, key, fp });
-            }
-        });
-    }
-
-    fn kind_name(&self, kind: KindId) -> &'static str {
-        self.kinds.read()[kind.0 as usize].name
-    }
-
-    fn note_hit(&self, kind: KindId) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    fn count(&self, counter: &AtomicU64, family: &str, kind: KindId) {
+        counter.fetch_add(1, Ordering::Relaxed);
         let tele = metamut_telemetry::handle();
         if tele.enabled() {
-            tele.counter_add(
-                &metamut_telemetry::labeled("query_hits", self.kind_name(kind)),
-                1,
-            );
+            let name = self.kinds.read()[kind.0 as usize];
+            tele.counter_add(&metamut_telemetry::labeled(family, name), 1);
         }
     }
 
-    fn note_recompute(&self, kind: KindId) {
-        self.recomputes.fetch_add(1, Ordering::Relaxed);
-        let tele = metamut_telemetry::handle();
-        if tele.enabled() {
-            tele.counter_add(
-                &metamut_telemetry::labeled("query_recomputes", self.kind_name(kind)),
-                1,
-            );
-        }
-    }
-
-    fn note_evictions(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-        let tele = metamut_telemetry::handle();
-        if tele.enabled() {
-            tele.counter_add("query_evictions", n);
-        }
-    }
-
-    /// Memoize-once: returns the stored value for `(kind, key)` or computes
-    /// and stores it, with no dependency tracking or invalidation. For
-    /// content-addressed keys whose value can never change (the key *is* the
-    /// content hash), this is all the caching needed.
-    pub fn get_or_insert_with(
-        &self,
-        kind: KindId,
-        key: Key,
-        compute: impl FnOnce() -> DynValue,
-    ) -> DynValue {
-        {
-            let stamp = self.stamp();
-            let mut shard = self.shard(kind, key).lock();
-            if let Some(memo) = shard.get_mut(&(kind, key)) {
-                memo.last_used = stamp;
-                let value = memo.value.clone();
-                drop(shard);
-                self.note_hit(kind);
-                return value;
-            }
-        }
-        let value = compute();
-        self.note_recompute(kind);
-        let rev = self.revision();
-        let stamp = self.stamp();
-        let mut shard = self.shard(kind, key).lock();
-        let memo = shard.entry((kind, key)).or_insert_with(|| Memo {
-            value: value.clone(),
-            fingerprint: 0,
-            verified_at: rev,
-            deps: Box::new([]),
-            prev: None,
-            last_used: stamp,
-            input: true,
-        });
-        memo.value.clone()
-    }
-
-    /// Content-addressed memoization: returns the stored value for
-    /// `(kind, key)` or computes and stores it, reporting whether the call
-    /// was a hit. Like [`Self::get_or_insert_with`] there is no dependency
-    /// tracking or invalidation — the key *is* the content, so the value
-    /// can never change — but unlike it the memo is stored as *derived*,
-    /// making it reclaimable by [`Self::enforce_cap`]'s LRU sweep: a
-    /// content-addressed table grows with every distinct declaration a
-    /// campaign ever compiles and must stay boundable.
+    /// Returns the stored value for `(kind, key)` or computes and stores
+    /// it, reporting whether the call was a hit. `key` must be a content
+    /// hash of every input `compute` observes, so the stored value can
+    /// never change.
     pub fn memo_once(
         &self,
         kind: KindId,
-        key: Key,
+        key: u128,
         compute: impl FnOnce() -> DynValue,
     ) -> (DynValue, bool) {
         {
@@ -618,83 +173,50 @@ impl QueryDb {
                 memo.last_used = stamp;
                 let value = memo.value.clone();
                 drop(shard);
-                self.note_hit(kind);
+                self.count(&self.hits, "query_hits", kind);
                 return (value, true);
             }
         }
         let value = compute();
-        self.note_recompute(kind);
-        let rev = self.revision();
+        self.count(&self.recomputes, "query_recomputes", kind);
         let stamp = self.stamp();
         let mut shard = self.shard(kind, key).lock();
         // A racing thread may have stored its own copy between our probe
         // and this insert; keep the first one so every caller observes a
         // single canonical artifact.
-        let memo = shard.entry((kind, key)).or_insert_with(|| Memo {
-            value: value.clone(),
-            fingerprint: 0,
-            verified_at: rev,
-            deps: Box::new([]),
-            prev: None,
+        let memo = shard.entry((kind, key)).or_insert(Memo {
+            value,
             last_used: stamp,
-            input: false,
         });
         (memo.value.clone(), false)
     }
 
-    /// Evicts least-recently-used *derived* memos until at most `cap`
-    /// derived memos remain. Inputs are never evicted here — they are tiny,
-    /// and dropping one would break dependents silently; whole groups retire
-    /// through [`Self::evict_group`] instead. A `cap` of 0 clears all
-    /// derived memos.
+    /// Evicts least-recently-used memos until at most `cap` remain. A
+    /// `cap` of 0 clears the store.
     pub fn enforce_cap(&self, cap: usize) {
-        let mut derived: Vec<(u64, usize, (KindId, Key))> = Vec::new();
+        let mut all: Vec<(u64, usize, (KindId, u128))> = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
             let shard = shard.lock();
-            for (k, memo) in shard.iter() {
-                if !memo.input {
-                    derived.push((memo.last_used, i, *k));
-                }
-            }
+            all.extend(shard.iter().map(|(k, memo)| (memo.last_used, i, *k)));
         }
-        if derived.len() <= cap {
+        if all.len() <= cap {
             return;
         }
-        derived.sort_unstable_by_key(|&(used, _, _)| used);
-        let excess = derived.len() - cap;
+        all.sort_unstable_by_key(|&(used, _, _)| used);
+        let excess = all.len() - cap;
         let mut dropped = 0u64;
-        for &(_, shard_idx, key) in &derived[..excess] {
+        for &(_, shard_idx, key) in &all[..excess] {
             if self.shards[shard_idx].lock().remove(&key).is_some() {
                 dropped += 1;
             }
         }
-        self.note_evictions(dropped);
-    }
-
-    /// Drops every memo — inputs included — whose interned key's first
-    /// component equals `group`. Callers use this to retire one unit of work
-    /// (e.g. a seed slot) wholesale.
-    pub fn evict_group(&self, group: u64) {
-        let members: Vec<Key> = {
-            let int = self.interner.read();
-            int.pairs
-                .iter()
-                .enumerate()
-                .filter(|(_, &(a, _))| a == group)
-                .map(|(i, _)| Key(u32::try_from(i).expect("interner overflow")))
-                .collect()
-        };
-        if members.is_empty() {
-            return;
+        if dropped > 0 {
+            self.evictions.fetch_add(dropped, Ordering::Relaxed);
+            let tele = metamut_telemetry::handle();
+            if tele.enabled() {
+                tele.counter_add("query_evictions", dropped);
+            }
         }
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            let before = shard.len();
-            shard.retain(|&(_, key), _| !members.contains(&key));
-            dropped += (before - shard.len()) as u64;
-        }
-        self.note_evictions(dropped);
     }
 
     /// Typed per-db extension storage: returns the existing `T` or installs
@@ -721,214 +243,84 @@ mod tests {
         *v.downcast_ref::<i64>().unwrap()
     }
 
-    /// input(a) -> half(a) = a/2 -> sign(a) = half < 0.
-    struct Chain {
-        db: Arc<QueryDb>,
-        input: KindId,
-        half: KindId,
-        sign: KindId,
-    }
-
-    fn chain() -> Chain {
-        let db = Arc::new(QueryDb::new());
-        let input = db.register_input("in");
-        let half = db.register_query("half", move |db, key| {
-            let (v, _) = db.fetch(input, key);
-            let h = as_i64(&v) / 2;
-            (val(h), h as u64)
-        });
-        let half_dep = half;
-        let sign = db.register_query("sign", move |db, key| {
-            let (v, _) = db.fetch(half_dep, key);
-            let s = i64::from(as_i64(&v) < 0);
-            (val(s), s as u64)
-        });
-        Chain {
-            db,
-            input,
-            half,
-            sign,
-        }
-    }
-
     #[test]
     fn memo_once_hits_and_is_reclaimable_by_the_lru_cap() {
         let db = QueryDb::new();
-        let kind = db.register_input("content");
-        let k1 = db.intern2(1 | (1 << 63), 7);
-        let (v, hit) = db.memo_once(kind, k1, || val(41));
+        let kind = db.register_kind("content");
+        let (v, hit) = db.memo_once(kind, 1, || val(41));
         assert_eq!((as_i64(&v), hit), (41, false));
         // The stored value wins over any later compute closure.
-        let (v, hit) = db.memo_once(kind, k1, || val(999));
+        let (v, hit) = db.memo_once(kind, 1, || val(999));
         assert_eq!((as_i64(&v), hit), (41, true));
-        // Content memos are derived, so the LRU cap can reclaim them —
-        // a content-addressed table must not grow without bound.
-        let k2 = db.intern2(2 | (1 << 63), 7);
-        db.memo_once(kind, k2, || val(42));
+        // A content-addressed table must not grow without bound.
+        db.memo_once(kind, 2, || val(42));
         db.enforce_cap(1);
         assert_eq!(db.len(), 1);
-        let (_, hit) = db.memo_once(kind, k2, || val(42));
+        let (_, hit) = db.memo_once(kind, 2, || val(42));
         assert!(hit, "the most recently used memo survives the sweep");
     }
 
     #[test]
-    fn memoizes_and_revalidates_green() {
-        let c = chain();
-        let k = c.db.intern2(1, 0);
-        c.db.set_input(c.input, k, val(10), 10);
-        assert_eq!(as_i64(&c.db.fetch(c.sign, k).0), 0);
-        let recomputes = c.db.recomputes();
-        // Same revision: a pure green hit.
-        assert_eq!(as_i64(&c.db.fetch(c.sign, k).0), 0);
-        assert_eq!(c.db.recomputes(), recomputes);
-        // Unchanged input fingerprint: no revision bump, still green.
-        assert!(!c.db.set_input(c.input, k, val(10), 10));
-        assert_eq!(as_i64(&c.db.fetch(c.sign, k).0), 0);
-        assert_eq!(c.db.recomputes(), recomputes);
-    }
-
-    #[test]
-    fn early_cutoff_stops_the_invalidation_wave() {
-        let c = chain();
-        let k = c.db.intern2(1, 0);
-        c.db.set_input(c.input, k, val(10), 10);
-        c.db.fetch(c.sign, k);
-        let recomputes = c.db.recomputes();
-        // 10 -> 11 changes the input, but half(11) == half(10) == 5: the
-        // half query recomputes, fingerprints identically, and sign stays
-        // green without recomputing.
-        assert!(c.db.set_input(c.input, k, val(11), 11));
-        assert_eq!(as_i64(&c.db.fetch(c.sign, k).0), 0);
-        assert_eq!(c.db.recomputes(), recomputes + 1);
-        assert_eq!(c.db.early_cutoffs(), 1);
-        // A real change propagates all the way.
-        assert!(c.db.set_input(c.input, k, val(-8), -8i64 as u64));
-        assert_eq!(as_i64(&c.db.fetch(c.sign, k).0), 1);
-        assert_eq!(c.db.recomputes(), recomputes + 3);
-    }
-
-    #[test]
-    fn ping_pong_inputs_restore_instead_of_recomputing() {
-        let c = chain();
-        let k = c.db.intern2(1, 0);
-        // Two distinct contents, alternated — a mutant flip and its
-        // restore. The first visit to each content computes the chain; every
-        // later flip swaps the memo versions back without running anything.
-        c.db.set_input(c.input, k, val(10), 10);
-        assert_eq!(as_i64(&c.db.fetch(c.half, k).0), 5);
-        c.db.set_input(c.input, k, val(-8), -8i64 as u64);
-        assert_eq!(as_i64(&c.db.fetch(c.half, k).0), -4);
-        let recomputes = c.db.recomputes();
-        for round in 0..4 {
-            c.db.set_input(c.input, k, val(10), 10);
-            assert_eq!(as_i64(&c.db.fetch(c.half, k).0), 5, "round {round}");
-            c.db.set_input(c.input, k, val(-8), -8i64 as u64);
-            assert_eq!(as_i64(&c.db.fetch(c.half, k).0), -4, "round {round}");
-        }
-        assert_eq!(c.db.recomputes(), recomputes, "flips must not recompute");
-        assert_eq!(c.db.restores(), 8, "every flip restores the prior version");
-    }
-
-    #[test]
     fn independent_keys_do_not_invalidate_each_other() {
-        let c = chain();
-        let ka = c.db.intern2(1, 0);
-        let kb = c.db.intern2(1, 1);
-        c.db.set_input(c.input, ka, val(4), 4);
-        c.db.set_input(c.input, kb, val(6), 6);
-        c.db.fetch(c.half, ka);
-        c.db.fetch(c.half, kb);
-        let recomputes = c.db.recomputes();
-        c.db.set_input(c.input, ka, val(40), 40);
-        // Only half(ka) reruns; half(kb) revalidates green against its
-        // unchanged input.
-        assert_eq!(as_i64(&c.db.fetch(c.half, kb).0), 3);
-        assert_eq!(as_i64(&c.db.fetch(c.half, ka).0), 20);
-        assert_eq!(c.db.recomputes(), recomputes + 1);
+        // Kinds partition the key space: one content key under two kinds
+        // names two memos, and storing one never disturbs another.
+        let db = QueryDb::new();
+        let a = db.register_kind("a");
+        let b = db.register_kind("b");
+        let key = u128::MAX - 7;
+        db.memo_once(a, key, || val(1));
+        db.memo_once(b, key, || val(2));
+        db.memo_once(a, key + 1, || val(3));
+        assert_eq!(db.len(), 3);
+        assert_eq!(as_i64(&db.memo_once(a, key, || val(0)).0), 1);
+        assert_eq!(as_i64(&db.memo_once(b, key, || val(0)).0), 2);
+        assert_eq!(as_i64(&db.memo_once(a, key + 1, || val(0)).0), 3);
+        assert_eq!((db.hits(), db.recomputes()), (3, 3));
     }
 
     #[test]
     fn lru_eviction_drops_oldest_derived_memos_first() {
-        let c = chain();
-        let keys: Vec<Key> = (0..4).map(|i| c.db.intern2(1, i)).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            let v = (i as i64 + 1) * 10;
-            c.db.set_input(c.input, k, val(v), v as u64);
-            c.db.fetch(c.half, k);
+        let db = QueryDb::new();
+        let kind = db.register_kind("half");
+        for k in 0..4u128 {
+            db.memo_once(kind, k, || val(k as i64 * 10));
         }
         // Touch key 0 so key 1 is now the least recently used.
-        c.db.fetch(c.half, keys[0]);
-        c.db.enforce_cap(3);
-        assert_eq!(c.db.evictions(), 1);
-        let recomputes = c.db.recomputes();
+        db.memo_once(kind, 0, || val(0));
+        db.enforce_cap(3);
+        assert_eq!(db.evictions(), 1);
+        let recomputes = db.recomputes();
         // Keys 0, 2, 3 survived...
-        c.db.fetch(c.half, keys[0]);
-        c.db.fetch(c.half, keys[2]);
-        c.db.fetch(c.half, keys[3]);
-        assert_eq!(c.db.recomputes(), recomputes);
+        for k in [0, 2, 3] {
+            assert!(db.memo_once(kind, k, || val(-1)).1, "key {k} evicted");
+        }
+        assert_eq!(db.recomputes(), recomputes);
         // ...while key 1 was evicted and must recompute.
-        c.db.fetch(c.half, keys[1]);
-        assert_eq!(c.db.recomputes(), recomputes + 1);
-        // Inputs are never touched by enforce_cap.
-        c.db.enforce_cap(0);
-        assert_eq!(c.db.len(), 4);
-    }
-
-    #[test]
-    fn evict_group_retires_everything_under_one_group() {
-        let c = chain();
-        let ka = c.db.intern2(7, 0);
-        let kb = c.db.intern2(8, 0);
-        c.db.set_input(c.input, ka, val(2), 2);
-        c.db.set_input(c.input, kb, val(4), 4);
-        c.db.fetch(c.sign, ka);
-        c.db.fetch(c.sign, kb);
-        let before = c.db.len();
-        c.db.evict_group(7);
-        // Input + half + sign for group 7 are gone.
-        assert_eq!(c.db.len(), before - 3);
-        let recomputes = c.db.recomputes();
-        c.db.fetch(c.sign, kb);
-        assert_eq!(c.db.recomputes(), recomputes);
+        assert!(!db.memo_once(kind, 1, || val(10)).1);
+        assert_eq!(db.recomputes(), recomputes + 1);
+        db.enforce_cap(0);
+        assert!(db.is_empty());
     }
 
     #[test]
     fn cross_thread_sharing_sees_one_memo_table() {
-        let c = chain();
-        let k = c.db.intern2(1, 0);
-        c.db.set_input(c.input, k, val(100), 100);
+        let db = Arc::new(QueryDb::new());
+        let kind = db.register_kind("shared");
         // Prime on the main thread.
-        c.db.fetch(c.sign, k);
-        let recomputes = c.db.recomputes();
+        db.memo_once(kind, 100, || val(100));
+        let recomputes = db.recomputes();
         let threads: Vec<_> = (0..4)
             .map(|_| {
-                let db = Arc::clone(&c.db);
-                let sign = c.sign;
-                std::thread::spawn(move || as_i64(&db.fetch(sign, k).0))
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || as_i64(&db.memo_once(kind, 100, || val(-1)).0))
             })
             .collect();
         for t in threads {
-            assert_eq!(t.join().unwrap(), 0);
+            assert_eq!(t.join().unwrap(), 100);
         }
         // All four workers hit the shared memo.
-        assert_eq!(c.db.recomputes(), recomputes);
-        assert!(c.db.hits() >= 4);
-    }
-
-    #[test]
-    fn get_or_insert_with_memoizes_once() {
-        let db = QueryDb::new();
-        let kind = db.register_input("pure");
-        let k = db.intern2(42, 0);
-        let computed = std::cell::Cell::new(0);
-        for _ in 0..3 {
-            let v = db.get_or_insert_with(kind, k, || {
-                computed.set(computed.get() + 1);
-                val(9)
-            });
-            assert_eq!(as_i64(&v), 9);
-        }
-        assert_eq!(computed.get(), 1);
+        assert_eq!(db.recomputes(), recomputes);
+        assert!(db.hits() >= 4);
     }
 
     #[test]

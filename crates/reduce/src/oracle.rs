@@ -4,7 +4,7 @@
 //! A candidate is accepted only if the instrumented compiler — same
 //! [`Profile`], same [`CompileOptions`] — still dies with the identical
 //! [`CrashInfo::signature`] (the paper's top-two-stack-frames unique-crash
-//! criterion from `metamut-simcomp::bugs`). Everything else (clean
+//! rule from `metamut-simcomp::bugs`). Everything else (clean
 //! compiles, rejections, *different* crashes) is a failed candidate, so
 //! reduction can never silently slide from one bug onto another.
 //!

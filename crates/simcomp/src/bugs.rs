@@ -5,7 +5,7 @@
 //! a realistic pipeline depth, including reconstructions of the paper's
 //! four case studies (GCC #111820, GCC #111819, Clang #63762, Clang #69213).
 //! A crash is identified by its top two stack frames, exactly like the
-//! paper's unique-crash criterion (§5.1).
+//! paper's unique-crash rule (§5.1).
 
 use crate::coverage::Stage;
 use crate::features::{AstFeatures, RawFeatures};

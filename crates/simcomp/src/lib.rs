@@ -25,19 +25,19 @@ pub mod bugs;
 pub mod coverage;
 pub mod dedup;
 pub mod features;
-pub mod incremental;
 pub mod ir;
 pub mod lower;
 pub mod passes;
 pub mod query;
+mod stitch;
 
 pub use bugs::{CrashInfo, CrashKind, Profile};
 pub use coverage::{AtomicCoverage, CoverageMap, SharedCoverage, Stage};
 pub use dedup::{CachedCompile, Claim, DedupCache, Verdict};
-pub use incremental::{coverage_equal, Baseline, BaselineCache};
 pub use metamut_query::QueryDb;
 pub use passes::OptFlags;
 pub use query::QueryCache;
+pub use stitch::coverage_equal;
 
 use coverage::{feature_hash, feature_hash_display, feature_hash_str};
 

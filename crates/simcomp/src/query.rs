@@ -67,11 +67,11 @@
 //! [`QueryCache::with_cross_check`].
 
 use crate::coverage::feature_hash_display;
-use crate::incremental::{
-    coverage_equal, opt_stage_a, opt_stage_b, DeclArtifacts, FnArtifacts, INLINE_IDX,
-};
 use crate::ir::{Inst, IrFunction, Value};
 use crate::passes::{LoopInfo, OptReport};
+use crate::stitch::{
+    coverage_equal, opt_stage_a, opt_stage_b, DeclArtifacts, FnArtifacts, INLINE_IDX,
+};
 use crate::{features, lower, passes, CompileResult, Compiler};
 use metamut_lang::chash::{hash128, Sip128};
 use metamut_lang::declsplit::ident_spellings;
@@ -180,14 +180,6 @@ struct CCodegen {
 // ----------------------------------------------------------------------
 // Keys
 // ----------------------------------------------------------------------
-
-/// Folds a 128-bit content key into the engine's interned `(u64, u64)`
-/// key space. Bit 63 of the first component is forced so content groups
-/// can never collide with the small sequential group ids other database
-/// users (the UB gate, engine tests) retire via `evict_group`.
-fn ckey(db: &QueryDb, k: u128) -> metamut_query::Key {
-    db.intern2(((k >> 64) as u64) | (1 << 63), k as u64)
-}
 
 /// Derives a stage key: a domain-separation tag plus the parent key.
 fn stage_key(tag: &str, parent: u128) -> Sip128 {
@@ -317,13 +309,13 @@ impl SimcompQueries {
         let initial_fp = initial.fingerprint128();
         SimcompQueries {
             kinds: Kinds {
-                parse: db.register_input("parse"),
-                sema: db.register_input("sema"),
-                feat: db.register_input("features"),
-                lower: db.register_input("lower"),
-                opt_a: db.register_input("opt-pre"),
-                opt: db.register_input("opt"),
-                codegen: db.register_input("codegen"),
+                parse: db.register_kind("parse"),
+                sema: db.register_kind("sema"),
+                feat: db.register_kind("features"),
+                lower: db.register_kind("lower"),
+                opt_a: db.register_kind("opt-pre"),
+                opt: db.register_kind("opt"),
+                codegen: db.register_kind("codegen"),
             },
             by_key: Mutex::new(FxHashMap::default()),
             interner: TextInterner::new(),
@@ -355,7 +347,7 @@ impl SimcompQueries {
         origin_of: impl Fn(&T) -> u64,
         compute: impl FnOnce() -> T,
     ) -> Arc<T> {
-        let (v, hit) = db.memo_once(kind, ckey(db, key), || Arc::new(compute()) as DynValue);
+        let (v, hit) = db.memo_once(kind, key, || Arc::new(compute()) as DynValue);
         let Ok(art) = v.downcast::<T>() else {
             unreachable!("stage artifact type clash")
         };
@@ -1080,10 +1072,6 @@ impl QueryCache {
                 code6: parses[k].code6,
                 ty_feats: ok.ty_feats.clone(),
                 feats: feats[k].features.clone(),
-                // The stitch replay never reads the volatile sets — the
-                // chain walk threads them through the feat memos.
-                volatile_before: FxHashSet::default(),
-                volatile_after: FxHashSet::default(),
                 lower_features: lowers[k].features.clone(),
                 func,
             }));

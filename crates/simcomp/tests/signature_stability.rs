@@ -1,4 +1,4 @@
-//! Property: the crash signature (top-two-frame criterion) is invariant
+//! Property: the crash signature (top-two-frame rule) is invariant
 //! under whitespace- and comment-preserving rewrites of the witness.
 //!
 //! This is what makes signature-keyed triage and reduction sound: two

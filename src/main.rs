@@ -5,8 +5,8 @@
 //! metamut mutate FILE -m NAME [-s N]    # apply one mutator to a C file
 //! metamut compile FILE [-p gcc|clang] [-O N] [--flags ...]
 //! metamut generate [-n N] [-s N]        # run the MetaMut pipeline
-//! metamut fuzz [-i N] [-s N] [-p gcc|clang] [-w N] [--no-dedup] [--no-incremental]
-//!              [--no-ub-filter] [--no-interproc-gate] [--no-lint-penalty]
+//! metamut fuzz [-i N] [-s N] [-p gcc|clang] [-w N] [--no-dedup]
+//!              [--no-ub-filter] [--no-lint-penalty]
 //!              [--query-cache-cap N] [--reduce]
 //!              [--status-addr HOST:PORT]
 //! metamut analyze FILE [--json]         # dataflow UB/validity findings
@@ -67,12 +67,9 @@ fn main() -> ExitCode {
                  \n  generate [-n N] [-s N]       run the MetaMut generation pipeline\
                  \n  fuzz [-i N] [-s N] [-p gcc|clang] [-w N] [--no-dedup]  run a μCFuzz campaign\
                  \n                               -w N: worker threads (0 = one per CPU; default 1)\
-                 \n                               --no-incremental: compile every mutant cold\
                  \n                               --no-ub-filter: compile UB mutants too\
-                 \n                               --no-interproc-gate: UB gate without call summaries\
                  \n                               --no-lint-penalty: uniform seed picks (ignore lints)\
                  \n                               --query-cache-cap N: cap cached seed slots (0 = unbounded)\
-                 \n                                 (--baseline-cache-cap is a deprecated alias)\
                  \n                               --reduce: triage + reduce discovered crashes\
                  \n                               --reduce-out DIR: write triage.json/.md to DIR\
                  \n  analyze FILE [--json]        report dataflow UB/validity findings\
@@ -122,7 +119,7 @@ fn opt(rest: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-const VALUE_FLAGS: [&str; 28] = [
+const VALUE_FLAGS: [&str; 27] = [
     "-m",
     "-s",
     "-p",
@@ -136,7 +133,6 @@ const VALUE_FLAGS: [&str; 28] = [
     "--out",
     "--reduce-out",
     "--query-cache-cap",
-    "--baseline-cache-cap",
     "--trace-out",
     "--timeseries-out",
     "--status-addr",
@@ -152,21 +148,6 @@ const VALUE_FLAGS: [&str; 28] = [
     "--addr-out",
     "--cancel",
 ];
-
-/// `--query-cache-cap N`, honoring `--baseline-cache-cap` as a deprecated
-/// alias (with a warning) so existing scripts keep working.
-fn query_cache_cap(rest: &[String]) -> usize {
-    if let Some(v) = opt(rest, "--query-cache-cap").and_then(|s| s.parse().ok()) {
-        return v;
-    }
-    match opt(rest, "--baseline-cache-cap").and_then(|s| s.parse().ok()) {
-        Some(v) => {
-            eprintln!("warning: --baseline-cache-cap is deprecated; use --query-cache-cap");
-            v
-        }
-        None => 0,
-    }
-}
 
 fn positionals(rest: &[String]) -> Vec<&String> {
     let mut out = Vec::new();
@@ -955,10 +936,10 @@ fn fuzz(rest: &[String]) -> ExitCode {
         sample_every: (iterations / 10).max(1),
         workers,
         dedup: !rest.iter().any(|a| a == "--no-dedup"),
-        incremental: !rest.iter().any(|a| a == "--no-incremental"),
         ub_filter: !rest.iter().any(|a| a == "--no-ub-filter"),
-        interproc_gate: !rest.iter().any(|a| a == "--no-interproc-gate"),
-        query_cache_cap: query_cache_cap(rest),
+        query_cache_cap: opt(rest, "--query-cache-cap")
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0),
         query_db: Some(Arc::clone(&query_db)),
         ..Default::default()
     };

@@ -25,7 +25,7 @@ pub struct AttributionRow {
 /// The per-iteration stage spans that partition a shard's loop body.
 /// (`iteration` wraps them all, so it is excluded to avoid double
 /// counting; `triage` runs after the campaign and is added separately.)
-const STAGE_SPANS: [&str; 4] = ["mutate", "ub_filter", "compile_incremental", "compile_cold"];
+const STAGE_SPANS: [&str; 4] = ["mutate", "ub_filter", "compile_memo", "compile_cold"];
 
 fn hist_sum(snapshot: &Snapshot, name: &str) -> f64 {
     snapshot.histograms.get(name).map(|h| h.sum).unwrap_or(0.0)
@@ -326,11 +326,8 @@ pub fn campaign_report(
         }
         let scalar = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
         out.push_str(&format!(
-            "
-Early cutoffs: {}; memo evictions: {}; slot evictions: {};              cross-check mismatches: {}; estimated saved wall-time: {}.
-
-",
-            scalar("query_early_cutoffs"),
+            "\nMemo evictions: {}; slot evictions: {}; cross-check mismatches: {}; \
+             estimated saved wall-time: {}.\n\n",
             scalar("query_evictions"),
             scalar("query_slot_evictions"),
             scalar("query_mismatches"),
@@ -387,11 +384,11 @@ mod tests {
         let t = Telemetry::new();
         t.set_enabled(true);
         // 1000ms of shard time split: 300 mutate, 200 ub_filter,
-        // 250 incremental, 150 cold → 100 other; plus 500ms triage.
+        // 250 memo, 150 cold → 100 other; plus 500ms triage.
         t.observe_hot("shard_ms", 1000.0);
         t.observe_hot("mutate_ms", 300.0);
         t.observe_hot("ub_filter_ms", 200.0);
-        t.observe_hot("compile_incremental_ms", 250.0);
+        t.observe_hot("compile_memo_ms", 250.0);
         t.observe_hot("compile_cold_ms", 150.0);
         t.observe_hot("triage_ms", 500.0);
         t.observe_hot("reduce_pass_ms{ddmin-decls}", 120.0);
@@ -404,7 +401,7 @@ mod tests {
         t.counter_add("query_recomputes{parse}", 10);
         t.counter_add("query_hits{codegen}", 75);
         t.counter_add("query_recomputes{codegen}", 25);
-        t.counter_add("query_early_cutoffs", 7);
+        t.counter_add("query_evictions", 7);
         t.observe_hot("query_saved_ms", 640.0);
         t.snapshot()
     }
@@ -495,7 +492,7 @@ mod tests {
         assert!(md.contains("| parse | 90 | 10 | 90.0% |"));
         assert!(md.contains("| codegen | 75 | 25 | 75.0% |"));
         assert!(md.contains("| **total** | 165 | 35 | 82.5% |"));
-        assert!(md.contains("Early cutoffs: 7"));
+        assert!(md.contains("Memo evictions: 7"));
         assert!(md.contains("saved wall-time: 640.0ms"));
         assert!(md.contains("## Latency percentiles"));
         assert!(!md.contains("## Bugs"), "no triage given");
