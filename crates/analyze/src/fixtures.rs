@@ -1,5 +1,5 @@
-//! Fixture corpus shared by the crate's tests and the `exp_analyze` /
-//! `exp_interproc` bench gates: programs with one seeded UB defect each
+//! Fixture corpus shared by the crate's tests and the `exp_analyze`
+//! bench gates: programs with one seeded UB defect each
 //! (the analyzer must flag 100% of them with the expected analysis) and
 //! known-clean programs (the analyzer must stay silent on every one).
 //! The `INTERPROC_*` sets seed their defect *across a call boundary*, so

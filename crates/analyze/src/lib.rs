@@ -24,7 +24,7 @@
 //!   incremental single-function fast path and content-addressed summary
 //!   memoization on a shared query database.
 //! - [`fixtures`] is the seeded-UB / known-clean corpus the tests and the
-//!   `exp_analyze` / `exp_interproc` bench gates run against.
+//!   `exp_analyze` bench gates run against.
 //!
 //! Findings carry a source [`Span`](metamut_lang::Span), a [`Severity`]
 //! ([`Ub`](Severity::Ub) gates mutants; [`Lint`](Severity::Lint) only

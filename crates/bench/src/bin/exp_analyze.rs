@@ -1,46 +1,71 @@
-//! Experiment: the dataflow UB analyzer — precision, recall, and what the
-//! campaign UB gate costs.
+//! Experiment: the dataflow UB analyzer and its interprocedural summary
+//! layer — precision, recall, and what the campaign UB gate costs.
 //!
 //! The analyzer (`metamut-analyze`) earns its place in the pipeline on two
-//! conditions. It must be *right*: every seeded-UB fixture flagged (100%
-//! recall), zero findings on the clean corpus (no false positives — a
-//! gate that rejects valid mutants silently shrinks the campaign's reach).
-//! And it must be *cheap*: with the pre-compile UB gate armed, campaign
-//! mutant throughput may drop by at most **10%** versus the same campaign
-//! with `--no-ub-filter`, thanks to the gate's incremental
-//! single-chunk fast path and verdict cache.
+//! conditions. It must be *right*, on five fixture sweeps:
 //!
-//! This bin checks both. The precision/recall sweep over the committed
-//! fixture corpus is enforced at every scale — a wrong verdict is wrong in
-//! smoke mode too. The throughput comparison runs the real serial campaign
-//! engine (`run_campaign` + `MuCFuzz` over the seed corpus) with the gate
-//! on and off; the ≤10% overhead gate is enforced only in full runs, where
-//! the workload is big enough for the ratio to be stable.
+//! 1. every seeded-UB fixture flagged with its expected analysis;
+//! 2. every lint fixture flagged, none of them as UB;
+//! 3. zero findings of any severity on the clean corpus;
+//! 4. every cross-call UB fixture (a defect that only exists *across* a
+//!    call) flagged — and, as a meta-check, none of them visible to the
+//!    analysis run without function summaries;
+//! 5. zero findings on the cross-call clean controls.
+//!
+//! And it must be *cheap*: with the pre-compile UB gate armed, campaign
+//! mutant throughput may drop by at most **10%** versus the same serial
+//! μCFuzz campaign with `--no-ub-filter`. The gated and ungated campaigns
+//! run as one interleaved best-of-N pair; the gated leg's stats also
+//! report the gate's fast-path rate and its summary memo hits and
+//! recomputes (per-function summaries are memoized under content keys,
+//! so a single-declaration mutant re-summarizes only the edited function
+//! and its transitive callers).
+//!
+//! Every fixture check holds at any scale — a wrong verdict is wrong in
+//! smoke mode too; the cost check is a timing check, skipped in smoke.
+//! The report lands in `BENCH_analysis.json` at the repository root.
 //!
 //! Usage: `exp_analyze [--iterations N] [--repeats N] [--smoke]`.
-//! `--smoke` shrinks the campaign, skips the overhead gate, and parks its
-//! report under `target/experiments/` so CI never dirties the tree.
+//! `--smoke` shrinks the campaign and parks its report under
+//! `target/experiments/` so CI never dirties the tree.
 
-use metamut_analyze::fixtures::{CLEAN_FIXTURES, LINT_FIXTURES, UB_FIXTURES};
-use metamut_analyze::{analyze_source, Severity};
-use metamut_bench::render_table;
+use metamut_analyze::fixtures::{
+    CLEAN_FIXTURES, INTERPROC_CLEAN_FIXTURES, INTERPROC_UB_FIXTURES, LINT_FIXTURES, UB_FIXTURES,
+};
+use metamut_analyze::{analyze_source, analyze_unit_with, Finding, Severity, Summaries};
+use metamut_bench::{best_of, render_table, write_bench, Check, ExpOptions};
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::{run_campaign, CampaignConfig, CampaignReport};
+use metamut_lang::parse;
 use metamut_simcomp::{CompileOptions, Compiler, Profile};
 use serde::Serialize;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+
+/// One fixture sweep: how many programs, how many met the expectation,
+/// and the names of those that did not.
+#[derive(Serialize)]
+struct Sweep {
+    fixtures: usize,
+    passed: usize,
+    failures: Vec<String>,
+}
 
 #[derive(Serialize)]
 struct CorpusStats {
-    ub_fixtures: usize,
-    ub_flagged: usize,
-    lint_fixtures: usize,
-    lint_flagged: usize,
-    clean_fixtures: usize,
-    clean_false_positives: usize,
+    /// Seeded UB, flagged with the expected analysis.
+    ub: Sweep,
+    /// Lint-only defects, flagged and never as UB.
+    lint: Sweep,
+    /// Clean programs, zero findings.
+    clean: Sweep,
+    /// Cross-call UB, flagged with the expected analysis.
+    interproc_ub: Sweep,
+    /// Cross-call UB fixtures the summary-free analysis already flags
+    /// (each one would not test the summary layer).
+    intraproc_leaks: Vec<String>,
+    /// Cross-call clean controls, zero findings.
+    interproc_clean: Sweep,
     analyses_per_sec: f64,
 }
 
@@ -55,15 +80,53 @@ struct GateStats {
     mutants_checked: u64,
     mutants_filtered: u64,
     fast_path_rate_pct: f64,
+    summary_hits: u64,
+    summary_recomputes: u64,
+    summary_hit_rate_pct: f64,
 }
 
 #[derive(Serialize)]
-struct AnalyzeReport {
-    repeats: usize,
-    gate: String,
+struct AnalyzeResults {
     corpus: CorpusStats,
     campaign: GateStats,
     note: String,
+}
+
+/// Runs `ok(findings, expected_analysis)` over every
+/// `(name, expected_analysis, source)` fixture.
+fn sweep<'a>(
+    fixtures: impl Iterator<Item = (&'a str, &'a str, &'a str)>,
+    ok: impl Fn(&[Finding], &str) -> bool,
+) -> Sweep {
+    let mut sweep = Sweep {
+        fixtures: 0,
+        passed: 0,
+        failures: Vec::new(),
+    };
+    for (name, analysis, src) in fixtures {
+        let findings = analyze_source(src).expect("fixtures parse");
+        sweep.fixtures += 1;
+        if ok(&findings, analysis) {
+            sweep.passed += 1;
+        } else {
+            sweep.failures.push(name.to_string());
+        }
+    }
+    sweep
+}
+
+/// Whether `findings` hold a UB finding from `analysis`.
+fn flags_ub(findings: &[Finding], analysis: &str) -> bool {
+    findings
+        .iter()
+        .any(|f| f.severity == Severity::Ub && f.analysis == analysis)
+}
+
+/// Clean fixtures as sweep items: no analysis is expected.
+fn unseeded<'a>(
+    fixtures: &'a [(&'a str, &'a str)],
+) -> impl Iterator<Item = (&'a str, &'a str, &'a str)> {
+    fixtures.iter().map(|(name, src)| (*name, "", *src))
 }
 
 /// One serial campaign over the seed corpus; `ub_filter` toggles the gate.
@@ -85,139 +148,119 @@ fn campaign(iterations: usize, ub_filter: bool) -> CampaignReport {
     run_campaign(&mut fuzzer, &compiler, &config)
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    let iterations = arg("--iterations").unwrap_or(if smoke { 300 } else { 3000 });
-    let repeats = arg("--repeats").unwrap_or(if smoke { 1 } else { 3 });
+fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / whole as f64
+    }
+}
 
+fn main() {
+    let opts = ExpOptions::from_args_with(|smoke| ExpOptions {
+        iterations: if smoke { 300 } else { 3000 },
+        repeats: if smoke { 1 } else { 3 },
+        ..ExpOptions::default()
+    });
+    let (iterations, repeats) = (opts.iterations, opts.repeats);
     println!("== UB analyzer precision/recall + campaign gate cost (best of {repeats}) ==\n");
 
-    // -- Corpus sweep: recall on seeded UB, precision on clean programs --
-    let mut ub_flagged = 0usize;
-    let mut missed = Vec::new();
-    for (name, expected_analysis, src) in UB_FIXTURES {
-        let findings = analyze_source(src).expect("UB fixtures must parse");
-        if findings
-            .iter()
-            .any(|f| f.severity == Severity::Ub && f.analysis == *expected_analysis)
-        {
-            ub_flagged += 1;
-        } else {
-            missed.push(*name);
-        }
-    }
-    let mut lint_flagged = 0usize;
-    for (name, expected_analysis, src) in LINT_FIXTURES {
-        let findings = analyze_source(src).expect("lint fixtures must parse");
-        assert!(
-            findings.iter().all(|f| f.severity != Severity::Ub),
-            "lint fixture {name} must not be reported as UB"
-        );
-        if findings.iter().any(|f| f.analysis == *expected_analysis) {
-            lint_flagged += 1;
-        }
-    }
-    let mut false_positives = Vec::new();
-    for (name, src) in CLEAN_FIXTURES {
-        let findings = analyze_source(src).expect("clean fixtures must parse");
-        if !findings.is_empty() {
-            false_positives.push((*name, findings));
-        }
-    }
-
-    // Raw analyzer throughput over the whole corpus.
-    let corpus_srcs: Vec<&str> = UB_FIXTURES
+    let ub = sweep(UB_FIXTURES.iter().copied(), flags_ub);
+    let lint = sweep(LINT_FIXTURES.iter().copied(), |findings, analysis| {
+        findings.iter().all(|f| f.severity != Severity::Ub)
+            && findings.iter().any(|f| f.analysis == analysis)
+    });
+    let clean = sweep(unseeded(CLEAN_FIXTURES), |f, _| f.is_empty());
+    let interproc_ub = sweep(INTERPROC_UB_FIXTURES.iter().copied(), flags_ub);
+    let intraproc_leaks: Vec<String> = INTERPROC_UB_FIXTURES
         .iter()
-        .map(|(_, _, s)| *s)
-        .chain(LINT_FIXTURES.iter().map(|(_, _, s)| *s))
-        .chain(CLEAN_FIXTURES.iter().map(|(_, s)| *s))
+        .filter(|(_, _, src)| {
+            let ast = parse("<intra>", src).expect("fixture parses");
+            analyze_unit_with(&ast.unit, &Summaries::default())
+                .iter()
+                .any(|f| f.is_ub())
+        })
+        .map(|(name, _, _)| name.to_string())
         .collect();
-    let mut sweep_s = f64::INFINITY;
-    for _ in 0..repeats {
-        let started = Instant::now();
-        for src in &corpus_srcs {
-            std::hint::black_box(analyze_source(src).expect("corpus parses"));
-        }
-        sweep_s = sweep_s.min(started.elapsed().as_secs_f64());
-    }
+    let interproc_clean = sweep(unseeded(INTERPROC_CLEAN_FIXTURES), |f, _| f.is_empty());
+
+    // Raw analyzer throughput over every fixture.
+    let corpus_srcs: Vec<&str> = [UB_FIXTURES, LINT_FIXTURES, INTERPROC_UB_FIXTURES]
+        .into_iter()
+        .flat_map(|set| set.iter().copied())
+        .chain(unseeded(CLEAN_FIXTURES))
+        .chain(unseeded(INTERPROC_CLEAN_FIXTURES))
+        .map(|(_, _, src)| src)
+        .collect();
+    let [sweep_s] = best_of(
+        repeats,
+        [&mut || {
+            for src in &corpus_srcs {
+                std::hint::black_box(analyze_source(src).expect("corpus parses"));
+            }
+        }],
+    );
     let corpus = CorpusStats {
-        ub_fixtures: UB_FIXTURES.len(),
-        ub_flagged,
-        lint_fixtures: LINT_FIXTURES.len(),
-        lint_flagged,
-        clean_fixtures: CLEAN_FIXTURES.len(),
-        clean_false_positives: false_positives.len(),
+        ub,
+        lint,
+        clean,
+        interproc_ub,
+        intraproc_leaks,
+        interproc_clean,
         analyses_per_sec: corpus_srcs.len() as f64 / sweep_s.max(1e-9),
     };
 
-    // -- Campaign gate cost: same serial campaign, gate on vs off --
-    let mut unfiltered_s = f64::INFINITY;
-    let mut gated_s = f64::INFINITY;
-    let mut gated_report = None;
-    for _ in 0..repeats {
-        let started = Instant::now();
-        std::hint::black_box(campaign(iterations, false));
-        unfiltered_s = unfiltered_s.min(started.elapsed().as_secs_f64());
-
-        let started = Instant::now();
-        let report = campaign(iterations, true);
-        gated_s = gated_s.min(started.elapsed().as_secs_f64());
-        gated_report = Some(report);
-    }
-    let ub = gated_report
-        .as_ref()
+    // -- Campaign gate cost: one interleaved gated/ungated pair --
+    let mut gated = None;
+    let [unfiltered_s, gated_s] = best_of(
+        repeats,
+        [
+            &mut || {
+                std::hint::black_box(campaign(iterations, false));
+            },
+            &mut || gated = Some(campaign(iterations, true)),
+        ],
+    );
+    let ub = gated
         .and_then(|r| r.ub)
         .expect("gated campaign must carry UB stats");
-    let overhead_pct = 100.0 * (gated_s - unfiltered_s) / unfiltered_s;
     let campaign_stats = GateStats {
         iterations,
         unfiltered_s,
         gated_s,
         unfiltered_per_sec: iterations as f64 / unfiltered_s,
         gated_per_sec: iterations as f64 / gated_s,
-        overhead_pct,
+        overhead_pct: 100.0 * (gated_s - unfiltered_s) / unfiltered_s,
         mutants_checked: ub.checked,
         mutants_filtered: ub.filtered,
-        fast_path_rate_pct: if ub.checked > 0 {
-            100.0 * ub.fast_path as f64 / ub.checked as f64
-        } else {
-            0.0
-        },
+        fast_path_rate_pct: pct(ub.fast_path, ub.checked),
+        summary_hits: ub.summary_hits,
+        summary_recomputes: ub.summary_recomputes,
+        summary_hit_rate_pct: pct(ub.summary_hits, ub.summary_hits + ub.summary_recomputes),
     };
 
+    let row = |label: &str, s: &Sweep| {
+        vec![
+            label.to_string(),
+            s.fixtures.to_string(),
+            s.passed.to_string(),
+            s.failures.join(", "),
+        ]
+    };
     println!(
         "{}",
         render_table(
-            &["Corpus", "Programs", "Flagged", "False positives"],
+            &["Corpus", "Programs", "As expected", "Failures"],
             &[
-                vec![
-                    "seeded UB".into(),
-                    corpus.ub_fixtures.to_string(),
-                    corpus.ub_flagged.to_string(),
-                    "-".into(),
-                ],
-                vec![
-                    "lint-only".into(),
-                    corpus.lint_fixtures.to_string(),
-                    corpus.lint_flagged.to_string(),
-                    "-".into(),
-                ],
-                vec![
-                    "clean".into(),
-                    corpus.clean_fixtures.to_string(),
-                    "-".into(),
-                    corpus.clean_false_positives.to_string(),
-                ],
+                row("seeded UB", &corpus.ub),
+                row("lint-only", &corpus.lint),
+                row("clean", &corpus.clean),
+                row("cross-call UB", &corpus.interproc_ub),
+                row("cross-call clean", &corpus.interproc_clean),
             ],
         )
     );
+    let c = &campaign_stats;
     println!(
         "{}",
         render_table(
@@ -227,12 +270,14 @@ fn main() {
                 "Checked",
                 "Filtered",
                 "Fast path",
+                "Memo hits",
                 "Overhead"
             ],
             &[
                 vec![
                     "no gate".into(),
-                    format!("{:.0}", campaign_stats.unfiltered_per_sec),
+                    format!("{:.0}", c.unfiltered_per_sec),
+                    "-".into(),
                     "-".into(),
                     "-".into(),
                     "-".into(),
@@ -240,70 +285,36 @@ fn main() {
                 ],
                 vec![
                     "UB gate".into(),
-                    format!("{:.0}", campaign_stats.gated_per_sec),
-                    campaign_stats.mutants_checked.to_string(),
-                    campaign_stats.mutants_filtered.to_string(),
-                    format!("{:.0}%", campaign_stats.fast_path_rate_pct),
-                    format!("{:+.1}%", campaign_stats.overhead_pct),
+                    format!("{:.0}", c.gated_per_sec),
+                    c.mutants_checked.to_string(),
+                    c.mutants_filtered.to_string(),
+                    format!("{:.0}%", c.fast_path_rate_pct),
+                    format!("{:.0}%", c.summary_hit_rate_pct),
+                    format!("{:+.1}%", c.overhead_pct),
                 ],
             ],
         )
     );
 
-    let gate = "100% of seeded-UB fixtures flagged, 0 findings on the clean corpus, \
-                UB gate costs <= 10% campaign mutant throughput"
-        .to_string();
-    let report = AnalyzeReport {
-        repeats,
-        gate: gate.clone(),
+    let all = |name: &str, s: &Sweep| Check::equals(name, s.passed as f64, s.fixtures as f64);
+    let checks = vec![
+        all("ub_fixtures_flagged", &corpus.ub),
+        all("lint_fixtures_flagged", &corpus.lint),
+        all("clean_fixtures_silent", &corpus.clean),
+        all("interproc_ub_fixtures_flagged", &corpus.interproc_ub),
+        Check::equals("intraproc_leaks", corpus.intraproc_leaks.len() as f64, 0.0),
+        all("interproc_clean_fixtures_silent", &corpus.interproc_clean),
+        Check::at_most("ub_gate_overhead_pct", c.overhead_pct, 10.0).timing(),
+    ];
+    let results = AnalyzeResults {
         corpus,
         campaign: campaign_stats,
         note: "recall/precision over the committed fixture corpus in \
-               metamut_analyze::fixtures; gate cost = serial uCFuzz campaign over the \
-               seed corpus vs gcc-sim -O2, ub_filter on vs off, best-of-N wall time"
+               metamut_analyze::fixtures (leaks = cross-call fixtures the analysis flags \
+               without summaries); gate cost = serial uCFuzz campaign over the seed corpus \
+               vs gcc-sim -O2, ub_filter on vs off, best-of-N wall time over interleaved \
+               rounds; fast-path rate and summary memo hits/recomputes from the gated leg"
             .into(),
     };
-
-    // The committed evidence lives at the repository root, next to the
-    // README that cites it; smoke runs park their miniature report in
-    // `target/` so CI never dirties the tree.
-    let path = if smoke {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-        std::fs::create_dir_all(&dir).expect("create target/experiments");
-        dir.join("BENCH_analysis_smoke.json")
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_analysis.json")
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize analyze report");
-    std::fs::write(&path, json + "\n").expect("write BENCH_analysis.json");
-    println!("report written to {}", path.display());
-
-    // Correctness gates hold even in smoke mode: a wrong verdict is wrong
-    // at any scale.
-    assert!(
-        missed.is_empty(),
-        "seeded-UB fixtures escaped the analyzer: {missed:?}"
-    );
-    assert_eq!(
-        report.corpus.lint_flagged, report.corpus.lint_fixtures,
-        "every lint fixture must be flagged"
-    );
-    assert!(
-        false_positives.is_empty(),
-        "clean corpus produced findings: {false_positives:?}"
-    );
-    if smoke {
-        println!("(smoke run: overhead gate skipped, precision/recall enforced)");
-    } else {
-        assert!(
-            report.campaign.overhead_pct <= 10.0,
-            "UB gate costs {:.1}% campaign throughput (gate: {gate})",
-            report.campaign.overhead_pct
-        );
-        println!(
-            "gate ok: recall {}/{}, 0 false positives, overhead {:+.1}% <= 10% — {gate}",
-            report.corpus.ub_flagged, report.corpus.ub_fixtures, report.campaign.overhead_pct
-        );
-    }
-    metamut_bench::finish();
+    write_bench("analysis", &opts, &results, checks);
 }

@@ -41,11 +41,10 @@ struct ExchangeReport {
 }
 
 fn main() {
-    let mut opts = ExpOptions::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
-        opts.iterations = opts.iterations.min(240);
-    }
+    let opts = ExpOptions::from_args_with(|smoke| ExpOptions {
+        iterations: if smoke { 240 } else { 1500 },
+        ..ExpOptions::default()
+    });
     let workers = if opts.workers <= 1 { 4 } else { opts.workers };
     println!(
         "== Seed-exchange cadence ({} iterations, {} workers, seed {}) ==\n",

@@ -33,12 +33,12 @@
 //! `BENCH_observatory.json` at the repository root.
 //!
 //! Usage: `exp_observatory [--iterations N] [--seed N] [--repeats N]
-//! [--smoke]`. `--smoke` shrinks the budget and skips the overhead gate
+//! [--smoke]`. `--smoke` shrinks the budget and skips the overhead check
 //! (sub-second runs are all noise) while still validating every artifact.
 //!
 //! [`StatusServer`]: metamut_telemetry::StatusServer
 
-use metamut_bench::ExpOptions;
+use metamut_bench::{best_of, experiments_dir, write_bench, Check, ExpOptions};
 use metamut_fuzzing::campaign::CampaignConfig;
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
@@ -46,9 +46,7 @@ use metamut_fuzzing::parallel::run_parallel_campaign_with;
 use metamut_simcomp::{CompileOptions, Compiler, Profile};
 use metamut_telemetry::Telemetry;
 use serde::Serialize;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Worker count for the artifact-producing campaign: two shards give the
 /// trace a real tree (campaign → 2 shards → iterations) without
@@ -57,16 +55,13 @@ use std::time::Instant;
 const WORKERS: usize = 2;
 
 #[derive(Serialize)]
-struct ObservatoryReport {
+struct ObservatoryResults {
     iterations: usize,
     seed: u64,
-    repeats: usize,
     workers: usize,
-    available_parallelism: usize,
     baseline_s: f64,
     instrumented_s: f64,
     overhead_pct: f64,
-    gate: String,
     trace_spans: usize,
     series_points: usize,
     metrics_bytes: usize,
@@ -100,24 +95,14 @@ fn run_workload(
 }
 
 fn main() {
-    let opts = ExpOptions::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut repeats = 5usize;
-    let args: Vec<String> = std::env::args().collect();
-    for i in 1..args.len() {
-        if args[i] == "--repeats" {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                repeats = v;
-            }
-        }
-    }
-    let iterations = if smoke {
-        opts.iterations.min(200)
-    } else {
-        // Long enough that per-run constant costs (thread spawn, ring
-        // allocation) vanish into the per-iteration signal.
-        opts.iterations.max(8000)
-    };
+    // Full runs are long enough that per-run constant costs (thread
+    // spawn, ring allocation) vanish into the per-iteration signal.
+    let opts = ExpOptions::from_args_with(|smoke| ExpOptions {
+        iterations: if smoke { 200 } else { 8000 },
+        repeats: 5,
+        ..ExpOptions::default()
+    });
+    let (iterations, repeats) = (opts.iterations, opts.repeats);
     println!(
         "== Observatory overhead ({iterations} iterations, 1 worker, best of {repeats} interleaved runs, seed {}; artifacts from a {WORKERS}-worker campaign) ==\n",
         opts.seed
@@ -141,22 +126,17 @@ fn main() {
         ..cfg.clone()
     };
 
-    // Best-of-N wall time with the two configurations interleaved
-    // round-robin: the minimum is the least-noisy estimator for a
-    // deterministic workload, and pairing the runs means machine-speed
-    // drift (thermal, noisy neighbors) hits baseline and instrumented
-    // alike instead of biasing whichever block ran second.
-    let time_once = |telemetry: Telemetry| -> f64 {
-        let started = Instant::now();
+    // Interleaved best-of-N: machine-speed drift hits baseline and
+    // instrumented alike instead of biasing whichever block ran second.
+    let overhead_leg = |telemetry: Telemetry| {
         run_workload(&seeds, &reg, &compiler, &overhead_cfg, telemetry);
-        started.elapsed().as_secs_f64()
     };
-    let mut baseline_s = f64::INFINITY;
-    let mut instrumented_s = f64::INFINITY;
-    for _ in 0..repeats {
-        baseline_s = baseline_s.min(time_once(Telemetry::disabled()));
-        instrumented_s = instrumented_s.min(time_once(observatory_telemetry()));
-    }
+    let [baseline_s, instrumented_s] = best_of(
+        repeats,
+        [&mut || overhead_leg(Telemetry::disabled()), &mut || {
+            overhead_leg(observatory_telemetry())
+        }],
+    );
     let overhead_pct = 100.0 * (instrumented_s / baseline_s - 1.0);
     println!("baseline     : {baseline_s:>8.3} s");
     println!("instrumented : {instrumented_s:>8.3} s");
@@ -166,8 +146,7 @@ fn main() {
     let telemetry = observatory_telemetry();
     run_workload(&seeds, &reg, &compiler, &cfg, telemetry.clone());
 
-    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-    std::fs::create_dir_all(&out_dir).expect("create target/experiments");
+    let out_dir = experiments_dir();
 
     // The Chrome trace must round-trip through a JSON parser with
     // properly nested spans.
@@ -302,26 +281,19 @@ fn main() {
             cell.strip_suffix('%')?.trim().parse::<f64>().ok()
         })
         .sum();
-    assert!(
-        (percent_sum - 100.0).abs() <= 1.0,
-        "attribution sums to {percent_sum}, want 100±1\n{report_md}"
-    );
-    println!("report ok: attribution sums to {percent_sum:.2}%\n");
+    println!("report attribution sums to {percent_sum:.2}%\n");
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let gate = "instrumented campaign <= 3% slower than telemetry-off".to_string();
-    let report = ObservatoryReport {
+    let checks = vec![
+        Check::at_most("overhead_pct", overhead_pct, 3.0).timing(),
+        Check::at_most("attribution_error_pct", (percent_sum - 100.0).abs(), 1.0),
+    ];
+    let results = ObservatoryResults {
         iterations,
         seed: opts.seed,
-        repeats,
         workers: WORKERS,
-        available_parallelism: cores,
         baseline_s,
         instrumented_s,
         overhead_pct,
-        gate: gate.clone(),
         trace_spans: events.len(),
         series_points: points.len(),
         metrics_bytes: metrics_body.len(),
@@ -335,23 +307,5 @@ fn main() {
             .into(),
     };
 
-    let path = if smoke {
-        out_dir.join("BENCH_observatory_smoke.json")
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_observatory.json")
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize observatory report");
-    std::fs::write(&path, json + "\n").expect("write BENCH_observatory.json");
-    println!("report written to {}", path.display());
-
-    if smoke {
-        println!("(smoke run: overhead gate skipped)");
-    } else {
-        assert!(
-            overhead_pct <= 3.0,
-            "observatory overhead {overhead_pct:+.2}% exceeds the 3% gate ({gate})"
-        );
-        println!("gate ok: {overhead_pct:+.2}% <= 3% — {gate}");
-    }
-    metamut_bench::finish();
+    write_bench("observatory", &opts, &results, checks);
 }

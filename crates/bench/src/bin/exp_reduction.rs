@@ -9,17 +9,17 @@
 //! original byte size with the top-two-frame crash signature preserved
 //! exactly under the same profile and flags.
 //!
-//! Usage: `exp_reduction [--seed N] [--smoke]`. `--smoke` parks the
-//! miniature report under `target/experiments/` and skips the gate so CI
-//! can exercise the binary without dirtying the tree.
+//! Usage: `exp_reduction [--smoke]`. The reduction is deterministic and
+//! has no timing check, so `--smoke` runs the same workload and only
+//! parks the report under `target/experiments/`, so CI never dirties the
+//! tree.
 
-use metamut_bench::{render_table, ExpOptions};
+use metamut_bench::{render_table, write_bench, Check, ExpOptions};
 use metamut_reduce::fixtures::case_studies;
 use metamut_reduce::{reduce, ReduceConfig, ReductionOracle};
 use metamut_simcomp::Compiler;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 #[derive(Serialize)]
 struct ReductionRow {
@@ -36,8 +36,7 @@ struct ReductionRow {
 }
 
 #[derive(Serialize)]
-struct ReductionReport {
-    gate: String,
+struct ReductionResults {
     median_ratio: f64,
     worst_ratio: f64,
     median_oracle_calls: u64,
@@ -51,8 +50,7 @@ fn median<T: Copy + PartialOrd>(values: &mut [T]) -> T {
 }
 
 fn main() {
-    let _opts = ExpOptions::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let opts = ExpOptions::from_args();
     println!("== Case-study witness reduction ==\n");
 
     let mut rows = Vec::new();
@@ -116,8 +114,14 @@ fn main() {
     let mut ratios: Vec<f64> = rows.iter().map(|r| r.ratio).collect();
     let mut calls: Vec<u64> = rows.iter().map(|r| r.oracle_calls).collect();
     let worst = ratios.iter().copied().fold(0.0f64, f64::max);
-    let report = ReductionReport {
-        gate: "every case-study witness <= 25% of original bytes, signature preserved".into(),
+    let checks = vec![
+        Check::holds(
+            "signatures_preserved",
+            rows.iter().all(|r| r.signature_preserved),
+        ),
+        Check::at_most("worst_ratio", worst, 0.25),
+    ];
+    let results = ReductionResults {
         median_ratio: median(&mut ratios),
         worst_ratio: worst,
         median_oracle_calls: median(&mut calls),
@@ -129,35 +133,5 @@ fn main() {
             .into(),
     };
 
-    // The committed evidence lives at the repository root, next to the
-    // README that cites it; smoke runs park their report in `target/` so CI
-    // never dirties the tree.
-    let path = if smoke {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-        std::fs::create_dir_all(&dir).expect("create target/experiments");
-        dir.join("BENCH_reduction_smoke.json")
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_reduction.json")
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize reduction report");
-    std::fs::write(&path, json + "\n").expect("write BENCH_reduction.json");
-    println!("report written to {}", path.display());
-
-    if smoke {
-        println!("(smoke run: gate skipped)");
-    } else {
-        assert!(
-            report.rows.iter().all(|r| r.signature_preserved),
-            "a reduced witness lost its crash signature"
-        );
-        assert!(
-            worst <= 0.25,
-            "worst reduction ratio {worst:.2} exceeds the 0.25 gate"
-        );
-        println!(
-            "gate ok: worst ratio {:.2} <= 0.25, all signatures preserved",
-            worst
-        );
-    }
-    metamut_bench::finish();
+    write_bench("reduction", &opts, &results, checks);
 }

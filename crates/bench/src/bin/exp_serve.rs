@@ -15,7 +15,8 @@
 //! finish `done` with bit-identical outcomes, the analyze tenant finds
 //! its uninitialized read, the shared database records cross-tenant
 //! hits, the HTTP `/jobs` and `/metrics` views serve live state, and
-//! (real runs only) the daemon clears **1.2×** the sequential wall time.
+//! (a timing check, skipped in smoke) the daemon clears **1.2×** the
+//! sequential wall time.
 //!
 //! Leg B (resume determinism): an uninterrupted in-process campaign is
 //! the baseline; the daemon runs the same spec, is stopped mid-campaign
@@ -25,10 +26,10 @@
 //! **bit for bit** — enforced even in smoke; determinism has no scale.
 //!
 //! Usage: `exp_serve [--iterations N] [--smoke]`. `--smoke` shrinks the
-//! workloads, skips the throughput gate, and parks its report under
+//! workloads, skips the throughput check, and parks its report under
 //! `target/experiments/` so CI never dirties the tree.
 
-use metamut_bench::render_table;
+use metamut_bench::{render_table, write_bench, Check, ExpOptions};
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::{CampaignConfig, CampaignReport, CorpusEntry, SteppedCampaign};
@@ -66,8 +67,7 @@ struct ResumeRow {
 }
 
 #[derive(Serialize)]
-struct ServeReport {
-    gate: String,
+struct ServeResults {
     tenancy: TenancyRow,
     resume: ResumeRow,
     note: String,
@@ -312,16 +312,12 @@ fn run_resume(iterations: usize) -> ResumeRow {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    let tenancy_iters = arg("--iterations").unwrap_or(if smoke { 80 } else { 2400 });
-    let resume_iters = if smoke { 600 } else { 2000 };
+    let opts = ExpOptions::from_args_with(|smoke| ExpOptions {
+        iterations: if smoke { 80 } else { 2400 },
+        ..ExpOptions::default()
+    });
+    let tenancy_iters = opts.iterations;
+    let resume_iters = if opts.smoke { 600 } else { 2000 };
 
     println!("== Fuzzing daemon: multi-tenant throughput and resume determinism ==\n");
 
@@ -366,13 +362,16 @@ fn main() {
         )
     );
 
-    let gate = "all jobs done; identical tenants bit-identical; cross-tenant query hits > 0; \
-                analyze finds UB; /jobs and /metrics live over HTTP; resumed campaign \
-                bit-identical to uninterrupted (outcome + corpus); real runs: daemon >= 1.2x \
-                sequential wall time"
-        .to_string();
-    let report = ServeReport {
-        gate: gate.clone(),
+    let checks = vec![
+        Check::holds("tenant_outcomes_identical", tenancy.outcomes_identical),
+        Check::above("cross_tenant_query_hits", tenancy.query_hits as f64, 0.0),
+        Check::above("analyze_ub_findings", tenancy.analyze_ub as f64, 0.0),
+        Check::equals("http_jobs_listed", tenancy.http_jobs as f64, 3.0),
+        Check::holds("resume_outcome_identical", resume.outcome_identical),
+        Check::holds("resume_corpus_identical", resume.corpus_identical),
+        Check::at_least("daemon_speedup", tenancy.speedup, 1.2).timing(),
+    ];
+    let results = ServeResults {
         tenancy,
         resume,
         note: "leg A: two identical 2-worker-daemon campaigns sharing one query database vs \
@@ -383,57 +382,5 @@ fn main() {
                baseline"
             .into(),
     };
-
-    let path = if smoke {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-        std::fs::create_dir_all(&dir).expect("create target/experiments");
-        dir.join("BENCH_serve_smoke.json")
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize serve report");
-    std::fs::write(&path, json + "\n").expect("write BENCH_serve.json");
-    println!("report written to {}", path.display());
-
-    // Correctness gates hold even in smoke mode: a daemon that loses a
-    // tenant's work or resumes into a different campaign is wrong at any
-    // scale.
-    assert!(
-        report.tenancy.outcomes_identical,
-        "identical tenants produced different outcomes"
-    );
-    assert!(
-        report.tenancy.query_hits > 0,
-        "no cross-tenant query hits — the shared database is not shared"
-    );
-    assert!(
-        report.tenancy.analyze_ub > 0,
-        "the analyze tenant missed its uninitialized read"
-    );
-    assert_eq!(
-        report.tenancy.http_jobs, 3,
-        "the HTTP /jobs view did not list all three tenants"
-    );
-    assert!(
-        report.resume.outcome_identical,
-        "resumed outcome diverged from the uninterrupted baseline"
-    );
-    assert!(
-        report.resume.corpus_identical,
-        "resumed corpus diverged from the uninterrupted baseline"
-    );
-    if smoke {
-        println!("(smoke run: throughput gate skipped, determinism gates enforced)");
-    } else {
-        assert!(
-            report.tenancy.speedup >= 1.2,
-            "daemon reached only {:.2}x over sequential (gate: {gate})",
-            report.tenancy.speedup
-        );
-        println!(
-            "gate ok: {:.2}x over sequential, {} query hits, resume bit-identical — {gate}",
-            report.tenancy.speedup, report.tenancy.query_hits
-        );
-    }
-    metamut_bench::finish();
+    write_bench("serve", &opts, &results, checks);
 }

@@ -519,12 +519,7 @@ pub(crate) fn fuzz_iteration(
                         shared.compiler.compile(&candidate.program)
                     }
                 };
-                let compiled = match &result.outcome {
-                    Outcome::Success { .. } => true,
-                    // A crash beyond the front end means it was accepted.
-                    Outcome::Crash(c) => c.stage != Stage::FrontEnd,
-                    Outcome::Rejected { .. } => false,
-                };
+                let compiled = result.outcome.front_end_accepted();
                 if let Outcome::Crash(info) = &result.outcome {
                     let sig = info.signature();
                     let mut crashes = shared.crashes.lock();

@@ -148,6 +148,9 @@ struct Inner {
     query_db: Arc<QueryDb>,
     registry: Arc<MutatorRegistry>,
     state: Mutex<Table>,
+    /// Held across snapshot + write of `jobs.json`, and always taken
+    /// before `state`, so an older snapshot never overwrites a newer one.
+    save_lock: Mutex<()>,
     cv: Condvar,
     shutdown: AtomicBool,
     telemetry: Telemetry,
@@ -162,7 +165,12 @@ impl Inner {
         self.shutdown.load(Ordering::Relaxed)
     }
 
+    fn save_lock(&self) -> MutexGuard<'_, ()> {
+        self.save_lock.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn save_jobs(&self) {
+        let _save = self.save_lock();
         let records = self.table().records();
         self.store.save_jobs(&records);
     }
@@ -192,6 +200,7 @@ impl Daemon {
                 jobs: Vec::new(),
                 next_id: 1,
             }),
+            save_lock: Mutex::new(()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             telemetry: Telemetry::new(),
@@ -298,6 +307,7 @@ impl Daemon {
         }
         // Workers are gone: every parked campaign is in the table. Snapshot
         // them so a restart resumes instead of restarting.
+        let _save = self.inner.save_lock();
         let records = {
             let mut table = self.inner.table();
             for job in table.jobs.iter_mut() {

@@ -19,7 +19,8 @@
 //! Every read of a corrupted or truncated file degrades to a warning plus
 //! the empty default — a damaged store never panics the daemon. Writes go
 //! through a temp file + rename so a crash mid-write leaves the previous
-//! version intact.
+//! version intact; every write gets its own temp name, so concurrent
+//! writers of one file never share (and tear or lose) a temp file.
 
 use crate::job::JobRecord;
 use metamut_fuzzing::{CampaignCheckpoint, CorpusEntry};
@@ -28,6 +29,7 @@ use metamut_telemetry::Snapshot;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk format version; bump on any incompatible layout change.
 pub const STORE_VERSION: u32 = 1;
@@ -67,6 +69,10 @@ pub struct Store {
     /// Serializes read-modify-write sequences (corpus/triage/telemetry
     /// merges) against concurrent workers finishing jobs simultaneously.
     merge_lock: std::sync::Mutex<()>,
+    /// Sequence number that makes every write's temp file name unique.
+    tmp_seq: AtomicU64,
+    /// Writes that failed (each is also reported on stderr).
+    write_errors: AtomicU64,
 }
 
 impl Store {
@@ -79,6 +85,8 @@ impl Store {
         let store = Store {
             root,
             merge_lock: std::sync::Mutex::new(()),
+            tmp_seq: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
         };
         let meta_path = store.root.join("store.json");
         match std::fs::read_to_string(&meta_path) {
@@ -159,9 +167,14 @@ impl Store {
 
     fn write_text(&self, name: &str, text: &str) {
         let path = self.root.join(name);
-        let tmp = self.root.join(format!("{name}.tmp"));
+        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+        let tmp = self
+            .root
+            .join(format!("{name}.{}-{seq}.tmp", std::process::id()));
         let result = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path));
         if let Err(e) = result {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+            let _ = std::fs::remove_file(&tmp);
             eprintln!("serve: cannot write {}: {e}", path.display());
         }
     }
@@ -171,7 +184,8 @@ impl Store {
         self.read_json("jobs.json").unwrap_or_default()
     }
 
-    /// Persists the whole job table.
+    /// Persists the whole job table. Concurrent callers each replace the
+    /// file atomically; ordering them is the caller's job.
     pub fn save_jobs(&self, jobs: &[JobRecord]) {
         self.write_json("jobs.json", jobs);
     }
@@ -273,7 +287,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::job::{FuzzSpec, JobSpec, STATUS_DONE};
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::AtomicU32;
 
     static DIRS: AtomicU32 = AtomicU32::new(0);
 
@@ -334,6 +348,62 @@ mod tests {
             }],
         );
         assert_eq!(Store::open(&root).expect("open").load_corpus().len(), 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_job_saves_never_tear_or_fail() {
+        let root = scratch("concurrent");
+        let store = Store::open(&root).expect("open");
+        let table = |writer: u64| -> Vec<JobRecord> {
+            (0..=writer)
+                .map(|i| JobRecord::new(writer * 100 + i, JobSpec::fuzz(FuzzSpec::default())))
+                .collect()
+        };
+        let ids = |jobs: &[JobRecord]| jobs.iter().map(|r| r.id).collect::<Vec<_>>();
+        let tables: Vec<Vec<u64>> = (0..4).map(|w| ids(&table(w))).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|w| {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        let jobs = table(w);
+                        start.wait();
+                        for _ in 0..50 {
+                            store.save_jobs(&jobs);
+                        }
+                    })
+                })
+                .collect();
+            // A reader racing the writers only ever sees a whole table.
+            let reader = scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    if let Ok(text) = std::fs::read_to_string(root.join("jobs.json")) {
+                        let jobs: Vec<JobRecord> =
+                            serde_json::from_str(&text).expect("jobs.json always parses");
+                        assert!(tables.contains(&ids(&jobs)), "torn job table");
+                    }
+                }
+            });
+            for w in writers {
+                w.join().expect("writer");
+            }
+            done.store(true, Ordering::Relaxed);
+            reader.join().expect("reader");
+        });
+        assert!(tables.contains(&ids(&store.load_jobs())));
+        let last = table(7);
+        store.save_jobs(&last);
+        assert_eq!(ids(&store.load_jobs()), ids(&last), "the last save wins");
+        assert_eq!(store.write_errors.load(Ordering::Relaxed), 0);
+        let leftovers = std::fs::read_dir(&root)
+            .expect("list store")
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .count();
+        assert_eq!(leftovers, 0, "temp files are renamed away");
         let _ = std::fs::remove_dir_all(&root);
     }
 

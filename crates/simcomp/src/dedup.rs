@@ -1,4 +1,4 @@
-//! Mutant deduplication in front of [`Compiler::compile`].
+//! Mutant deduplication in front of [`crate::Compiler::compile`].
 //!
 //! Mutation-based fuzzers regularly regenerate byte-identical programs — a
 //! dud re-emits its parent, popular mutators collapse different parents
@@ -19,8 +19,7 @@
 //! `(profile, options)` configuration — campaigns create their own, which
 //! makes that invariant structural.
 
-use crate::{CompileResult, Compiler, Outcome};
-use metamut_lang::chash::hash128;
+use crate::{CompileResult, Outcome};
 use metamut_lang::fxhash::FxHashMap;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,15 +53,15 @@ enum Slot {
     Done(Verdict),
 }
 
-/// What [`DedupCache::claim`] resolved a source to.
+/// What [`DedupCache::claim_hashed`] resolved a source to.
 #[derive(Debug, Clone, Copy)]
 pub enum Claim {
     /// The program was compiled before (or by a concurrent worker whose
     /// publish we waited for); counted as a hit.
     Hit(Verdict),
     /// First sighting — the caller owns this source and must end the
-    /// reservation with [`DedupCache::insert`] (after a compile) or
-    /// [`DedupCache::abandon`] (if it never reaches the compiler).
+    /// reservation with [`DedupCache::insert_hashed`] (after a compile) or
+    /// [`DedupCache::abandon_hashed`] (if it never reaches the compiler).
     Owner,
 }
 
@@ -96,47 +95,20 @@ impl DedupCache {
         &self.shards[(hash >> (128 - SHARD_BITS as u32)) as usize]
     }
 
-    /// Looks up a source, recording a hit or miss. `Some` means the
-    /// program was compiled before under this cache's configuration. An
-    /// in-flight reservation counts as a miss (the result is not
-    /// available yet); racy callers should prefer [`DedupCache::claim`].
-    pub fn lookup(&self, src: &str) -> Option<Verdict> {
-        self.lookup_hashed(hash128(src.as_bytes()))
-    }
-
-    /// [`DedupCache::lookup`] by a precomputed `hash128` of the source —
-    /// for callers that already hashed the mutant (the campaign computes
-    /// one content hash per candidate and reuses it for the query-engine
-    /// slot lookup).
-    pub fn lookup_hashed(&self, hash: u128) -> Option<Verdict> {
-        let found = match self.shard(hash).lock().get(&hash) {
-            Some(Slot::Done(v)) => Some(*v),
-            Some(Slot::InFlight) | None => None,
-        };
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Resolves a source to a hit or exclusive ownership, so exactly one
-    /// worker ever compiles a given source. A `None` entry becomes an
-    /// in-flight reservation owned by the caller; a concurrent claim of
-    /// the same source waits (yielding) for the owner to [`insert`] its
-    /// verdict — then counts an ordinary hit — or to [`abandon`] the
-    /// reservation — then retries and may become the next owner. This
-    /// makes the accounting exact under contention: every claim is
-    /// exactly one hit or one miss, and every miss is exactly one compile
-    /// or one abandonment.
+    /// Resolves a source, by a precomputed `hash128` of its bytes, to a
+    /// hit or exclusive ownership, so exactly one worker ever compiles a
+    /// given source. A `None` entry becomes an in-flight reservation owned
+    /// by the caller; a concurrent claim of the same source waits
+    /// (yielding) for the owner to [`insert_hashed`] its verdict — then
+    /// counts an ordinary hit — or to [`abandon_hashed`] the reservation —
+    /// then retries and may become the next owner. This makes the
+    /// accounting exact under contention: every claim is exactly one hit
+    /// or one miss, and every miss is exactly one compile or one
+    /// abandonment. The campaign computes one content hash per candidate
+    /// and reuses it for the query-engine slot lookup.
     ///
-    /// [`insert`]: DedupCache::insert
-    /// [`abandon`]: DedupCache::abandon
-    pub fn claim(&self, src: &str) -> Claim {
-        self.claim_hashed(hash128(src.as_bytes()))
-    }
-
-    /// [`DedupCache::claim`] by a precomputed `hash128` of the source.
+    /// [`insert_hashed`]: DedupCache::insert_hashed
+    /// [`abandon_hashed`]: DedupCache::abandon_hashed
     pub fn claim_hashed(&self, hash: u128) -> Claim {
         loop {
             {
@@ -162,28 +134,19 @@ impl DedupCache {
     }
 
     /// Records a fresh compile's verdict, resolving the caller's
-    /// [`DedupCache::claim`] reservation (if any).
+    /// [`DedupCache::claim_hashed`] reservation (if any).
     ///
     /// The campaign engine calls this only *after* merging the result's
     /// coverage and crash into the shared campaign state, so a concurrent
     /// worker that observes the cache entry can safely skip both.
-    pub fn insert(&self, src: &str, verdict: Verdict) {
-        self.insert_hashed(hash128(src.as_bytes()), verdict);
-    }
-
-    /// [`DedupCache::insert`] by a precomputed `hash128` of the source.
     pub fn insert_hashed(&self, hash: u128, verdict: Verdict) {
         self.shard(hash).lock().insert(hash, Slot::Done(verdict));
     }
 
-    /// Releases a [`DedupCache::claim`] reservation without publishing a
-    /// verdict — for sources that never reach the compiler (the campaign's
-    /// pre-compile UB gate), so each occurrence is re-gated and accounted.
-    pub fn abandon(&self, src: &str) {
-        self.abandon_hashed(hash128(src.as_bytes()));
-    }
-
-    /// [`DedupCache::abandon`] by a precomputed `hash128` of the source.
+    /// Releases a [`DedupCache::claim_hashed`] reservation without
+    /// publishing a verdict — for sources that never reach the compiler
+    /// (the campaign's pre-compile UB gate), so each occurrence is
+    /// re-gated and accounted.
     pub fn abandon_hashed(&self, hash: u128) {
         let mut shard = self.shard(hash).lock();
         if matches!(shard.get(&hash), Some(Slot::InFlight)) {
@@ -232,33 +195,6 @@ impl DedupCache {
     }
 }
 
-/// Outcome of a cache-fronted compile: either a fresh pipeline run or a
-/// skipped duplicate.
-#[derive(Debug)]
-pub enum CachedCompile {
-    /// First sighting: the full compile result (already recorded in the
-    /// cache).
-    Fresh(CompileResult),
-    /// Duplicate source: recompilation skipped, prior verdict returned.
-    Duplicate(Verdict),
-}
-
-impl Compiler {
-    /// Compiles `src` with a [`DedupCache`] in front: byte-identical
-    /// repeats skip the whole pipeline.
-    ///
-    /// The cache must be dedicated to this compiler's `(profile, options)`
-    /// configuration.
-    pub fn compile_cached(&self, src: &str, cache: &DedupCache) -> CachedCompile {
-        if let Some(verdict) = cache.lookup(src) {
-            return CachedCompile::Duplicate(verdict);
-        }
-        let result = self.compile(src);
-        cache.insert(src, Verdict::of(&result));
-        CachedCompile::Fresh(result)
-    }
-}
-
 impl Outcome {
     /// Whether the front end accepted the program: a success, or a crash
     /// beyond the front end (which implies the front end let it through).
@@ -274,35 +210,26 @@ impl Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompileOptions, Profile};
+    use crate::{CompileOptions, Compiler, Profile};
+    use metamut_lang::chash::hash128;
+
+    fn h(src: &str) -> u128 {
+        hash128(src.as_bytes())
+    }
 
     #[test]
     fn lookup_miss_then_hit() {
         let cache = DedupCache::new();
-        assert_eq!(cache.lookup("int x;"), None);
-        cache.insert("int x;", Verdict { compiled: true });
-        assert_eq!(cache.lookup("int x;"), Some(Verdict { compiled: true }));
+        assert!(matches!(cache.claim_hashed(h("int x;")), Claim::Owner));
+        cache.insert_hashed(h("int x;"), Verdict { compiled: true });
+        assert!(matches!(
+            cache.claim_hashed(h("int x;")),
+            Claim::Hit(Verdict { compiled: true })
+        ));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn compile_cached_skips_duplicates() {
-        let c = Compiler::new(Profile::Gcc, CompileOptions::o2());
-        let cache = DedupCache::new();
-        let src = "int main(void) { return 3; }";
-        let CachedCompile::Fresh(first) = c.compile_cached(src, &cache) else {
-            panic!("first compile must be fresh");
-        };
-        assert!(first.outcome.is_success());
-        let CachedCompile::Duplicate(v) = c.compile_cached(src, &cache) else {
-            panic!("second compile must dedup");
-        };
-        assert!(v.compiled);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]
@@ -341,11 +268,11 @@ mod tests {
                     scope.spawn(move || {
                         let mut owned = 0u64;
                         for i in 0..100 {
-                            let src = format!("int x{};", i % 10);
-                            match cache.claim(&src) {
+                            let hash = h(&format!("int x{};", i % 10));
+                            match cache.claim_hashed(hash) {
                                 Claim::Owner => {
                                     owned += 1;
-                                    cache.insert(&src, Verdict { compiled: true });
+                                    cache.insert_hashed(hash, Verdict { compiled: true });
                                 }
                                 Claim::Hit(v) => assert!(v.compiled),
                             }
@@ -367,14 +294,15 @@ mod tests {
     #[test]
     fn abandoned_claim_reopens_the_source() {
         let cache = DedupCache::new();
-        assert!(matches!(cache.claim("int x;"), Claim::Owner));
-        cache.abandon("int x;");
+        let x = h("int x;");
+        assert!(matches!(cache.claim_hashed(x), Claim::Owner));
+        cache.abandon_hashed(x);
         // The reservation is gone: the next claim owns it again, and the
         // abandoned slot never counted as a published verdict.
         assert_eq!(cache.len(), 0);
-        assert!(matches!(cache.claim("int x;"), Claim::Owner));
-        cache.insert("int x;", Verdict { compiled: false });
-        assert!(matches!(cache.claim("int x;"), Claim::Hit(_)));
+        assert!(matches!(cache.claim_hashed(x), Claim::Owner));
+        cache.insert_hashed(x, Verdict { compiled: false });
+        assert!(matches!(cache.claim_hashed(x), Claim::Hit(_)));
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
@@ -388,10 +316,10 @@ mod tests {
                 let cache = &cache;
                 scope.spawn(move || {
                     for i in 0..200 {
-                        let src = format!("int x{};", i % 50);
-                        if cache.lookup(&src).is_none() {
-                            cache.insert(
-                                &src,
+                        let hash = h(&format!("int x{};", i % 50));
+                        if let Claim::Owner = cache.claim_hashed(hash) {
+                            cache.insert_hashed(
+                                hash,
                                 Verdict {
                                     compiled: t % 2 == 0,
                                 },

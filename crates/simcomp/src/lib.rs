@@ -33,7 +33,7 @@ mod stitch;
 
 pub use bugs::{CrashInfo, CrashKind, Profile};
 pub use coverage::{AtomicCoverage, CoverageMap, SharedCoverage, Stage};
-pub use dedup::{CachedCompile, Claim, DedupCache, Verdict};
+pub use dedup::{Claim, DedupCache, Verdict};
 pub use metamut_query::QueryDb;
 pub use passes::OptFlags;
 pub use query::QueryCache;
