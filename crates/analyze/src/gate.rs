@@ -33,15 +33,14 @@
 use crate::analyses::{analyze_function_with, collect_globals, summarize_function, GlobalInfo};
 use crate::callgraph::CallGraph;
 use crate::findings::{ub_keys, Finding, FindingKey};
-use crate::summary::{FnSummary, Summaries};
+use crate::summary::{summarize_functions, FnSummary};
 use metamut_lang::ast::{ExternalDecl, FunctionDef, TranslationUnit};
 use metamut_lang::chash::{hash128, Sip128};
-use metamut_lang::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use metamut_lang::fxhash::{FxHashMap, FxHashSet};
 use metamut_lang::{parse, parse_with_typedefs, split_source, Ast, DeclChunk};
 use metamut_query::{dirty_set, KindId, QueryDb};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -69,12 +68,6 @@ struct ParentInfo {
     /// analyses can observe: volatile names, global array sizes, typedef
     /// names. Function-only edits preserve it.
     globals_hash: u128,
-}
-
-fn content_hash(s: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(s.as_bytes());
-    h.finish()
 }
 
 /// Bumps the `analyze_findings{analysis}` counter family for one freshly
@@ -210,8 +203,10 @@ struct GateKinds {
 
 /// Shared, thread-safe UB gate for a fuzzing campaign.
 pub struct UbGate {
-    parents: Mutex<FxHashMap<u64, Arc<ParentInfo>>>,
-    verdicts: Mutex<FxHashMap<u64, bool>>,
+    parents: Mutex<FxHashMap<u128, Arc<ParentInfo>>>,
+    /// Keyed by (parent content hash, or 0 without a parent; mutant
+    /// content hash).
+    verdicts: Mutex<FxHashMap<(u128, u128), bool>>,
     checked: AtomicU64,
     filtered: AtomicU64,
     fast_path: AtomicU64,
@@ -287,31 +282,24 @@ impl UbGate {
     /// generative fuzzer); the baseline is then the empty set, so *any*
     /// UB finding gates. Unparseable mutants always return `false`.
     pub fn introduces_new_ub(&self, parent: Option<&str>, mutant: &str) -> bool {
-        let telemetry = metamut_telemetry::handle();
         self.checked.fetch_add(1, Ordering::Relaxed);
-        telemetry.counter_add("ub_checked", 1);
-
-        let mut key = FxHasher::default();
-        key.write_u64(parent.map_or(0, content_hash));
-        key.write_u64(content_hash(mutant));
-        let key = key.finish();
-        if let Some(&verdict) = self.verdicts.lock().get(&key) {
-            if verdict {
-                self.filtered.fetch_add(1, Ordering::Relaxed);
-                telemetry.counter_add("ub_filtered", 1);
+        let key = (
+            parent.map_or(0, |p| hash128(p.as_bytes())),
+            hash128(mutant.as_bytes()),
+        );
+        let cached = self.verdicts.lock().get(&key).copied();
+        let verdict = cached.unwrap_or_else(|| {
+            let telemetry = metamut_telemetry::handle();
+            let started = std::time::Instant::now();
+            let verdict = self.decide(parent, mutant);
+            if telemetry.enabled() {
+                telemetry.observe("analyze_ms", started.elapsed().as_secs_f64() * 1e3);
             }
-            return verdict;
-        }
-
-        let started = std::time::Instant::now();
-        let verdict = self.decide(parent, mutant);
-        if telemetry.enabled() {
-            telemetry.observe("analyze_ms", started.elapsed().as_secs_f64() * 1e3);
-        }
-        self.verdicts.lock().insert(key, verdict);
+            self.verdicts.lock().insert(key, verdict);
+            verdict
+        });
         if verdict {
             self.filtered.fetch_add(1, Ordering::Relaxed);
-            telemetry.counter_add("ub_filtered", 1);
         }
         verdict
     }
@@ -441,37 +429,21 @@ impl UbGate {
         let fn_hashes: Vec<u128> = texts.iter().map(|t| hash128(t.as_bytes())).collect();
         let skeys = summary_keys(&cg, funcs, &fn_hashes, globals_hash);
 
-        // Summaries, bottom-up: every SCC member computes against the
-        // environment excluding its own SCC, insertion deferred (matches
-        // `summarize_functions` exactly — a memoized run and a fresh run
-        // must produce the same environment).
-        let mut env = Summaries::default();
-        for scc in &cg.sccs {
-            let computed: Vec<(usize, Arc<FnSummary>)> = scc
-                .iter()
-                .map(|&i| {
-                    let (value, hit) = db.memo_once(kinds.summary, skeys[i], || {
-                        Arc::new(summarize_function(funcs[i], globals, &env))
-                    });
-                    if hit {
-                        self.summary_hits.fetch_add(1, Ordering::Relaxed);
-                        telemetry.counter_add("analyze_summary_hits", 1);
-                    } else {
-                        self.summary_recomputes.fetch_add(1, Ordering::Relaxed);
-                        telemetry.counter_add("analyze_summary_recomputes", 1);
-                    }
-                    let s = value
-                        .downcast::<FnSummary>()
-                        .expect("fn-summary memo holds a FnSummary");
-                    (i, s)
-                })
-                .collect();
-            for (i, s) in computed {
-                if cg.by_name.get(funcs[i].name.as_str()) == Some(&i) {
-                    env.insert(funcs[i].name.clone(), s);
-                }
+        let env = summarize_functions(funcs, &cg, |i, env| {
+            let (value, hit) = db.memo_once(kinds.summary, skeys[i], || {
+                Arc::new(summarize_function(funcs[i], globals, env))
+            });
+            if hit {
+                self.summary_hits.fetch_add(1, Ordering::Relaxed);
+                telemetry.counter_add("analyze_summary_hits", 1);
+            } else {
+                self.summary_recomputes.fetch_add(1, Ordering::Relaxed);
+                telemetry.counter_add("analyze_summary_recomputes", 1);
             }
-        }
+            value
+                .downcast::<FnSummary>()
+                .expect("fn-summary memo holds a FnSummary")
+        });
 
         // Per-function UB keys against the complete environment. The
         // summary key already covers the whole callee cone, so it is a
@@ -496,7 +468,7 @@ impl UbGate {
     // ------------------------------------------------------------------
 
     fn parent_info(&self, parent: &str) -> Arc<ParentInfo> {
-        let key = content_hash(parent);
+        let key = hash128(parent.as_bytes());
         if let Some(info) = self.parents.lock().get(&key) {
             return Arc::clone(info);
         }

@@ -53,7 +53,6 @@ pub use gate::UbGate;
 pub use summary::{summarize_unit, Chain, FnSummary, Summaries};
 
 use metamut_lang::{parse, Diagnostics};
-use std::collections::BTreeSet;
 
 /// Parses and analyzes a whole source file, returning every finding in
 /// source order. `Err` carries the parser diagnostics when the program
@@ -63,12 +62,6 @@ pub fn analyze_source(src: &str) -> Result<Vec<Finding>, Diagnostics> {
     Ok(analyze_unit(&ast.unit))
 }
 
-/// Span-insensitive keys of every `Ub`-severity finding in `src`, or
-/// `None` when `src` does not parse.
-pub fn ub_keys_of(src: &str) -> Option<BTreeSet<FindingKey>> {
-    analyze_source(src).ok().map(|f| ub_keys(&f))
-}
-
 /// The first `Ub` finding in `mutant` that its `parent` does not share
 /// (validation goal #7). Returns `None` when the mutant parses clean,
 /// only repeats UB already present in the parent, or does not parse at
@@ -76,7 +69,9 @@ pub fn ub_keys_of(src: &str) -> Option<BTreeSet<FindingKey>> {
 /// empty baseline, so any mutant UB counts as new.
 pub fn first_new_ub(parent: &str, mutant: &str) -> Option<Finding> {
     let findings = analyze_source(mutant).ok()?;
-    let baseline = ub_keys_of(parent).unwrap_or_default();
+    let baseline = analyze_source(parent)
+        .map(|f| ub_keys(&f))
+        .unwrap_or_default();
     findings
         .into_iter()
         .find(|f| f.is_ub() && !baseline.contains(&f.key()))

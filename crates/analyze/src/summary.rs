@@ -130,28 +130,34 @@ pub fn summarize_unit(unit: &TranslationUnit, globals: &GlobalInfo) -> Summaries
             _ => None,
         })
         .collect();
-    summarize_functions(&funcs, globals)
+    summarize_functions(&funcs, &CallGraph::build(&funcs), |i, env| {
+        Arc::new(summarize_function(funcs[i], globals, env))
+    })
 }
 
-/// Summarizes a pre-extracted function list (the gate's spliced fast
-/// path reuses this over a mix of parent and mini-parsed declarations).
-pub fn summarize_functions(funcs: &[&FunctionDef], globals: &GlobalInfo) -> Summaries {
-    let cg = CallGraph::build(funcs);
+/// The bottom-up summarization loop over `cg` (built from `funcs`):
+/// `summarize(i, env)` yields the summary of `funcs[i]` against `env`.
+/// Fresh callers compute it with `summarize_function`; the UB gate looks
+/// it up in its memo, so a memoized run and a fresh run build the same
+/// environment.
+pub fn summarize_functions(
+    funcs: &[&FunctionDef],
+    cg: &CallGraph,
+    mut summarize: impl FnMut(usize, &Summaries) -> Arc<FnSummary>,
+) -> Summaries {
     let mut env = Summaries::default();
     for scc in &cg.sccs {
         // Every member summarizes against the environment *excluding*
         // the SCC itself (mutual calls stay unknown), and insertion is
         // deferred until the whole SCC is done — the result must not
         // depend on member iteration order.
-        let computed: Vec<(usize, FnSummary)> = scc
-            .iter()
-            .map(|&i| (i, summarize_function(funcs[i], globals, &env)))
-            .collect();
+        let computed: Vec<(usize, Arc<FnSummary>)> =
+            scc.iter().map(|&i| (i, summarize(i, &env))).collect();
         for (i, s) in computed {
             // Duplicate-named definitions stay out: a call to such a
             // name must resolve to "unknown".
             if cg.by_name.get(funcs[i].name.as_str()) == Some(&i) {
-                env.insert(funcs[i].name.clone(), Arc::new(s));
+                env.insert(funcs[i].name.clone(), s);
             }
         }
     }

@@ -62,7 +62,8 @@ fn main() {
             .crash()
             .unwrap_or_else(|| panic!("{}: fixture does not crash", cs.bug_id))
             .clone();
-        let oracle = ReductionOracle::new(cs.profile, cs.options.clone(), crash.signature());
+        let oracle = ReductionOracle::for_witness(cs.profile, cs.options.clone(), cs.source)
+            .unwrap_or_else(|| panic!("{}: fixture does not crash", cs.bug_id));
         let result = reduce(&oracle, cs.source, &ReduceConfig::default());
         let preserved = compiler
             .compile(&result.reduced)
@@ -129,7 +130,8 @@ fn main() {
         note: "hierarchical ddmin (decls, statement lists) + semantic shrink passes \
                (drop-unused, inline-calls, shrink-arrays, simplify-exprs) over the \
                reconstructed §5 case-study crashers; oracle = same top-two-frame \
-               signature under the same profile and flags"
+               signature under the same profile and flags, and no UB the original \
+               witness lacks"
             .into(),
     };
 

@@ -489,7 +489,12 @@ pub(crate) fn fuzz_iteration(
             // the compiler (or the dedup/coverage stores).
             let gated = shared.ub_gate.as_ref().is_some_and(|g| {
                 let _ub_span = telemetry.span_fast("ub_filter");
-                g.introduces_new_ub(seed.as_deref(), &candidate.program)
+                telemetry.counter_add("ub_checked", 1);
+                let gated = g.introduces_new_ub(seed.as_deref(), &candidate.program);
+                if gated {
+                    telemetry.counter_add("ub_filtered", 1);
+                }
+                gated
             });
             if gated {
                 // The mutant never reaches the compiler, so there is no

@@ -8,7 +8,8 @@
 //!
 //! - [`oracle::ReductionOracle`] — re-runs `metamut-simcomp` under the
 //!   original `Profile`/flags and accepts a candidate only if it crashes
-//!   with the identical top-two-frame signature (verdict-cached).
+//!   with the identical top-two-frame signature and introduces no UB the
+//!   original witness lacks (verdict-cached).
 //! - [`reducer::reduce`] — hierarchical delta debugging over the real
 //!   `metamut-lang` AST (top-level declarations, then statement lists level
 //!   by level) followed by semantic shrink passes: drop unused declarations,

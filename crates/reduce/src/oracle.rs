@@ -3,10 +3,11 @@
 //!
 //! A candidate is accepted only if the instrumented compiler — same
 //! [`Profile`], same [`CompileOptions`] — still dies with the identical
-//! [`CrashInfo::signature`] (the paper's top-two-stack-frames unique-crash
-//! rule from `metamut-simcomp::bugs`). Everything else (clean
-//! compiles, rejections, *different* crashes) is a failed candidate, so
-//! reduction can never silently slide from one bug onto another.
+//! [`CrashInfo::signature`](metamut_simcomp::CrashInfo::signature) (the
+//! paper's top-two-stack-frames unique-crash rule from
+//! `metamut-simcomp::bugs`). Everything else (clean compiles, rejections,
+//! *different* crashes) is a failed candidate, so reduction can never
+//! silently slide from one bug onto another.
 //!
 //! Three layers keep the oracle cheap, checked in order:
 //!
@@ -18,114 +19,90 @@
 //!    front-end signature, never the target's. One parse replaces a full
 //!    compile. Front-end targets skip this filter entirely — raw-byte bugs
 //!    (paren storms, identifier overflows) fire on unparseable input.
-//! 3. **Incremental compile** — candidates that still have to compile run
-//!    through a [`QueryCache`] anchored on the current best witness, so
-//!    function edits (statement ddmin, expression shrinking) recompute only
-//!    their dirty pipeline-query slices against the witness's memos — and
-//!    rebasing back onto a previously seen witness is itself a cache hit.
-//!    Query-engine compilation is bit-identical to cold, so verdicts are
-//!    unaffected.
+//! 3. **Memoized compile** — every candidate that still has to compile
+//!    goes through [`QueryCache::compile_program`] on the oracle's
+//!    [`QueryDb`]. Memo keys are content, so the declarations a candidate
+//!    shares with earlier candidates (or with the campaign that found the
+//!    crash, when the oracle is handed the campaign's database) are cache
+//!    hits, whatever edit produced it. Query-engine compilation is
+//!    bit-identical to cold, so verdicts are unaffected.
 //!
 //! On top of the crash check, a **UB guard** keeps reduced witnesses
-//! *valid*: a candidate that reproduces the signature but whose dataflow
-//! analysis (`metamut-analyze`) reports undefined behavior absent from the
-//! original witness is rejected anyway. ddmin loves deleting
+//! *valid*: a candidate that reproduces the signature but that the
+//! campaign's [`UbGate`] judges to introduce undefined behavior absent
+//! from the original witness is rejected anyway. ddmin loves deleting
 //! initializations; without the guard the minimized reproducer routinely
 //! reads uninitialized variables, and a bug report built on a UB program
-//! gets bounced by compiler maintainers. The guard only fires on
-//! candidates the analyzer can parse — raw-byte crashers reduce exactly as
-//! before.
+//! gets bounced by compiler maintainers. The gate runs on the oracle's
+//! database with the original witness as parent, so it reuses the
+//! function-summary memos it shares with the campaign. It never judges a
+//! candidate it cannot parse — raw-byte crashers reduce exactly as
+//! without it.
 
-use metamut_analyze::{ub_keys_of, FindingKey};
+use metamut_analyze::UbGate;
+use metamut_lang::chash::hash128;
 use metamut_lang::fxhash::FxHashMap;
-use metamut_simcomp::{CompileOptions, Compiler, CrashInfo, Profile, QueryCache, QueryDb, Stage};
+use metamut_simcomp::{CompileOptions, Compiler, Profile, QueryCache, QueryDb, Stage};
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn source_hash(src: &str) -> u64 {
-    let mut h = metamut_lang::fxhash::FxHasher::default();
-    src.hash(&mut h);
-    h.finish()
-}
 
 /// A signature-preserving crash oracle over one compiler configuration.
 pub struct ReductionOracle {
     compiler: Compiler,
     target: u64,
-    /// Pipeline stage of the target crash, when known. `Some(stage)` with
-    /// `stage != FrontEnd` enables the syntactic pre-filter; `None`
-    /// (signature-only construction via [`ReductionOracle::new`]) keeps
-    /// every candidate on the compile path.
-    target_stage: Option<Stage>,
+    /// Pipeline stage of the target crash; anything past the front end
+    /// enables the syntactic pre-filter.
+    target_stage: Stage,
+    /// The witness the oracle was built from: the UB guard's parent.
+    original: String,
     calls: AtomicU64,
     prefilter_skips: AtomicU64,
     ub_rejects: AtomicU64,
-    verdicts: Mutex<FxHashMap<u64, bool>>,
+    verdicts: Mutex<FxHashMap<u128, bool>>,
     /// Query-engine cache the candidates compile through.
     cache: QueryCache,
-    /// The current best witness candidates are treated as edits of; kept
-    /// fresh by [`ReductionOracle::rebase`]. `None` means candidates
-    /// compile cold.
-    witness: Mutex<Option<String>>,
-    /// UB finding keys of the original witness; `Some` arms the UB guard
-    /// (candidates may only reproduce these, never new ones), `None`
-    /// (unanalyzable witness, or signature-only construction) disables it.
-    ub_baseline: Option<BTreeSet<FindingKey>>,
+    /// The UB guard, memoizing on the same database as `cache`.
+    ub_gate: UbGate,
 }
 
 impl ReductionOracle {
-    /// An oracle that accepts exactly the crashes whose signature is
-    /// `target` under `profile`/`options`. The crash stage is unknown, so
-    /// the syntactic pre-filter stays off; prefer
-    /// [`ReductionOracle::for_witness`] when a crashing witness is at hand.
-    pub fn new(profile: Profile, options: CompileOptions, target: u64) -> Self {
-        ReductionOracle {
-            compiler: Compiler::new(profile, options),
-            target,
-            target_stage: None,
-            calls: AtomicU64::new(0),
-            prefilter_skips: AtomicU64::new(0),
-            ub_rejects: AtomicU64::new(0),
-            verdicts: Mutex::new(FxHashMap::default()),
-            cache: QueryCache::default(),
-            witness: Mutex::new(None),
-            ub_baseline: None,
-        }
-    }
-
-    /// Re-homes the oracle's incremental cache onto `db` (e.g. the
-    /// campaign's shared query database), so reduction reuses every memo
-    /// the campaign already built for its seeds. Call before the first
-    /// [`ReductionOracle::reproduces`].
-    #[must_use]
-    pub fn with_query_db(mut self, db: Arc<QueryDb>) -> Self {
-        self.cache = QueryCache::new(db);
-        self
-    }
-
     /// Builds the oracle *from* a crashing witness: compiles `witness`,
     /// locks onto the signature it produces, arms the syntactic pre-filter
-    /// with the crash's stage, and anchors the incremental cache on the
-    /// witness. Returns `None` when the witness does not crash this
+    /// with the crash's stage, and makes the witness the UB guard's
+    /// baseline. Returns `None` when the witness does not crash this
     /// compiler configuration at all.
     pub fn for_witness(profile: Profile, options: CompileOptions, witness: &str) -> Option<Self> {
         let compiler = Compiler::new(profile, options);
-        let crash: CrashInfo = compiler.compile(witness).outcome.crash()?.clone();
+        let (target, target_stage) = {
+            let result = compiler.compile(witness);
+            let crash = result.outcome.crash()?;
+            (crash.signature(), crash.stage)
+        };
+        let db = Arc::new(QueryDb::new());
         Some(ReductionOracle {
-            target: crash.signature(),
-            target_stage: Some(crash.stage),
+            compiler,
+            target,
+            target_stage,
+            original: witness.to_string(),
             calls: AtomicU64::new(0),
             prefilter_skips: AtomicU64::new(0),
             ub_rejects: AtomicU64::new(0),
             verdicts: Mutex::new(FxHashMap::default()),
-            cache: QueryCache::default(),
-            witness: Mutex::new(Some(witness.to_string())),
-            ub_baseline: ub_keys_of(witness),
-            compiler,
+            cache: QueryCache::new(Arc::clone(&db)),
+            ub_gate: UbGate::with_db(db),
         })
+    }
+
+    /// Re-homes the oracle's compile cache and UB guard onto `db` (e.g.
+    /// the campaign's shared query database), so reduction reuses every
+    /// compile and function-summary memo the campaign already built. Call
+    /// before the first [`ReductionOracle::reproduces`].
+    #[must_use]
+    pub fn with_query_db(mut self, db: Arc<QueryDb>) -> Self {
+        self.cache = QueryCache::new(Arc::clone(&db));
+        self.ub_gate = UbGate::with_db(db);
+        self
     }
 
     /// The crash signature this oracle preserves.
@@ -133,8 +110,8 @@ impl ReductionOracle {
         self.target
     }
 
-    /// The pipeline stage of the target crash, when known.
-    pub fn target_stage(&self) -> Option<Stage> {
+    /// The pipeline stage of the target crash.
+    pub fn target_stage(&self) -> Stage {
         self.target_stage
     }
 
@@ -144,7 +121,7 @@ impl ReductionOracle {
     }
 
     /// Compiler invocations so far (cache hits and pre-filter skips are
-    /// free; [`ReductionOracle::rebase`] is not counted either).
+    /// free).
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
@@ -161,27 +138,9 @@ impl ReductionOracle {
         self.ub_rejects.load(Ordering::Relaxed)
     }
 
-    /// Whether the UB guard is armed (the original witness was
-    /// analyzable).
-    pub fn ub_guard_armed(&self) -> bool {
-        self.ub_baseline.is_some()
-    }
-
-    /// Re-anchors incremental compilation on `witness` (the reducer's
-    /// current best). The anchor's pipeline queries memoize on first use;
-    /// every subsequent candidate editing only function definitions
-    /// recomputes just its dirty query slices. Re-anchoring onto a witness
-    /// the cache has already seen (ddmin backtracking) costs nothing, and a
-    /// witness the query engine cannot digest (e.g. an unparseable
-    /// raw-byte crasher) is remembered as uncacheable, so its candidates
-    /// fall back to cold compiles.
-    pub fn rebase(&self, witness: &str) {
-        *self.witness.lock() = Some(witness.to_string());
-    }
-
     /// Whether `src` still reproduces the target crash signature.
     pub fn reproduces(&self, src: &str) -> bool {
-        let key = source_hash(src);
+        let key = hash128(src.as_bytes());
         if let Some(&v) = self.verdicts.lock().get(&key) {
             return v;
         }
@@ -189,9 +148,7 @@ impl ReductionOracle {
         // the front end accepts, so a failed parse settles the verdict
         // without compiling. Unsound for front-end targets (raw-byte bugs
         // crash on unparseable input), hence the stage gate.
-        if self.target_stage.is_some_and(|s| s != Stage::FrontEnd)
-            && metamut_lang::parse("<red>", src).is_err()
-        {
+        if self.target_stage != Stage::FrontEnd && metamut_lang::parse("<red>", src).is_err() {
             self.prefilter_skips.fetch_add(1, Ordering::Relaxed);
             metamut_telemetry::handle().counter_add("reduce_prefilter_skips", 1);
             self.verdicts.lock().insert(key, false);
@@ -199,27 +156,17 @@ impl ReductionOracle {
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
         metamut_telemetry::handle().counter_add("reduce_oracle_calls", 1);
-        let witness = self.witness.lock().clone();
-        let result = match &witness {
-            Some(w) => self.cache.compile(&self.compiler, w, src),
-            None => self.compiler.compile(src),
-        };
+        let result = self.cache.compile_program(&self.compiler, src);
         let mut verdict = result
             .outcome
             .crash()
             .is_some_and(|c| c.signature() == self.target);
         // UB guard: the right crash on an *invalid* program is still a
-        // failed candidate. Only analyzable candidates are judged — an
-        // unparseable candidate either got pre-filtered above or crashes
-        // the front end on raw bytes, where validity is moot.
-        if verdict {
-            if let (Some(baseline), Some(keys)) = (&self.ub_baseline, ub_keys_of(src)) {
-                if !keys.is_subset(baseline) {
-                    self.ub_rejects.fetch_add(1, Ordering::Relaxed);
-                    metamut_telemetry::handle().counter_add("reduce_ub_rejects", 1);
-                    verdict = false;
-                }
-            }
+        // failed candidate.
+        if verdict && self.ub_gate.introduces_new_ub(Some(&self.original), src) {
+            self.ub_rejects.fetch_add(1, Ordering::Relaxed);
+            metamut_telemetry::handle().counter_add("reduce_ub_rejects", 1);
+            verdict = false;
         }
         self.verdicts.lock().insert(key, verdict);
         verdict
@@ -293,7 +240,7 @@ lt:\n\
         let oracle =
             ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), BACKEND_WITNESS)
                 .expect("witness crashes clang-sim in the back end");
-        assert_eq!(oracle.target_stage(), Some(Stage::BackEnd));
+        assert_eq!(oracle.target_stage(), Stage::BackEnd);
         let calls_before = oracle.calls();
         assert!(!oracle.reproduces("void foo( {"));
         assert!(!oracle.reproduces("@@@ garbage @@@"));
@@ -318,43 +265,38 @@ lt:\n\
         let storm = format!("int x = {}1;", "(".repeat(50));
         let oracle = ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), &storm)
             .expect("paren storm crashes clang-sim");
-        assert_eq!(oracle.target_stage(), Some(Stage::FrontEnd));
+        assert_eq!(oracle.target_stage(), Stage::FrontEnd);
         let shorter = format!("int x = {}1;", "(".repeat(30));
         assert!(oracle.reproduces(&shorter));
         assert_eq!(oracle.prefilter_skips(), 0);
     }
 
     #[test]
-    fn signature_only_oracle_never_prefilters() {
-        let target = ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), WITNESS)
-            .expect("witness crashes")
-            .target_signature();
-        let oracle = ReductionOracle::new(Profile::Clang, CompileOptions::o0(), target);
-        assert!(oracle.target_stage().is_none());
-        assert!(!oracle.reproduces("not a program"));
-        assert_eq!(oracle.prefilter_skips(), 0);
-        assert_eq!(oracle.calls(), 1, "unknown stage must compile to decide");
-    }
-
-    #[test]
     fn incremental_oracle_agrees_with_cold() {
-        // Same configuration, one oracle with a baseline (for_witness) and
-        // one without (new + signature): identical verdicts on candidates
-        // that take the incremental fast path and ones that fall back.
-        let with = ReductionOracle::for_witness(Profile::Clang, CompileOptions::o2(), WITNESS)
+        // Every verdict matches a direct cold compile's signature, on
+        // candidates that share declarations with the witness (memo hits),
+        // change the declaration count, or share nothing at all.
+        let oracle = ReductionOracle::for_witness(Profile::Clang, CompileOptions::o2(), WITNESS)
             .expect("witness crashes at -O2 too");
-        let cold = ReductionOracle::new(Profile::Clang, CompileOptions::o2(), with.target);
         let candidates = [
             WITNESS.to_string(),
-            // Single-declaration edit of the witness: fast path.
+            // Single-declaration edit of the witness.
             "foo(int *ptr) { *ptr = (int) {{}, 0}; }".to_string(),
             // Crash expression removed: clean compile, verdict false.
             "foo(int *ptr) { *ptr = 0; return 0; }".to_string(),
+            // Declaration count changed.
+            format!("int pad(void) {{ return 3; }}\n{WITNESS}"),
             // Different shape entirely.
             "int main(void) { return 1; }".to_string(),
         ];
         for c in &candidates {
-            assert_eq!(with.reproduces(c), cold.reproduces(c), "candidate {c:?}");
+            let cold = oracle
+                .compiler()
+                .compile(c)
+                .outcome
+                .crash()
+                .is_some_and(|crash| crash.signature() == oracle.target_signature());
+            assert_eq!(oracle.reproduces(c), cold, "candidate {c:?}");
         }
     }
 
@@ -363,7 +305,6 @@ lt:\n\
         let oracle =
             ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), BACKEND_WITNESS)
                 .expect("witness crashes");
-        assert!(oracle.ub_guard_armed(), "parseable witness arms the guard");
         // Prepend an unrelated uninitialized read: same crash signature
         // (compiled below to prove it), but the program is now invalid.
         let candidate = format!("static int mm_ub(void) {{ int z; return z; }}\n{BACKEND_WITNESS}");
@@ -392,7 +333,6 @@ lt:\n\
         let witness = format!("static int mm_ub(void) {{ int z; return z; }}\n{BACKEND_WITNESS}");
         let oracle = ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), &witness)
             .expect("witness still crashes");
-        assert!(oracle.ub_guard_armed());
         assert!(oracle.reproduces(&witness), "inherited UB is not new UB");
         assert_eq!(oracle.ub_rejects(), 0);
         // A *different* fresh UB (division by zero) is still rejected.
@@ -413,47 +353,14 @@ lt:\n\
 
     #[test]
     fn unanalyzable_witness_disarms_ub_guard() {
-        // Raw-byte front-end crashers never parse, so there is no UB
-        // baseline and no guard — reduction behaves exactly as before.
+        // Raw-byte front-end crashers never parse, and the guard never
+        // judges what it cannot parse — reduction behaves exactly as
+        // without it.
         let storm = format!("int x = {}1;", "(".repeat(50));
         let oracle = ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), &storm)
             .expect("paren storm crashes clang-sim");
-        assert!(!oracle.ub_guard_armed());
         let shorter = format!("int x = {}1;", "(".repeat(30));
         assert!(oracle.reproduces(&shorter));
         assert_eq!(oracle.ub_rejects(), 0);
-    }
-
-    #[test]
-    fn rebase_tracks_the_current_best() {
-        let oracle =
-            ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), BACKEND_WITNESS)
-                .expect("witness crashes");
-        // Shrink the witness, re-anchor, and keep answering correctly.
-        let smaller = "\
-void helper(int *x, int *y) { }\n\
-void foo(int x[64], int y[64]) {\n\
-    helper(x, y);\n\
-gt:\n\
-    ;\n\
-lt:\n\
-    ;\n\
-}";
-        assert!(oracle.reproduces(smaller));
-        oracle.rebase(smaller);
-        assert!(oracle.reproduces(
-            "\
-void helper(int *x, int *y) { }\n\
-void foo(int x[8], int y[8]) {\n\
-    helper(x, y);\n\
-gt:\n\
-    ;\n\
-lt:\n\
-    ;\n\
-}"
-        ));
-        // An unparseable rebase clears the baseline instead of lying.
-        oracle.rebase("@@@");
-        assert!(oracle.reproduces(smaller));
     }
 }

@@ -7,13 +7,14 @@
 //! the bucket count runs out.
 
 use crate::oracle::ReductionOracle;
-use crate::reducer::{reduce, ReduceConfig};
+use crate::reducer::{reduce, ReduceConfig, ReduceResult};
 use metamut_fuzzing::campaign::CrashRecord;
 use metamut_simcomp::{CompileOptions, Profile};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Triage parameters.
 #[derive(Debug, Clone, Default)]
@@ -26,7 +27,7 @@ pub struct TriageConfig {
     /// Query database the oracles memoize into. Pass the campaign's shared
     /// database so reduction starts from the memos fuzzing already built;
     /// `None` gives every oracle a private one.
-    pub query_db: Option<std::sync::Arc<metamut_simcomp::QueryDb>>,
+    pub query_db: Option<Arc<metamut_simcomp::QueryDb>>,
 }
 
 /// One triaged bug: the reduced witness plus its bookkeeping.
@@ -212,7 +213,9 @@ fn bucket_records(records: &[CrashRecord]) -> Vec<Bucket> {
     buckets
 }
 
-/// Reduces one bucket's smallest witness and writes its report row.
+/// Reduces one bucket's smallest witness and writes its report row. A
+/// witness that no longer crashes with its bucket's signature under this
+/// configuration is not reproduced and comes back unreduced.
 fn triage_bucket(
     bucket: &Bucket,
     profile: Profile,
@@ -220,13 +223,25 @@ fn triage_bucket(
     config: &TriageConfig,
 ) -> BugReport {
     let record = &bucket.smallest;
-    let mut oracle = ReductionOracle::new(profile, options.clone(), record.signature);
-    if let Some(db) = &config.query_db {
-        oracle = oracle.with_query_db(std::sync::Arc::clone(db));
-    }
-    let oracle = oracle;
-    let reproduced = oracle.reproduces(&record.witness);
-    let result = reduce(&oracle, &record.witness, &config.reduce);
+    let oracle = ReductionOracle::for_witness(profile, options.clone(), &record.witness)
+        .filter(|oracle| oracle.target_signature() == record.signature)
+        .map(|oracle| match &config.query_db {
+            Some(db) => oracle.with_query_db(Arc::clone(db)),
+            None => oracle,
+        });
+    let reproduced = oracle.is_some();
+    let result = match &oracle {
+        Some(oracle) => reduce(oracle, &record.witness, &config.reduce),
+        None => ReduceResult {
+            reduced: record.witness.clone(),
+            original_bytes: record.witness.len(),
+            reduced_bytes: record.witness.len(),
+            oracle_calls: 0,
+            rounds: 0,
+            pass_bytes: BTreeMap::new(),
+            elapsed_ms: 0.0,
+        },
+    };
     BugReport {
         bug_id: record.info.bug_id.to_string(),
         kind: record.info.kind.label().to_string(),
@@ -357,8 +372,9 @@ foo(int *ptr) { *ptr = (int) {{}, 0}; return 0; }\n";
         assert!(md.contains("clang-69213-scalar-brace"));
         assert!(md.contains("```c"));
         // The reduced witness still crashes with the same signature.
-        let oracle = ReductionOracle::new(Profile::Clang, options.clone(), bug.signature);
-        assert!(oracle.reproduces(&bug.reduced));
+        let oracle = ReductionOracle::for_witness(Profile::Clang, options.clone(), &bug.reduced)
+            .expect("reduced witness still crashes");
+        assert_eq!(oracle.target_signature(), bug.signature);
     }
 
     fn toy_bug(signature: u64, reduced: &str, first_iteration: usize) -> BugReport {
@@ -448,19 +464,56 @@ foo(int *ptr) { *ptr = (int) {{}, 0}; return 0; }\n";
         assert!(first.merge(clang).is_err());
     }
 
+    /// A witness that no longer crashes, or now crashes with another
+    /// bucket's signature, is not reproduced: it comes back unreduced,
+    /// without a single oracle call.
     #[test]
     fn non_reproducing_record_is_flagged() {
         let options = CompileOptions::o0();
-        let mut rec = record_for(
+        let rec = record_for(
             "foo(int *ptr) { *ptr = (int) {{}, 0}; return 0; }",
             Profile::Clang,
             &options,
         );
-        // Corrupt the witness so it no longer crashes.
-        rec.witness = "int main(void) { return 0; }".to_string();
-        let report = triage_crashes(&[rec], Profile::Clang, &options, &TriageConfig::default());
-        assert_eq!(report.bugs.len(), 1);
-        assert!(!report.bugs[0].reproduced);
-        assert_eq!(report.bugs[0].reduction_ratio, 1.0);
+        let clean = "int main(void) { return 0; }".to_string();
+        let foreign_crash = format!("int x = {}1;", "(".repeat(50));
+        for witness in [clean, foreign_crash] {
+            let mut rec = rec.clone();
+            rec.witness = witness;
+            let report = triage_crashes(&[rec], Profile::Clang, &options, &TriageConfig::default());
+            assert_eq!(report.bugs.len(), 1);
+            assert!(!report.bugs[0].reproduced);
+            assert_eq!(report.bugs[0].reduction_ratio, 1.0);
+            assert_eq!(report.bugs[0].oracle_calls, 0);
+        }
+    }
+
+    /// Triage reductions keep the witness valid: ddmin on this loop
+    /// condition used to shrink it to `while ((0 % 0))`, a division by
+    /// zero the original witness does not have.
+    #[test]
+    fn triage_reductions_introduce_no_new_ub() {
+        let options = CompileOptions::o2();
+        let witness = "\
+int collatz_steps(int n, int extra_0) {
+    int steps = 0;
+    do {
+        if (n % 2 == 0) n /= 2;
+        steps++;
+    } while (((n != 1) % (steps < 100)));
+    return steps;
+}
+int main(void) { return collatz_steps(27, 0) & 0xff; }
+";
+        let records = vec![record_for(witness, Profile::Clang, &options)];
+        let report = triage_crashes(&records, Profile::Clang, &options, &TriageConfig::default());
+        let bug = &report.bugs[0];
+        assert!(bug.reproduced);
+        assert!(bug.reduced_bytes < bug.original_bytes);
+        assert!(
+            metamut_analyze::first_new_ub(witness, &bug.reduced).is_none(),
+            "reduced witness has new UB:\n{}",
+            bug.reduced
+        );
     }
 }

@@ -18,8 +18,9 @@ fn case_studies_reduce_to_a_quarter_with_signatures_preserved() {
             .clone();
         assert_eq!(original_crash.bug_id, cs.bug_id);
 
-        let oracle =
-            ReductionOracle::new(cs.profile, cs.options.clone(), original_crash.signature());
+        let oracle = ReductionOracle::for_witness(cs.profile, cs.options.clone(), cs.source)
+            .expect("fixture crashes");
+        assert_eq!(oracle.target_signature(), original_crash.signature());
         let result = reduce(&oracle, cs.source, &ReduceConfig::default());
 
         // Signature preserved exactly: the reduced witness crashes with the

@@ -495,31 +495,33 @@ fn resume_campaign(
 // ---------------------------------------------------------------------------
 
 fn validate_spec(spec: &JobSpec) -> Result<(), String> {
-    match spec.kind.as_str() {
+    let (profile, opt_level) = match spec.kind.as_str() {
         "fuzz" => {
             let fuzz = spec.fuzz.as_ref().ok_or("fuzz job without parameters")?;
             if fuzz.iterations == 0 {
                 return Err("fuzz: iterations must be positive".to_string());
             }
-            parse_profile(&fuzz.profile)
-                .ok_or_else(|| format!("unknown profile {:?}", fuzz.profile))?;
+            (&fuzz.profile, fuzz.opt_level)
         }
         "analyze" => {
             spec.program.as_ref().ok_or("analyze: missing program")?;
+            return Ok(());
         }
         "reduce" => {
             spec.program.as_ref().ok_or("reduce: missing program")?;
-            parse_profile(&spec.profile)
-                .ok_or_else(|| format!("unknown profile {:?}", spec.profile))?;
+            (&spec.profile, spec.opt_level)
         }
         "triage" => {
             if spec.programs.is_empty() {
                 return Err("triage: no programs".to_string());
             }
-            parse_profile(&spec.profile)
-                .ok_or_else(|| format!("unknown profile {:?}", spec.profile))?;
+            (&spec.profile, spec.opt_level)
         }
         other => return Err(format!("unknown job kind {other:?}")),
+    };
+    parse_profile(profile).ok_or_else(|| format!("unknown profile {profile:?}"))?;
+    if opt_level > 3 {
+        return Err(format!("opt_level must be 0-3, got {opt_level}"));
     }
     Ok(())
 }
@@ -1015,7 +1017,9 @@ fn spec_from_request(cmd: &str, request: &Value) -> Result<JobSpec, String> {
             .unwrap_or(default)
     };
     let profile = str_field("profile", "gcc");
-    let opt_level = usize_field("opt_level", 2) as u8;
+    // Saturate rather than wrap (`300 as u8` is 44), so `validate_spec`
+    // sees an out-of-range level and rejects it.
+    let opt_level = u8::try_from(usize_field("opt_level", 2)).unwrap_or(u8::MAX);
     match cmd {
         "fuzz" => {
             let d = FuzzSpec::default();
@@ -1235,6 +1239,28 @@ mod tests {
         assert!(validate_spec(&bad).is_err());
         let empty = JobSpec::triage(Vec::new(), "gcc", 2);
         assert!(validate_spec(&empty).is_err());
+
+        // `-O` levels outside 0–3 are rejected for every compiling job
+        // kind, and a request's 300 must not wrap around to 44.
+        for cmd in ["fuzz", "reduce", "triage"] {
+            let request: Value = serde_json::from_str(&format!(
+                r#"{{"cmd":"{cmd}","program":"int x;","programs":["int x;"],"opt_level":300}}"#
+            ))
+            .expect("parse");
+            let spec = spec_from_request(cmd, &request).expect("spec");
+            let err = validate_spec(&spec).expect_err("opt_level 300 must be rejected");
+            assert!(err.contains("opt_level"), "{cmd}: {err}");
+            for level in [0u8, 3] {
+                let mut spec = spec.clone();
+                spec.opt_level = level;
+                if let Some(fuzz) = spec.fuzz.as_mut() {
+                    fuzz.opt_level = level;
+                }
+                validate_spec(&spec).expect("levels 0-3 are valid");
+            }
+        }
+        let four = JobSpec::reduce("int x;", "gcc", 4);
+        assert!(validate_spec(&four).is_err());
     }
 
     #[test]

@@ -55,9 +55,9 @@
 //! fetches that would return the very same artifacts.
 //! Because a content key needs no pre-built slot, [`QueryCache::compile_program`]
 //! serves slotless one-shot compiles (`metamut compile`, the macro
-//! fuzzer, reduction candidates that change the declaration count) from
-//! the same memo pool, with full per-program validation (whole-program
-//! parse, chunk/declaration alignment, merged-features self-check).
+//! fuzzer, every reduction-oracle candidate) from the same memo pool,
+//! with full per-program validation (whole-program parse,
+//! chunk/declaration alignment, merged-features self-check).
 //!
 //! Correctness is held to the PR 7 bar: slot builds must stitch
 //! bit-identically to the seed's cold compile, dirty declarations must
@@ -215,8 +215,8 @@ pub(crate) struct SlotState {
     /// path's whole-program re-parse.
     chunk_count: usize,
     /// The seed's chunk texts, interned process-wide — seeds of one
-    /// family (and the reducer's shrinking witnesses) share most
-    /// declarations, so their slots share this storage. The chain walk
+    /// family share most declarations, so their slots share this
+    /// storage. The chain walk
     /// byte-compares mutant chunks against these to find reusable ones.
     texts: Vec<Arc<str>>,
     /// The seed's own walk, captured at slot build: memo handles plus
@@ -529,10 +529,9 @@ impl QueryCache {
     }
 
     /// Compiles a program with no seed at all — `metamut compile`, the
-    /// macro fuzzer, reduction candidates that changed the declaration
-    /// count. Content keys need no pre-built slot, so warm memos (from
-    /// campaigns, other programs, or earlier invocations on the shared
-    /// database) serve immediately; the result is bit-identical to
+    /// macro fuzzer, every reduction-oracle candidate. Content keys need
+    /// no pre-built slot, so warm memos (from campaigns, other programs,
+    /// or earlier invocations on the shared database) serve immediately; the result is bit-identical to
     /// [`Compiler::compile`] (cold fallback on any guard failure, same
     /// every-Nth cross-check as the seeded path).
     pub fn compile_program(&self, compiler: &Compiler, src: &str) -> CompileResult {
@@ -1254,9 +1253,9 @@ impl QueryCache {
     }
 
     /// Total declaration-text bytes the live slots keep referenced.
-    /// Because chunk texts are interned, seeds of one family (and the
-    /// reducer's shrinking candidate stream) share storage: this sum can
-    /// exceed the interner's actual footprint many times over.
+    /// Because chunk texts are interned, seeds of one family share
+    /// storage: this sum can exceed the interner's actual footprint many
+    /// times over.
     pub fn retained_text_bytes(&self) -> usize {
         self.state
             .by_key

@@ -230,11 +230,14 @@ fn mutate(rest: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_profile(rest: &[String]) -> Profile {
-    match opt(rest, "-p").as_deref() {
-        Some("clang") => Profile::Clang,
-        _ => Profile::Gcc,
-    }
+/// The `-p` profile (gcc when absent), resolved exactly as the daemon
+/// resolves job profiles. An unknown name is a usage error: exit 2.
+fn parse_profile(cmd: &str, rest: &[String]) -> Result<Profile, ExitCode> {
+    let name = opt(rest, "-p").unwrap_or_else(|| "gcc".to_string());
+    metamut_serve::job::parse_profile(&name).ok_or_else(|| {
+        eprintln!("{cmd}: unknown profile {name:?} (expected gcc or clang)");
+        ExitCode::from(2)
+    })
 }
 
 fn parse_options(rest: &[String], default_opt: u8) -> CompileOptions {
@@ -262,7 +265,11 @@ fn compile_cmd(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let compiler = Compiler::new(parse_profile(rest), parse_options(rest, 2));
+    let profile = match parse_profile("compile", rest) {
+        Ok(profile) => profile,
+        Err(code) => return code,
+    };
+    let compiler = Compiler::new(profile, parse_options(rest, 2));
     // Ride the content-addressed query engine: a one-shot CLI compile
     // needs no seed slot, and repeated declarations (across -O variants,
     // or within one file) serve from warm memos.
@@ -393,7 +400,10 @@ fn reduce_cmd(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let profile = parse_profile(rest);
+    let profile = match parse_profile("reduce", rest) {
+        Ok(profile) => profile,
+        Err(code) => return code,
+    };
     let options = parse_options(rest, 2);
     let Some(oracle) = ReductionOracle::for_witness(profile, options.clone(), &src) else {
         eprintln!(
@@ -430,7 +440,10 @@ fn triage_cmd(rest: &[String]) -> ExitCode {
         eprintln!("triage: missing FILE...");
         return ExitCode::from(2);
     }
-    let profile = parse_profile(rest);
+    let profile = match parse_profile("triage", rest) {
+        Ok(profile) => profile,
+        Err(code) => return code,
+    };
     let options = parse_options(rest, 2);
     let compiler = Compiler::new(profile, options.clone());
     let mut records = Vec::new();
@@ -729,9 +742,10 @@ fn submit_cmd(rest: &[String]) -> ExitCode {
     let read = |file: &String| {
         std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))
     };
-    let profile = match parse_profile(rest) {
-        Profile::Clang => "clang",
-        _ => "gcc",
+    let profile = match parse_profile("submit", rest) {
+        Ok(Profile::Clang) => "clang",
+        Ok(Profile::Gcc) => "gcc",
+        Err(code) => return code,
     };
     let opt_level: u8 = opt(rest, "-O").and_then(|s| s.parse().ok()).unwrap_or(2);
     let request = match verb.as_str() {
@@ -924,7 +938,10 @@ fn fuzz(rest: &[String]) -> ExitCode {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let profile = parse_profile(rest);
+    let profile = match parse_profile("fuzz", rest) {
+        Ok(profile) => profile,
+        Err(code) => return code,
+    };
     let options = CompileOptions::o2();
     let compiler = Compiler::new(profile, options.clone());
     // One query database spans the campaign and (with --reduce) triage,

@@ -5,7 +5,8 @@
 //! - the rewriter applies non-overlapping edits faithfully;
 //! - generator programs always compile; mutants of them parse or fail
 //!   cleanly (never panic);
-//! - the coverage map behaves like the monotone set it claims to be.
+//! - the coverage map behaves like the monotone set it claims to be;
+//! - the campaign's memoized UB gate agrees with the reference analysis.
 
 use metamut::prelude::*;
 use metamut_muast::MutRng;
@@ -193,5 +194,54 @@ proptest! {
             prop_assert_eq!(bug.kind, c.info.kind);
             prop_assert_eq!(bug.profile, Profile::Clang);
         }
+    }
+}
+
+/// One gate for every case, so later cases run against warm summary
+/// memos and cached parent baselines, as in a campaign.
+fn shared_gate() -> &'static metamut_analyze::UbGate {
+    static GATE: std::sync::OnceLock<metamut_analyze::UbGate> = std::sync::OnceLock::new();
+    GATE.get_or_init(metamut_analyze::UbGate::new)
+}
+
+proptest! {
+    // Cases are cheap, and only about one stacked mutant in a hundred
+    // introduces UB, so many cases are needed to reach the gate's `true`
+    // verdicts.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The UB gate (splice fast path, summary memos, verdict cache) is a
+    /// faster route to the reference verdicts: with a parent it agrees
+    /// with `first_new_ub`, without one with "the mutant has a UB
+    /// finding". The mutant stacks one to four library mutators on a
+    /// corpus seed, like a campaign's havoc step.
+    #[test]
+    fn ub_gate_agrees_with_reference_analysis(
+        pick_seed in any::<u16>(),
+        picks in proptest::collection::vec(any::<u16>(), 1..5),
+        seed in any::<u64>(),
+    ) {
+        let seeds = metamut_fuzzing::corpus::seed_corpus();
+        let parent = seeds[pick_seed as usize % seeds.len()];
+        let reg = metamut::mutators::full_registry();
+        let mut mutant = parent.to_string();
+        for (k, pick) in picks.iter().enumerate() {
+            let entry = reg.iter().nth(*pick as usize % reg.len()).unwrap();
+            let step_seed = seed.wrapping_add(k as u64);
+            if let Ok(MutationOutcome::Mutated(m)) =
+                mutate_source(entry.mutator.as_ref(), &mutant, step_seed)
+            {
+                mutant = m;
+            }
+        }
+        let gate = shared_gate();
+        prop_assert_eq!(
+            gate.introduces_new_ub(Some(parent), &mutant),
+            metamut_analyze::first_new_ub(parent, &mutant).is_some(),
+            "mutant:\n{}", mutant
+        );
+        let has_ub = metamut_analyze::analyze_source(&mutant)
+            .is_ok_and(|findings| findings.iter().any(|f| f.is_ub()));
+        prop_assert_eq!(gate.introduces_new_ub(None, &mutant), has_ub, "mutant:\n{}", mutant);
     }
 }
