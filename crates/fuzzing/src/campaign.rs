@@ -14,8 +14,7 @@ use crate::parallel::ExchangeHub;
 use metamut_analyze::UbGate;
 use metamut_muast::MutRng;
 use metamut_simcomp::{
-    AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, Outcome, QueryCache, QueryDb, Stage,
-    Verdict,
+    AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, Outcome, QueryDb, Stage, Verdict,
 };
 use metamut_telemetry::{SeriesPoint, Telemetry};
 use parking_lot::Mutex;
@@ -45,30 +44,16 @@ pub struct CampaignConfig {
     /// Exchange newly discovered seeds across shards every this many
     /// iterations per worker (`0` disables exchange).
     pub exchange_every: usize,
-    /// Cross-check every Nth memoized compile against a cold compile
-    /// (`0` disables). Mutants of a pooled parent always compile through
-    /// the content-addressed [`QueryCache`], bit-identical to a cold
-    /// compile; this is the correctness belt that proves it at runtime.
-    /// Mismatches surface through `QueryCache::mismatches` and the
-    /// `query_mismatches` telemetry counter, and the cold result wins.
-    pub cross_check_every: usize,
     /// Statically analyze mutants before compiling and skip any that
     /// introduce undefined behavior their parent seed did not have (see
     /// `metamut_analyze::UbGate`). Skipped mutants count as generated but
     /// not compilable. `--no-ub-filter` turns it off, reproducing the
     /// unfiltered engine bit-for-bit.
     pub ub_filter: bool,
-    /// Maximum seed slots the [`QueryCache`] may hold before LRU eviction
-    /// kicks in (`0` = unbounded). Slot evictions are counted by the
-    /// `query_slot_evictions` telemetry counter. A retired slot's memos
-    /// stay in the query database, where other seeds sharing its
-    /// declarations still hit them; a database-wide LRU sweep sized from
-    /// the cap is what bounds memory.
-    pub query_cache_cap: usize,
-    /// The query database memoized compilation and the UB gate use. `None`
-    /// gives the campaign a private database; pass a shared one to let
-    /// triage (the reduction oracle, the UB gate) reuse the campaign's
-    /// memos.
+    /// The query database holding the UB gate's function-summary memos.
+    /// `None` gives the campaign a private database; pass a shared one to
+    /// let triage (the reduction oracle's UB guard) reuse the campaign's
+    /// summaries.
     pub query_db: Option<std::sync::Arc<QueryDb>>,
     /// Cooperative cancellation: workers stop claiming iterations once
     /// this flag is raised. The report then covers the iterations actually
@@ -89,9 +74,7 @@ impl Default for CampaignConfig {
             workers: 0,
             dedup: true,
             exchange_every: 64,
-            cross_check_every: 0,
             ub_filter: true,
-            query_cache_cap: 0,
             query_db: None,
             stop: None,
             log_corpus: false,
@@ -287,10 +270,6 @@ pub(crate) struct CampaignShared {
     /// corpus feed).
     pub(crate) corpus_log: Mutex<Vec<CorpusEntry>>,
     dedup: Option<DedupCache>,
-    /// Content-addressed memo cache for mutant compilation, shared
-    /// across every worker/shard so a seed's stages memoize once per
-    /// campaign (and with triage, when the config shares a database).
-    query_cache: QueryCache,
     /// The UB pre-compile gate, shared so parent analyses and verdicts are
     /// computed once per campaign. `None` when the filter is off — the
     /// worker loop is then structurally identical to the unfiltered engine.
@@ -307,12 +286,6 @@ impl CampaignShared {
         config: &CampaignConfig,
         telemetry: Telemetry,
     ) -> Self {
-        // One query database underlies both memoized compilation and the
-        // UB gate's summary memos (and triage, when the config shares it).
-        let query_db = config
-            .query_db
-            .clone()
-            .unwrap_or_else(|| std::sync::Arc::new(QueryDb::new()));
         CampaignShared {
             compiler: compiler.clone(),
             config: config.clone(),
@@ -322,12 +295,9 @@ impl CampaignShared {
             next_iter: AtomicUsize::new(0),
             corpus_log: Mutex::new(Vec::new()),
             dedup: config.dedup.then(DedupCache::new),
-            query_cache: QueryCache::new(std::sync::Arc::clone(&query_db))
-                .with_cross_check(config.cross_check_every)
-                .with_capacity(config.query_cache_cap),
             ub_gate: config
                 .ub_filter
-                .then(|| UbGate::with_db(std::sync::Arc::clone(&query_db))),
+                .then(|| UbGate::with_db(config.query_db.clone().unwrap_or_default())),
             telemetry,
         }
     }
@@ -459,8 +429,7 @@ pub(crate) fn fuzz_iteration(
         generator.next_candidate(rng)
     };
 
-    // One content hash per mutant, shared by the dedup cache and the
-    // query engine's slot lookup — neither re-hashes the source.
+    // One content hash per mutant, the dedup cache's key.
     let mutant_hash = metamut_lang::chash::hash128(candidate.program.as_bytes());
 
     // A byte-identical mutant was already compiled, its coverage merged
@@ -505,24 +474,9 @@ pub(crate) fn fuzz_iteration(
                 }
                 (false, 0)
             } else {
-                // Mutants of a pooled parent compile through the
-                // parent's memoized pipeline queries (bit-identical to
-                // cold, so nothing downstream can tell); parentless
-                // candidates and query guard failures compile cold.
-                let result = match seed {
-                    Some(seed) => {
-                        let _compile_span = telemetry.span_fast("compile_memo");
-                        shared.query_cache.compile_hashed(
-                            &shared.compiler,
-                            &seed,
-                            &candidate.program,
-                            mutant_hash,
-                        )
-                    }
-                    None => {
-                        let _compile_span = telemetry.span_fast("compile_cold");
-                        shared.compiler.compile(&candidate.program)
-                    }
+                let result = {
+                    let _compile_span = telemetry.span_fast("compile");
+                    shared.compiler.compile(&candidate.program)
                 };
                 let compiled = result.outcome.front_end_accepted();
                 if let Outcome::Crash(info) = &result.outcome {
@@ -630,10 +584,6 @@ fn sample_series_point(
             .as_ref()
             .map(|d| rate(d.hits(), d.hits() + d.misses()))
             .unwrap_or(0.0),
-        incremental_hit_rate: rate(
-            shared.query_cache.hits(),
-            shared.query_cache.hits() + shared.query_cache.misses(),
-        ),
         ub_filter_rate: shared
             .ub_gate
             .as_ref()
@@ -737,60 +687,6 @@ mod tests {
         assert_eq!(with.stage_coverage, without.stage_coverage);
         let stats = with.dedup.unwrap();
         assert!(stats.hits > 0, "80 iterations produced no duplicate mutant");
-    }
-
-    #[test]
-    fn incremental_does_not_change_the_report() {
-        // Memoized compilation must be a throughput knob, never a behavior
-        // change. Cross-checking every memoized compile against a cold one
-        // substitutes the cold result on any disagreement, so the
-        // cross-checked report IS the cold engine's report: it must equal
-        // the plain run, with zero mismatches observed.
-        let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
-        let run = |cross_check_every: usize| {
-            let mut f = MuCFuzz::new(
-                "uCFuzz.s",
-                Arc::new(metamut_mutators::supervised_registry()),
-                seed_corpus().iter().map(|s| s.to_string()),
-            );
-            let cfg = CampaignConfig {
-                iterations: 120,
-                seed: 7,
-                sample_every: 20,
-                cross_check_every,
-                ..Default::default()
-            };
-            let shared = CampaignShared::new_with(&compiler, &cfg, Telemetry::disabled());
-            let mutants = run_worker(0, &mut f, &shared, None, 0);
-            let mismatches = shared.query_cache.mismatches();
-            (shared.into_report(f.name(), mutants, 1), mismatches)
-        };
-        let (checked, mismatches) = run(1);
-        let (plain, _) = run(0);
-        assert_eq!(mismatches, 0, "memoized compile diverged from cold");
-        assert_eq!(checked, plain, "memoized compilation changed a report");
-    }
-
-    #[test]
-    fn incremental_takes_fast_paths_and_cross_checks_cleanly() {
-        let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
-        let mut f = MuCFuzz::new(
-            "uCFuzz.s",
-            Arc::new(metamut_mutators::supervised_registry()),
-            seed_corpus().iter().map(|s| s.to_string()),
-        );
-        let cfg = CampaignConfig {
-            iterations: 120,
-            seed: 7,
-            sample_every: 20,
-            cross_check_every: 1,
-            ..Default::default()
-        };
-        let shared = CampaignShared::new_with(&compiler, &cfg, Telemetry::disabled());
-        let _ = run_worker(0, &mut f, &shared, None, 0);
-        let cache = &shared.query_cache;
-        assert!(cache.hits() > 0, "no mutant took the incremental fast path");
-        assert_eq!(cache.mismatches(), 0, "incremental diverged from cold");
     }
 
     #[test]
@@ -940,7 +836,6 @@ mod tests {
         for p in &points {
             assert!(p.execs <= cfg.iterations as u64);
             assert!((0.0..=1.0).contains(&p.dedup_hit_rate));
-            assert!((0.0..=1.0).contains(&p.incremental_hit_rate));
             assert!((0.0..=1.0).contains(&p.ub_filter_rate));
         }
         // The span tree saw the whole hierarchy.

@@ -47,10 +47,9 @@ pub trait TestGenerator: Send {
     }
 
     /// The source text of pool entry `index` — the program a candidate's
-    /// [`Candidate::parent`] refers to. The campaign engine keys
-    /// incremental-compilation baselines off it, so mutants compile
-    /// against their seed's cached artifacts. Generation-based fuzzers
-    /// (no pool, no parents) return `None` and always compile cold.
+    /// [`Candidate::parent`] refers to. The campaign's UB gate judges a
+    /// mutant against it, so only UB the parent lacks filters the mutant.
+    /// Generation-based fuzzers (no pool, no parents) return `None`.
     fn seed_source(&self, index: usize) -> Option<&str> {
         let _ = index;
         None

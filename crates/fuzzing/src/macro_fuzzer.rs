@@ -7,7 +7,7 @@
 use crate::generator::SeedPool;
 use metamut_muast::{mutate_source, MutRng, MutationOutcome, MutatorRegistry};
 use metamut_simcomp::{
-    CompileOptions, Compiler, OptFlags, Outcome, Profile, QueryCache, SharedCoverage, Stage,
+    CompileOptions, Compiler, OptFlags, Outcome, Profile, SharedCoverage, Stage,
 };
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -123,11 +123,6 @@ pub fn run_field_experiment(
     let shared_pool = Arc::new(Mutex::new(SeedPool::new(seeds)));
     let found: Arc<Mutex<Vec<FoundBug>>> = Arc::new(Mutex::new(Vec::new()));
     let compiles = Arc::new(Mutex::new(0usize));
-    // One content-addressed query cache across all workers: havoc rounds
-    // re-visit pooled parents constantly, and the front-end stages are
-    // options-independent, so even with per-iteration flag sampling most
-    // declarations compile from warm memos.
-    let qcache = QueryCache::default();
 
     crossbeam::scope(|scope| {
         for w in 0..config.workers {
@@ -136,7 +131,6 @@ pub fn run_field_experiment(
             let found = Arc::clone(&found);
             let compiles = Arc::clone(&compiles);
             let mutators = Arc::clone(&mutators);
-            let qcache = qcache.clone();
             scope.spawn(move |_| {
                 let mut rng = MutRng::new(config.seed ^ (w as u64).wrapping_mul(0x9E37_79B9));
                 let base = Compiler::new(profile, CompileOptions::o2());
@@ -171,7 +165,7 @@ pub fn run_field_experiment(
                     }
                     // Random command line (§3.4 #1).
                     let compiler = base.with_options(sample_options(&mut rng));
-                    let result = qcache.compile_program(&compiler, &program);
+                    let result = compiler.compile(&program);
                     *compiles.lock() += 1;
                     telemetry.counter_add("fuzz_execs", 1);
                     if let Outcome::Crash(info) = &result.outcome {

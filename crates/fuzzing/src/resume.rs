@@ -18,7 +18,7 @@
 //! the checkpoint: a witness that no longer reproduces its signature is a
 //! corrupt or stale checkpoint and fails the restore loudly.
 //!
-//! Dedup caches, incremental query memos, and UB-gate verdicts are
+//! Dedup caches, UB-gate summary memos, and UB-gate verdicts are
 //! deliberately *not* checkpointed: they are pure throughput state, proven
 //! elsewhere not to change reports, so a resumed campaign merely starts
 //! with cold caches (its `dedup`/`ub` *statistics* differ; every

@@ -7,7 +7,7 @@ use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::parallel::{run_parallel_campaign, run_parallel_campaign_with};
 use metamut_fuzzing::{run_campaign, CampaignConfig};
-use metamut_simcomp::{CompileOptions, Compiler, Profile, QueryCache, QueryDb};
+use metamut_simcomp::{CompileOptions, Compiler, Profile};
 use metamut_telemetry::Telemetry;
 use std::sync::Arc;
 
@@ -43,50 +43,6 @@ fn one_worker_matches_serial_exactly() {
         &config,
     );
     assert_eq!(serial, parallel);
-}
-
-/// The query engine is a throughput knob, never a behavior change: a
-/// serial run that cross-checks every memoized compile against a cold one
-/// (the cold result wins on any disagreement, so its report is the cold
-/// engine's report) observes zero mismatches, and one parallel worker
-/// compiling through the memos alone reproduces it bit for bit.
-#[test]
-fn query_engine_one_worker_matches_pre_engine_serial_exactly() {
-    let seeds = corpus();
-    let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
-    let db = Arc::new(QueryDb::new());
-    let cross_checked = CampaignConfig {
-        iterations: 150,
-        seed: 0xD15C0,
-        sample_every: 25,
-        workers: 1,
-        cross_check_every: 1,
-        query_db: Some(Arc::clone(&db)),
-        ..Default::default()
-    };
-    let reg = registry();
-    let mut serial_fuzzer = MuCFuzz::new("uCFuzz.s", reg.clone(), seeds.iter().cloned());
-    let serial = run_campaign(&mut serial_fuzzer, &compiler, &cross_checked);
-    let cache = QueryCache::new(Arc::clone(&db));
-    assert!(cache.hits() > 0, "no mutant compiled through the memos");
-    assert_eq!(
-        cache.mismatches(),
-        0,
-        "a memoized compile diverged from cold"
-    );
-
-    let engine = CampaignConfig {
-        cross_check_every: 0,
-        query_db: None,
-        ..cross_checked
-    };
-    let parallel = run_parallel_campaign(
-        &seeds,
-        |_w, shard| MuCFuzz::new("uCFuzz.s", reg.clone(), shard),
-        &compiler,
-        &engine,
-    );
-    assert_eq!(serial, parallel, "the query engine changed a report");
 }
 
 /// The observatory must not perturb the engine: one parallel worker with
@@ -164,7 +120,7 @@ fn parallel_sampler_series_is_monotone_in_iterations() {
         assert!(p.iteration < 200);
         assert!(p.execs <= 200);
         assert!(p.execs_per_sec >= 0.0);
-        for rate in [p.dedup_hit_rate, p.incremental_hit_rate, p.ub_filter_rate] {
+        for rate in [p.dedup_hit_rate, p.ub_filter_rate] {
             assert!((0.0..=1.0).contains(&rate), "rate out of range: {rate}");
         }
     }

@@ -1,11 +1,11 @@
 //! Collision-resistant 128-bit content hashing (SipHash-2-4-128).
 //!
-//! The content-addressed query engine (`metamut-simcomp::query`) keys
-//! shared memo tables by declaration *content*: two seeds — or two
-//! tenants of the serve daemon — that contain a byte-identical
-//! declaration must map it to the same key, and two *different*
-//! declarations must never collide, because a collision silently serves
-//! one program's compile artifacts to another. The 64-bit FxHash used
+//! The UB gate's content-addressed memos (`metamut-analyze::gate`), the
+//! mutant dedup cache and the whole-program caches key shared tables by
+//! *content*: two seeds — or two tenants of the serve daemon — that
+//! contain a byte-identical function must map it to the same key, and two
+//! *different* inputs must never collide, because a collision silently
+//! serves one program's results to another. The 64-bit FxHash used
 //! for dirty-set detection is fine when a collision merely costs a
 //! fallback, but it is not fit to *address* shared artifacts: at
 //! campaign scale (millions of mutants per tenant, many tenants per

@@ -1,23 +1,21 @@
 //! Token-level splitting of a translation unit into top-level declaration
 //! chunks, each with a position-independent content hash.
 //!
-//! This is the substrate of incremental mutant compilation in
-//! `metamut-simcomp`: a mutant is its seed plus one span-sized rewrite, so
-//! comparing per-declaration chunk hashes against the seed's baseline
-//! identifies the single edited declaration without parsing anything.
+//! The UB gate in `metamut-analyze` uses it to find the edited
+//! declaration: a mutant is its parent plus one span-sized rewrite, so
+//! comparing per-declaration chunk hashes against the parent's identifies
+//! the edited declaration without parsing anything.
 //!
 //! The split is a *heuristic* over bracket depth (it does not parse), and a
 //! misjudged boundary is harmless by construction: it changes the chunk
-//! hashes, the mutant no longer matches the baseline, and the caller falls
-//! back to a cold compile. Correctness never depends on the heuristic;
-//! only the cache hit rate does.
+//! hashes, the mutant no longer matches the parent, and the caller falls
+//! back to a whole-program analysis. Correctness never depends on the
+//! heuristic; only the fast-path rate does.
 
 use crate::chash::Sip128;
 use crate::lexer::lex;
 use crate::source::Span;
 use crate::token::{Token, TokenKind};
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 /// One top-level declaration chunk of a token stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,8 +28,7 @@ pub struct DeclChunk {
     pub span: Span,
     /// Position-independent, collision-resistant 128-bit content hash
     /// over the chunk's `(kind, spelling)` token pairs (SipHash-2-4-128,
-    /// see [`crate::chash`]). Strong enough to *address* shared compile
-    /// artifacts across seeds and tenants, not merely to detect edits.
+    /// see [`crate::chash`]).
     pub hash: u128,
 }
 
@@ -44,9 +41,7 @@ impl DeclChunk {
 
 /// Lexes `src` and splits it into declaration chunks.
 ///
-/// Returns `None` when the source does not lex — incremental compilation
-/// has nothing to reuse on lexical-error paths (their coverage depends on
-/// error positions, which shift with every edit).
+/// Returns `None` when the source does not lex.
 pub fn split_source(src: &str) -> Option<(Vec<Token>, Vec<DeclChunk>)> {
     let tokens = lex(src).ok()?;
     let chunks = split_decls(src, &tokens);
@@ -147,69 +142,6 @@ pub fn chunk_hash(src: &str, tokens: &[Token]) -> u128 {
     h.finish128()
 }
 
-/// The sorted, deduplicated identifier spellings of a token slice.
-///
-/// This is the *access surface* of a declaration: every name through
-/// which its compile stages can observe the surrounding program
-/// (typedefs, function signatures, enum constants, the volatile set,
-/// trivial inline bodies) appears here, because those lookups all key on
-/// identifier tokens. The content-addressed query engine restricts each
-/// stage's environment digest to this set so that unrelated context
-/// never perturbs a declaration's memo key.
-pub fn ident_spellings<'s>(src: &'s str, tokens: &[Token]) -> Vec<&'s str> {
-    let mut ids: Vec<&str> = tokens
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| &src[t.span.lo as usize..t.span.hi as usize])
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
-/// A process-wide interner for declaration source text.
-///
-/// Fuzzing corpora are pathologically self-similar: seeds share
-/// preludes and helper functions, and a mutant differs from its parent
-/// in one declaration. Interning chunk text as `Arc<str>` by *exact
-/// bytes* means a declaration appearing in a thousand seed slots is
-/// stored once, and handing a slot's chunk text to the pipeline never
-/// clones the string again. (Interning is deliberately byte-exact, not
-/// token-hash keyed: whitespace variants are distinct texts and must
-/// not alias each other's bytes.)
-#[derive(Default)]
-pub struct TextInterner {
-    table: Mutex<HashSet<Arc<str>>>,
-}
-
-impl TextInterner {
-    /// A fresh, empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the canonical `Arc<str>` for `s`, inserting on first use.
-    pub fn intern(&self, s: &str) -> Arc<str> {
-        let mut table = self.table.lock().expect("interner poisoned");
-        if let Some(existing) = table.get(s) {
-            return Arc::clone(existing);
-        }
-        let arc: Arc<str> = Arc::from(s);
-        table.insert(Arc::clone(&arc));
-        arc
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.table.lock().expect("interner poisoned").len()
-    }
-
-    /// Whether the interner holds no strings.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,27 +208,6 @@ mod tests {
         if lex(bad).is_err() {
             assert!(split_source(bad).is_none());
         }
-    }
-
-    #[test]
-    fn ident_spellings_are_sorted_and_deduped() {
-        let src = "int f(int a) { return a + g + a; }";
-        let toks = lex(src).expect("lexes");
-        let ids = ident_spellings(src, &toks);
-        assert_eq!(ids, vec!["a", "f", "g"]);
-    }
-
-    #[test]
-    fn interner_shares_storage_by_exact_bytes() {
-        let interner = TextInterner::new();
-        let a = interner.intern("int f(void) { return 1; }");
-        let b = interner.intern("int f(void) { return 1; }");
-        assert!(Arc::ptr_eq(&a, &b), "identical text must share one Arc");
-        // Whitespace variants are *different* bytes and must not alias,
-        // even though they token-hash identically.
-        let c = interner.intern("int  f(void) { return 1; }");
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(interner.len(), 2);
     }
 
     #[test]

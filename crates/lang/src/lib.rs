@@ -40,11 +40,11 @@ pub mod types;
 pub mod visit;
 
 pub use ast::Ast;
-pub use declsplit::{split_decls, split_source, DeclChunk, TextInterner};
+pub use declsplit::{split_decls, split_source, DeclChunk};
 pub use error::{Diagnostic, Diagnostics};
 pub use parser::{parse, parse_with_typedefs};
 pub use rewrite::Rewriter;
-pub use sema::{analyze, analyze_decls, check_decl, IncrementalSema, SemaResult, SemaSnapshot};
+pub use sema::{analyze, SemaResult};
 pub use source::{SourceFile, Span};
 
 /// Parses and type-checks `src`, returning the AST and semantic tables.

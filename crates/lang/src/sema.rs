@@ -147,282 +147,6 @@ pub fn analyze(ast: &Ast) -> Result<SemaResult, Diagnostics> {
     }
 }
 
-/// A snapshot of the file-scope checking environment at a top-level
-/// declaration boundary: everything a later declaration can observe from
-/// the ones before it.
-///
-/// Snapshots drive incremental mutant compilation: checking declaration
-/// `k` of a program only depends on the snapshot after declarations
-/// `0..k`, so an edited declaration can be re-checked in isolation via
-/// [`check_decl`] and spliced back — *provided* its post-state
-/// [`SemaSnapshot::fingerprint`] matches the seed's, proving the edit did
-/// not change what later declarations see.
-#[derive(Debug, Clone)]
-pub struct SemaSnapshot {
-    file_symbols: FxHashMap<String, Symbol>,
-    functions: FxHashMap<String, FuncSig>,
-    records: FxHashMap<String, RecordInfo>,
-    enum_consts: FxHashMap<String, i64>,
-    next_scope: u32,
-    anon_tags: u32,
-}
-
-impl SemaSnapshot {
-    /// The environment before the first declaration of any program.
-    pub fn initial() -> Self {
-        SemaSnapshot {
-            file_symbols: FxHashMap::default(),
-            functions: FxHashMap::default(),
-            records: FxHashMap::default(),
-            enum_consts: FxHashMap::default(),
-            next_scope: 1,
-            anon_tags: 0,
-        }
-    }
-
-    fn of(cx: &Checker<'_>) -> Self {
-        SemaSnapshot {
-            file_symbols: cx.scopes[0].symbols.clone(),
-            functions: cx.result.functions.clone(),
-            records: cx.result.records.clone(),
-            enum_consts: cx.result.enum_consts.clone(),
-            next_scope: cx.next_scope,
-            anon_tags: cx.anon_tags,
-        }
-    }
-
-    /// Typedef names visible at this boundary — exactly the parser's
-    /// typedef table at the same point (the subset admits only file-scope
-    /// typedefs), so they can re-seed [`crate::parser::parse_with_typedefs`].
-    pub fn typedef_names(&self) -> FxHashSet<String> {
-        self.file_symbols
-            .iter()
-            .filter(|(_, s)| matches!(s.kind, SymbolKind::Typedef))
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
-    /// The final function-signature table at this boundary (used by the
-    /// content-addressed query engine to build lowering's environment
-    /// digest and the hybrid lowering tables).
-    pub fn functions(&self) -> &FxHashMap<String, FuncSig> {
-        &self.functions
-    }
-
-    /// The final record table at this boundary.
-    pub fn records(&self) -> &FxHashMap<String, RecordInfo> {
-        &self.records
-    }
-
-    /// The final enumeration-constant table at this boundary.
-    pub fn enum_consts(&self) -> &FxHashMap<String, i64> {
-        &self.enum_consts
-    }
-
-    /// An order-insensitive content hash of the observable environment.
-    ///
-    /// Two snapshots with equal fingerprints are interchangeable for
-    /// checking and lowering every later declaration: the hash covers
-    /// file-scope symbols (name, kind, type), function signatures
-    /// (everything except the AST node id), records, enumeration
-    /// constants, and the anonymous-tag counter. Scope-id allocation is
-    /// deliberately excluded — scope ids never feed compilation output.
-    pub fn fingerprint(&self) -> u64 {
-        let buf = self.fingerprint_text();
-        let mut h = crate::fxhash::FxHasher::default();
-        std::hash::Hash::hash(&buf, &mut h);
-        std::hash::Hasher::finish(&h)
-    }
-
-    /// The collision-resistant 128-bit form of [`Self::fingerprint`],
-    /// over the identical canonical rendering. The content-addressed
-    /// query engine folds this into every sema-stage memo key, where a
-    /// collision would silently serve one environment's artifacts to
-    /// another — hence the stronger hash.
-    pub fn fingerprint128(&self) -> u128 {
-        crate::chash::hash128(self.fingerprint_text().as_bytes())
-    }
-
-    /// 128-bit digest of the environment facts *lowering* can observe
-    /// through the given identifier spellings: function signatures
-    /// (rendered exactly as in [`Self::fingerprint`]) and
-    /// enumeration-constant values. Lowering consults cross-declaration
-    /// state only through `functions` and `enum_consts` lookups keyed by
-    /// identifiers appearing in the declaration (record layouts are
-    /// reachable only through types already complete at the
-    /// declaration's own boundary, which the sema fingerprint covers), so
-    /// restricting the digest to `idents` makes unrelated context changes
-    /// invisible to a declaration's lowering memo key.
-    ///
-    /// `idents` must be sorted and deduplicated (see
-    /// `declsplit::ident_spellings`) so the digest is deterministic.
-    pub fn lower_env_digest(&self, idents: &[&str]) -> u128 {
-        use std::fmt::Write as _;
-        let mut buf = String::new();
-        for n in idents {
-            if let Some(f) = self.functions.get(*n) {
-                write!(buf, "F:{n}:{}(", f.ret).expect("write to string");
-                for (p, pn) in f.params.iter().zip(&f.param_names) {
-                    write!(buf, "{p}:{};", pn.as_deref().unwrap_or("_")).expect("write to string");
-                }
-                write!(
-                    buf,
-                    "){}{}{};",
-                    u8::from(f.variadic),
-                    u8::from(f.unprototyped),
-                    u8::from(f.defined)
-                )
-                .expect("write to string");
-            }
-            if let Some(v) = self.enum_consts.get(*n) {
-                write!(buf, "E:{n}={v};").expect("write to string");
-            }
-        }
-        crate::chash::hash128(buf.as_bytes())
-    }
-
-    /// The canonical textual rendering both fingerprints hash.
-    fn fingerprint_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut buf = String::with_capacity(256);
-        let mut names: Vec<&String> = self.file_symbols.keys().collect();
-        names.sort_unstable();
-        for n in names {
-            let s = &self.file_symbols[n];
-            match &s.kind {
-                SymbolKind::Var => write!(buf, "v:{n}:{};", s.qty),
-                SymbolKind::Func => write!(buf, "f:{n}:{};", s.qty),
-                SymbolKind::EnumConst(v) => write!(buf, "e:{n}:{v}:{};", s.qty),
-                SymbolKind::Typedef => write!(buf, "t:{n}:{};", s.qty),
-            }
-            .expect("write to string");
-        }
-        let mut names: Vec<&String> = self.functions.keys().collect();
-        names.sort_unstable();
-        for n in names {
-            let f = &self.functions[n];
-            write!(buf, "F:{n}:{}(", f.ret).expect("write to string");
-            for (p, pn) in f.params.iter().zip(&f.param_names) {
-                write!(buf, "{p}:{};", pn.as_deref().unwrap_or("_")).expect("write to string");
-            }
-            write!(
-                buf,
-                "){}{}{};",
-                u8::from(f.variadic),
-                u8::from(f.unprototyped),
-                u8::from(f.defined)
-            )
-            .expect("write to string");
-        }
-        let mut tags: Vec<&String> = self.records.keys().collect();
-        tags.sort_unstable();
-        for t in tags {
-            let r = &self.records[t];
-            write!(buf, "R:{t}:{}", u8::from(r.is_union)).expect("write to string");
-            if let Some(fields) = &r.fields {
-                for (fname, fty) in fields {
-                    write!(buf, ":{fname}={fty}").expect("write to string");
-                }
-            }
-            buf.push(';');
-        }
-        let mut names: Vec<&String> = self.enum_consts.keys().collect();
-        names.sort_unstable();
-        for n in names {
-            write!(buf, "E:{n}={};", self.enum_consts[n]).expect("write to string");
-        }
-        write!(buf, "a:{}", self.anon_tags).expect("write to string");
-        buf
-    }
-}
-
-/// The result of checking one top-level declaration against a
-/// [`SemaSnapshot`].
-#[derive(Debug)]
-pub struct DeclSema {
-    /// Side tables for this declaration alone — `expr_types`, `decl_types`,
-    /// `var_scopes`, `scope_vars` and `warnings` cover only the checked
-    /// declaration, while `functions` / `records` / `enum_consts` hold the
-    /// accumulated environment *including* this declaration's additions.
-    pub sema: SemaResult,
-    /// The environment after this declaration.
-    pub after: SemaSnapshot,
-}
-
-/// Checks declaration `index` of `ast` in isolation, starting from
-/// `snapshot`.
-///
-/// This reproduces exactly what a whole-program [`analyze`] does for that
-/// declaration when the snapshot matches the whole-program state at the
-/// same boundary (the per-function checker state is reset at every
-/// function anyway, so the snapshot captures everything carried across
-/// declarations).
-///
-/// # Errors
-///
-/// Returns the diagnostics when the declaration has an error — callers
-/// fall back to a cold compile.
-///
-/// # Panics
-///
-/// Panics when `index` is out of bounds.
-pub fn check_decl(
-    snapshot: &SemaSnapshot,
-    ast: &Ast,
-    index: usize,
-) -> Result<DeclSema, Diagnostics> {
-    let d = &ast.unit.decls[index];
-    let mut cx = Checker::new(ast);
-    cx.scopes[0].symbols = snapshot.file_symbols.clone();
-    cx.next_scope = snapshot.next_scope;
-    cx.anon_tags = snapshot.anon_tags;
-    cx.result.functions = snapshot.functions.clone();
-    cx.result.records = snapshot.records.clone();
-    cx.result.enum_consts = snapshot.enum_consts.clone();
-    cx.run_decl(d);
-    if cx.diags.has_errors() {
-        let mut all = cx.diags;
-        all.extend(cx.result.warnings.clone());
-        Err(all)
-    } else {
-        let after = SemaSnapshot::of(&cx);
-        cx.result.warnings.extend(cx.diags);
-        Ok(DeclSema {
-            sema: cx.result,
-            after,
-        })
-    }
-}
-
-/// Declaration-by-declaration semantic analysis: per-decl side tables plus
-/// the environment snapshot at every declaration boundary.
-#[derive(Debug)]
-pub struct IncrementalSema {
-    /// `snapshots[k]` is the environment before declaration `k`;
-    /// `snapshots[decls.len()]` is the final environment.
-    pub snapshots: Vec<SemaSnapshot>,
-    /// Per-declaration check results, in declaration order.
-    pub decls: Vec<DeclSema>,
-}
-
-/// Runs semantic analysis one declaration at a time via [`check_decl`],
-/// threading the environment snapshot through.
-///
-/// # Errors
-///
-/// Returns the first declaration's diagnostics on error, like [`analyze`]
-/// fails on the whole program.
-pub fn analyze_decls(ast: &Ast) -> Result<IncrementalSema, Diagnostics> {
-    let mut snapshots = vec![SemaSnapshot::initial()];
-    let mut decls = Vec::with_capacity(ast.unit.decls.len());
-    for i in 0..ast.unit.decls.len() {
-        let dc = check_decl(snapshots.last().expect("initial snapshot"), ast, i)?;
-        snapshots.push(dc.after.clone());
-        decls.push(dc);
-    }
-    Ok(IncrementalSema { snapshots, decls })
-}
-
 #[derive(Debug, Clone)]
 enum SymbolKind {
     Var,
@@ -1009,7 +733,7 @@ impl<'a> Checker<'a> {
     fn run_decl(&mut self, d: &ExternalDecl) {
         match d {
             ExternalDecl::Function(f) => self.check_function(f),
-            ExternalDecl::Vars(g) => self.check_decl_group(g, true),
+            ExternalDecl::Vars(g) => self.check_var_group(g, true),
             ExternalDecl::Record(r) => {
                 self.define_record(r);
             }
@@ -1135,7 +859,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_decl_group(&mut self, g: &DeclGroup, file_scope: bool) {
+    fn check_var_group(&mut self, g: &DeclGroup, file_scope: bool) {
         for v in &g.vars {
             let qt = self.lower_ty(&v.ty, v.span);
             if qt.ty.is_void() {
@@ -1305,7 +1029,7 @@ impl<'a> Checker<'a> {
 
     fn check_block_item(&mut self, item: &BlockItem) {
         match item {
-            BlockItem::Decl(g) => self.check_decl_group(g, false),
+            BlockItem::Decl(g) => self.check_var_group(g, false),
             BlockItem::Stmt(s) => self.check_stmt(s),
         }
     }
@@ -1355,7 +1079,7 @@ impl<'a> Checker<'a> {
                 self.push_scope();
                 if let Some(init) = init {
                     match init.as_ref() {
-                        ForInit::Decl(g) => self.check_decl_group(g, false),
+                        ForInit::Decl(g) => self.check_var_group(g, false),
                         ForInit::Expr(e) => {
                             self.check_expr(e);
                         }
@@ -2127,102 +1851,6 @@ mod tests {
     #[test]
     fn accepts_valid_program() {
         ok("int add(int a, int b) { return a + b; } int main(void) { return add(1, 2); }");
-    }
-
-    #[test]
-    fn analyze_decls_matches_whole_program_analyze() {
-        let src = r#"
-typedef int T;
-enum Color { RED = 1, GREEN = 4 };
-struct P { T x; double y; };
-T shared = 3;
-int helper(struct P *p) { return p->x + RED; }
-int f(T a) {
-    struct P p;
-    p.x = a;
-    later(a);
-    return helper(&p) + (int)p.y + GREEN + shared + abs(a);
-}
-int later(int v) { return v * 2; }
-"#;
-        let ast = parse("t.c", src).unwrap();
-        let full = analyze(&ast).unwrap();
-        let inc = analyze_decls(&ast).unwrap();
-        assert_eq!(inc.decls.len(), ast.unit.decls.len());
-        assert_eq!(inc.snapshots.len(), ast.unit.decls.len() + 1);
-
-        // Per-decl expr/decl type tables partition the whole-program ones
-        // (node ids are globally unique across declarations).
-        let mut expr_union: FxHashMap<NodeId, QType> = FxHashMap::default();
-        let mut decl_union: FxHashMap<NodeId, QType> = FxHashMap::default();
-        for d in &inc.decls {
-            for (k, v) in &d.sema.expr_types {
-                assert!(
-                    expr_union.insert(*k, v.clone()).is_none(),
-                    "overlap at {k:?}"
-                );
-            }
-            for (k, v) in &d.sema.decl_types {
-                decl_union.insert(*k, v.clone());
-            }
-        }
-        assert_eq!(expr_union.len(), full.expr_types.len());
-        for (k, v) in &full.expr_types {
-            assert_eq!(expr_union.get(k), Some(v), "type of node {k:?} differs");
-        }
-        assert_eq!(decl_union.len(), full.decl_types.len());
-
-        // The final environment matches the whole-program result.
-        let last = inc.decls.last().unwrap();
-        assert_eq!(last.sema.functions, full.functions);
-        assert_eq!(last.sema.records, full.records);
-        assert_eq!(last.sema.enum_consts, full.enum_consts);
-
-        // Re-checking any decl from its snapshot is deterministic and
-        // reproduces the same post-fingerprint.
-        for (i, d) in inc.decls.iter().enumerate() {
-            let again = check_decl(&inc.snapshots[i], &ast, i).unwrap();
-            assert_eq!(
-                again.after.fingerprint(),
-                d.after.fingerprint(),
-                "fingerprint of decl {i} not deterministic"
-            );
-            assert_eq!(inc.snapshots[i + 1].fingerprint(), d.after.fingerprint());
-        }
-    }
-
-    #[test]
-    fn snapshot_fingerprint_detects_environment_changes() {
-        let base = "typedef int T; int f(T a) { return a; }";
-        let changed_sig = "typedef long T; int f(T a) { return a; }";
-        let same_env = "typedef int T; int f(T a) { return a + 1; }";
-        let fp = |src: &str| {
-            let ast = parse("t.c", src).unwrap();
-            analyze_decls(&ast)
-                .unwrap()
-                .snapshots
-                .last()
-                .unwrap()
-                .fingerprint()
-        };
-        assert_ne!(fp(base), fp(changed_sig));
-        // A body-only edit leaves the observable environment identical.
-        assert_eq!(fp(base), fp(same_env));
-    }
-
-    #[test]
-    fn snapshot_typedef_names_match_parser_table() {
-        let src = "typedef int T; typedef T *TP; int g; int f(TP p) { return *p + g; }";
-        let ast = parse("t.c", src).unwrap();
-        let inc = analyze_decls(&ast).unwrap();
-        let names = inc.snapshots[2].typedef_names();
-        assert_eq!(names.len(), 2);
-        assert!(names.contains("T") && names.contains("TP"));
-        // A decl excised from the unit re-parses with the seeded typedefs.
-        let mini =
-            crate::parser::parse_with_typedefs("mini.c", "int f(TP p) { return *p + g; }", &names)
-                .expect("mini-parse succeeds");
-        assert_eq!(mini.unit.decls.len(), 1);
     }
 
     #[test]

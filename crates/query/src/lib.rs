@@ -10,10 +10,6 @@
 //! Kinds ([`QueryDb::register_kind`]) partition the key space and label the
 //! `query_hits{kind}` / `query_recomputes{kind}` telemetry counters.
 //!
-//! Memory is bounded by [`QueryDb::enforce_cap`], which evicts the
-//! least-recently-used memos down to a cap; an evicted memo is simply
-//! recomputed on its next use.
-//!
 //! The store is concurrency-safe: memo tables are sharded behind mutexes,
 //! no lock is held across a compute function, and compute functions are
 //! required to be pure, so a racing duplicate computation is wasted work but
@@ -54,26 +50,18 @@ pub fn dirty_set<T: PartialEq>(baseline: &[T], current: &[T]) -> Option<Vec<usiz
     )
 }
 
-/// One stored value plus its LRU stamp from the db-wide use clock.
-struct Memo {
-    value: DynValue,
-    last_used: u64,
-}
-
-type Shard = Mutex<FxHashMap<(KindId, u128), Memo>>;
+type Shard = Mutex<FxHashMap<(KindId, u128), DynValue>>;
 
 /// The memo database: registered kind names, sharded memo tables, and
 /// typed extension storage.
 pub struct QueryDb {
-    use_clock: AtomicU64,
     kinds: RwLock<Vec<&'static str>>,
     shards: [Shard; SHARDS],
     /// Per-db typed extension storage, for layering domain state (e.g. a
-    /// compiler's slot registry) onto a shared database.
+    /// client's registered kind ids) onto a shared database.
     extensions: Mutex<FxHashMap<std::any::TypeId, DynValue>>,
     hits: AtomicU64,
     recomputes: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl Default for QueryDb {
@@ -94,13 +82,11 @@ impl QueryDb {
     /// An empty database with no registered kinds.
     pub fn new() -> Self {
         QueryDb {
-            use_clock: AtomicU64::new(0),
             kinds: RwLock::new(Vec::new()),
             shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
             extensions: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -124,11 +110,6 @@ impl QueryDb {
         self.recomputes.load(Ordering::Relaxed)
     }
 
-    /// Memos dropped by [`Self::enforce_cap`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// Registers a memo kind. `name` labels its telemetry counters
     /// (`query_hits{name}` / `query_recomputes{name}`).
     pub fn register_kind(&self, name: &'static str) -> KindId {
@@ -141,10 +122,6 @@ impl QueryDb {
     fn shard(&self, kind: KindId, key: u128) -> &Shard {
         // Keys are content hashes, so their low bits are already uniform.
         &self.shards[((key as usize) ^ kind.0 as usize) % SHARDS]
-    }
-
-    fn stamp(&self) -> u64 {
-        self.use_clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     fn count(&self, counter: &AtomicU64, family: &str, kind: KindId) {
@@ -166,57 +143,18 @@ impl QueryDb {
         key: u128,
         compute: impl FnOnce() -> DynValue,
     ) -> (DynValue, bool) {
-        {
-            let stamp = self.stamp();
-            let mut shard = self.shard(kind, key).lock();
-            if let Some(memo) = shard.get_mut(&(kind, key)) {
-                memo.last_used = stamp;
-                let value = memo.value.clone();
-                drop(shard);
-                self.count(&self.hits, "query_hits", kind);
-                return (value, true);
-            }
+        let stored = self.shard(kind, key).lock().get(&(kind, key)).cloned();
+        if let Some(value) = stored {
+            self.count(&self.hits, "query_hits", kind);
+            return (value, true);
         }
         let value = compute();
         self.count(&self.recomputes, "query_recomputes", kind);
-        let stamp = self.stamp();
-        let mut shard = self.shard(kind, key).lock();
         // A racing thread may have stored its own copy between our probe
         // and this insert; keep the first one so every caller observes a
         // single canonical artifact.
-        let memo = shard.entry((kind, key)).or_insert(Memo {
-            value,
-            last_used: stamp,
-        });
-        (memo.value.clone(), false)
-    }
-
-    /// Evicts least-recently-used memos until at most `cap` remain. A
-    /// `cap` of 0 clears the store.
-    pub fn enforce_cap(&self, cap: usize) {
-        let mut all: Vec<(u64, usize, (KindId, u128))> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock();
-            all.extend(shard.iter().map(|(k, memo)| (memo.last_used, i, *k)));
-        }
-        if all.len() <= cap {
-            return;
-        }
-        all.sort_unstable_by_key(|&(used, _, _)| used);
-        let excess = all.len() - cap;
-        let mut dropped = 0u64;
-        for &(_, shard_idx, key) in &all[..excess] {
-            if self.shards[shard_idx].lock().remove(&key).is_some() {
-                dropped += 1;
-            }
-        }
-        if dropped > 0 {
-            self.evictions.fetch_add(dropped, Ordering::Relaxed);
-            let tele = metamut_telemetry::handle();
-            if tele.enabled() {
-                tele.counter_add("query_evictions", dropped);
-            }
-        }
+        let mut shard = self.shard(kind, key).lock();
+        (shard.entry((kind, key)).or_insert(value).clone(), false)
     }
 
     /// Typed per-db extension storage: returns the existing `T` or installs
@@ -244,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_once_hits_and_is_reclaimable_by_the_lru_cap() {
+    fn memo_once_hits_and_keeps_the_first_value() {
         let db = QueryDb::new();
         let kind = db.register_kind("content");
         let (v, hit) = db.memo_once(kind, 1, || val(41));
@@ -252,12 +190,7 @@ mod tests {
         // The stored value wins over any later compute closure.
         let (v, hit) = db.memo_once(kind, 1, || val(999));
         assert_eq!((as_i64(&v), hit), (41, true));
-        // A content-addressed table must not grow without bound.
-        db.memo_once(kind, 2, || val(42));
-        db.enforce_cap(1);
         assert_eq!(db.len(), 1);
-        let (_, hit) = db.memo_once(kind, 2, || val(42));
-        assert!(hit, "the most recently used memo survives the sweep");
     }
 
     #[test]
@@ -276,30 +209,6 @@ mod tests {
         assert_eq!(as_i64(&db.memo_once(b, key, || val(0)).0), 2);
         assert_eq!(as_i64(&db.memo_once(a, key + 1, || val(0)).0), 3);
         assert_eq!((db.hits(), db.recomputes()), (3, 3));
-    }
-
-    #[test]
-    fn lru_eviction_drops_oldest_derived_memos_first() {
-        let db = QueryDb::new();
-        let kind = db.register_kind("half");
-        for k in 0..4u128 {
-            db.memo_once(kind, k, || val(k as i64 * 10));
-        }
-        // Touch key 0 so key 1 is now the least recently used.
-        db.memo_once(kind, 0, || val(0));
-        db.enforce_cap(3);
-        assert_eq!(db.evictions(), 1);
-        let recomputes = db.recomputes();
-        // Keys 0, 2, 3 survived...
-        for k in [0, 2, 3] {
-            assert!(db.memo_once(kind, k, || val(-1)).1, "key {k} evicted");
-        }
-        assert_eq!(db.recomputes(), recomputes);
-        // ...while key 1 was evicted and must recompute.
-        assert!(!db.memo_once(kind, 1, || val(10)).1);
-        assert_eq!(db.recomputes(), recomputes + 1);
-        db.enforce_cap(0);
-        assert!(db.is_empty());
     }
 
     #[test]

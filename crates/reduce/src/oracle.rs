@@ -19,13 +19,8 @@
 //!    front-end signature, never the target's. One parse replaces a full
 //!    compile. Front-end targets skip this filter entirely — raw-byte bugs
 //!    (paren storms, identifier overflows) fire on unparseable input.
-//! 3. **Memoized compile** — every candidate that still has to compile
-//!    goes through [`QueryCache::compile_program`] on the oracle's
-//!    [`QueryDb`]. Memo keys are content, so the declarations a candidate
-//!    shares with earlier candidates (or with the campaign that found the
-//!    crash, when the oracle is handed the campaign's database) are cache
-//!    hits, whatever edit produced it. Query-engine compilation is
-//!    bit-identical to cold, so verdicts are unaffected.
+//! 3. **Compile** — every candidate that still has to compile is one
+//!    [`Compiler::compile`] call.
 //!
 //! On top of the crash check, a **UB guard** keeps reduced witnesses
 //! *valid*: a candidate that reproduces the signature but that the
@@ -34,7 +29,7 @@
 //! initializations; without the guard the minimized reproducer routinely
 //! reads uninitialized variables, and a bug report built on a UB program
 //! gets bounced by compiler maintainers. The gate runs on the oracle's
-//! database with the original witness as parent, so it reuses the
+//! [`QueryDb`] with the original witness as parent, so it reuses the
 //! function-summary memos it shares with the campaign. It never judges a
 //! candidate it cannot parse — raw-byte crashers reduce exactly as
 //! without it.
@@ -42,7 +37,7 @@
 use metamut_analyze::UbGate;
 use metamut_lang::chash::hash128;
 use metamut_lang::fxhash::FxHashMap;
-use metamut_simcomp::{CompileOptions, Compiler, Profile, QueryCache, QueryDb, Stage};
+use metamut_simcomp::{CompileOptions, Compiler, Profile, QueryDb, Stage};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,9 +55,7 @@ pub struct ReductionOracle {
     prefilter_skips: AtomicU64,
     ub_rejects: AtomicU64,
     verdicts: Mutex<FxHashMap<u128, bool>>,
-    /// Query-engine cache the candidates compile through.
-    cache: QueryCache,
-    /// The UB guard, memoizing on the same database as `cache`.
+    /// The UB guard, memoizing function summaries on a query database.
     ub_gate: UbGate,
 }
 
@@ -79,7 +72,6 @@ impl ReductionOracle {
             let crash = result.outcome.crash()?;
             (crash.signature(), crash.stage)
         };
-        let db = Arc::new(QueryDb::new());
         Some(ReductionOracle {
             compiler,
             target,
@@ -89,18 +81,16 @@ impl ReductionOracle {
             prefilter_skips: AtomicU64::new(0),
             ub_rejects: AtomicU64::new(0),
             verdicts: Mutex::new(FxHashMap::default()),
-            cache: QueryCache::new(Arc::clone(&db)),
-            ub_gate: UbGate::with_db(db),
+            ub_gate: UbGate::new(),
         })
     }
 
-    /// Re-homes the oracle's compile cache and UB guard onto `db` (e.g.
-    /// the campaign's shared query database), so reduction reuses every
-    /// compile and function-summary memo the campaign already built. Call
-    /// before the first [`ReductionOracle::reproduces`].
+    /// Re-homes the oracle's UB guard onto `db` (e.g. the campaign's
+    /// shared query database), so reduction reuses every function-summary
+    /// memo the campaign already built. Call before the first
+    /// [`ReductionOracle::reproduces`].
     #[must_use]
     pub fn with_query_db(mut self, db: Arc<QueryDb>) -> Self {
-        self.cache = QueryCache::new(Arc::clone(&db));
         self.ub_gate = UbGate::with_db(db);
         self
     }
@@ -156,7 +146,7 @@ impl ReductionOracle {
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
         metamut_telemetry::handle().counter_add("reduce_oracle_calls", 1);
-        let result = self.cache.compile_program(&self.compiler, src);
+        let result = self.compiler.compile(src);
         let mut verdict = result
             .outcome
             .crash()
@@ -272,10 +262,10 @@ lt:\n\
     }
 
     #[test]
-    fn incremental_oracle_agrees_with_cold() {
-        // Every verdict matches a direct cold compile's signature, on
-        // candidates that share declarations with the witness (memo hits),
-        // change the declaration count, or share nothing at all.
+    fn oracle_verdicts_agree_with_cold_compiles() {
+        // Every verdict matches a direct compile's signature, on UB-free
+        // candidates that edit one declaration of the witness, change the
+        // declaration count, or share nothing at all.
         let oracle = ReductionOracle::for_witness(Profile::Clang, CompileOptions::o2(), WITNESS)
             .expect("witness crashes at -O2 too");
         let candidates = [

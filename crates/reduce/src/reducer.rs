@@ -242,9 +242,7 @@ fn record(pass_bytes: &mut BTreeMap<String, u64>, pass: &str, removed: u64) {
 }
 
 /// Accepts `candidate` if it is smaller and still reproduces; returns the
-/// bytes it removed. The oracle's compiles are content-memoized, so the
-/// probes that follow (mostly edits of the new best) recompute only the
-/// declarations no earlier candidate had.
+/// bytes it removed.
 fn try_candidate(oracle: &ReductionOracle, best: &mut String, candidate: String) -> u64 {
     if candidate.len() < best.len() && oracle.reproduces(&candidate) {
         let removed = (best.len() - candidate.len()) as u64;

@@ -24,9 +24,10 @@ pub struct TriageConfig {
     pub workers: usize,
     /// Per-witness reduction knobs.
     pub reduce: ReduceConfig,
-    /// Query database the oracles memoize into. Pass the campaign's shared
-    /// database so reduction starts from the memos fuzzing already built;
-    /// `None` gives every oracle a private one.
+    /// Query database the oracles' UB guards memoize into. Pass the
+    /// campaign's shared database so reduction starts from the function
+    /// summaries fuzzing already built; `None` gives every oracle a
+    /// private one.
     pub query_db: Option<Arc<metamut_simcomp::QueryDb>>,
 }
 

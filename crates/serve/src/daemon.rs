@@ -13,8 +13,8 @@
 //! jobs (budget 1) jump the queue.
 //!
 //! All jobs share one [`QueryDb`], so tenants fuzzing overlapping seed
-//! programs reuse each other's compile memos; `status` reports the hit
-//! counters that make the sharing visible.
+//! programs reuse each other's UB-gate function summaries; `status`
+//! reports the hit counters that make the sharing visible.
 //!
 //! Campaigns checkpoint to the store every [`DaemonConfig::checkpoint_every`]
 //! slices and again on graceful shutdown (SIGTERM/SIGINT or the `shutdown`
@@ -1087,10 +1087,6 @@ fn status_value(inner: &Arc<Inner>) -> Value {
             "memos": (inner.query_db.len()),
             "hits": (inner.query_db.hits()),
             "recomputes": (inner.query_db.recomputes()),
-            // Stage memo hits served across tenant/seed boundaries: the
-            // content-addressed engine's sharing, visible per daemon.
-            "cross_seed": (metamut_simcomp::QueryCache::new(inner.query_db.clone())
-                .cross_seed_hits()),
         },
         "store": (inner.store.root().display().to_string()),
     })

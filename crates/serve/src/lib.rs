@@ -2,8 +2,8 @@
 //! service.
 //!
 //! A single long-lived process owns a worker pool, one shared [`QueryDb`]
-//! (so tenants fuzzing overlapping seeds reuse each other's compile
-//! memos), and a versioned on-disk [`store::Store`]. Tenants talk to it
+//! (so tenants fuzzing overlapping seeds reuse each other's UB-gate
+//! function summaries), and a versioned on-disk [`store::Store`]. Tenants talk to it
 //! over a newline-delimited JSON protocol ([`client::Client`]); the same
 //! job views are mounted on the observatory HTTP listener.
 //!

@@ -65,13 +65,10 @@ pub fn codegen(module: &Module) -> AsmOutput {
     out
 }
 
-/// Code generation for a single function into a fresh output.
-///
-/// Codegen state (registers, spill slots, liveness) is entirely
-/// function-local, so whole-module [`codegen`] is exactly the in-order
-/// merge of these partials — the invariant the incremental compiler's
-/// per-function artifact cache relies on.
-pub(crate) fn codegen_one(f: &IrFunction) -> AsmOutput {
+/// Code generation for a single function into a fresh output. Codegen
+/// state (registers, spill slots, liveness) is entirely function-local, so
+/// whole-module [`codegen`] is the in-order merge of these partials.
+fn codegen_one(f: &IrFunction) -> AsmOutput {
     let mut out = AsmOutput::default();
     out.features.push(feature_hash_str(&f.name));
     codegen_function(f, &mut out);
@@ -79,7 +76,7 @@ pub(crate) fn codegen_one(f: &IrFunction) -> AsmOutput {
 }
 
 /// Appends one function's partial output onto an accumulating module output.
-pub(crate) fn merge_asm(out: &mut AsmOutput, part: AsmOutput) {
+fn merge_asm(out: &mut AsmOutput, part: AsmOutput) {
     out.insts.extend(part.insts);
     out.spills += part.spills;
     out.peak_pressure = out.peak_pressure.max(part.peak_pressure);

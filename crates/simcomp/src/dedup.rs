@@ -8,10 +8,8 @@
 //! [`DedupCache`] remembers each compiled source's [`Verdict`] so the
 //! campaign engine skips the whole pipeline on a repeat.
 //!
-//! The cache keys entries by the same collision-resistant 128-bit content
-//! hash ([`metamut_lang::chash::hash128`]) the query engine keys its slots
-//! and the campaign threads through both: one hash per mutant, computed
-//! once, used for dedup *and* the incremental-compile slot lookup. Keying
+//! The cache keys entries by a collision-resistant 128-bit content hash
+//! ([`metamut_lang::chash::hash128`]), computed once per mutant. Keying
 //! by hash instead of the full text drops the per-entry footprint from a
 //! whole source to 16 bytes; at a 2^64 birthday bound a false hit is
 //! beyond campaign scale. Entries are sharded across several locks so
@@ -104,8 +102,7 @@ impl DedupCache {
     /// then retries and may become the next owner. This makes the
     /// accounting exact under contention: every claim is exactly one hit
     /// or one miss, and every miss is exactly one compile or one
-    /// abandonment. The campaign computes one content hash per candidate
-    /// and reuses it for the query-engine slot lookup.
+    /// abandonment.
     ///
     /// [`insert_hashed`]: DedupCache::insert_hashed
     /// [`abandon_hashed`]: DedupCache::abandon_hashed

@@ -168,95 +168,6 @@ impl AstFeatures {
     }
 }
 
-/// The contribution of one top-level declaration to [`AstFeatures`], plus
-/// the volatile-name state that threads between declarations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeclFeatures {
-    /// The declaration's own feature partial (`decl_count == 1`).
-    pub features: AstFeatures,
-    /// Volatile declarator names visible *after* this declaration: the
-    /// seed set plus any names this declaration added.
-    pub volatile_after: FxHashSet<String>,
-}
-
-/// Computes the feature contribution of a single top-level declaration,
-/// seeded with the volatile declarator names visible before it.
-///
-/// Merging per-declaration partials with [`merge_decl_features`] reproduces
-/// [`ast_features`] exactly: every depth counter in the visitor returns to
-/// zero at declaration boundaries, and the only state that carries across
-/// declarations — the volatile-name set — is threaded explicitly here.
-pub fn decl_features(d: &c::ExternalDecl, volatile_before: &FxHashSet<String>) -> DeclFeatures {
-    let mut typedef_count = 0;
-    let mut static_count = 0;
-    match d {
-        c::ExternalDecl::Typedef(_) => typedef_count += 1,
-        c::ExternalDecl::Function(f) if f.storage == c::Storage::Static => static_count += 1,
-        c::ExternalDecl::Vars(g) => {
-            static_count += g
-                .vars
-                .iter()
-                .filter(|v| v.storage == c::Storage::Static)
-                .count();
-        }
-        _ => {}
-    }
-    let mut v = FeatureVisitor {
-        out: AstFeatures {
-            decl_count: 1,
-            typedef_count,
-            static_count,
-            ..Default::default()
-        },
-        ternary: 0,
-        init_depth: 0,
-        expr_depth: 0,
-        unary_chain: 0,
-        loop_depth: 0,
-        cur_fn: None,
-        volatile_names: volatile_before.clone(),
-    };
-    v.visit_external_decl(d);
-    DeclFeatures {
-        features: v.out,
-        volatile_after: v.volatile_names,
-    }
-}
-
-/// Merges per-declaration feature partials (in source order) into the
-/// whole-unit [`AstFeatures`]. Counts sum, depths/widths max, shape flags
-/// OR, and per-function features concatenate.
-pub fn merge_decl_features(parts: &[AstFeatures]) -> AstFeatures {
-    let mut out = AstFeatures::default();
-    for p in parts {
-        out.decl_count += p.decl_count;
-        out.fn_count += p.fn_count;
-        out.switch_max_cases = out.switch_max_cases.max(p.switch_max_cases);
-        out.ternary_depth = out.ternary_depth.max(p.ternary_depth);
-        out.init_list_depth = out.init_list_depth.max(p.init_list_depth);
-        out.call_max_args = out.call_max_args.max(p.call_max_args);
-        out.param_max = out.param_max.max(p.param_max);
-        out.compound_lit_empty_brace |= p.compound_lit_empty_brace;
-        out.addr_of_imag_cast |= p.addr_of_imag_cast;
-        out.imag_real_uses += p.imag_real_uses;
-        out.comma_in_call_arg |= p.comma_in_call_arg;
-        out.const_div_by_zero |= p.const_div_by_zero;
-        out.volatile_decls += p.volatile_decls;
-        out.volatile_compound_assign |= p.volatile_compound_assign;
-        out.max_bitfield_width = out.max_bitfield_width.max(p.max_bitfield_width);
-        out.max_expr_depth = out.max_expr_depth.max(p.max_expr_depth);
-        out.max_unary_chain = out.max_unary_chain.max(p.max_unary_chain);
-        out.identity_arith_count += p.identity_arith_count;
-        out.comma_expr_count += p.comma_expr_count;
-        out.dead_if0_count += p.dead_if0_count;
-        out.max_loop_depth = out.max_loop_depth.max(p.max_loop_depth);
-        out.typedef_count += p.typedef_count;
-        out.static_count += p.static_count;
-        out.functions.extend(p.functions.iter().cloned());
-    }
-    out
-}
-
 /// Computes AST features.
 pub fn ast_features(ast: &c::Ast) -> AstFeatures {
     let mut typedef_count = 0;
@@ -302,7 +213,7 @@ struct FeatureVisitor {
     unary_chain: usize,
     loop_depth: usize,
     cur_fn: Option<FnFeatures>,
-    volatile_names: metamut_lang::fxhash::FxHashSet<String>,
+    volatile_names: FxHashSet<String>,
 }
 
 impl Visitor for FeatureVisitor {
@@ -620,35 +531,6 @@ int normal(int a) { if (a) goto out; return a; out: return 0; }
         let ast2 = parse("t.c", "foo(int *ptr) { *ptr = (int) {{}, 0}; return 0; }").unwrap();
         let f2 = ast_features(&ast2);
         assert!(f2.compound_lit_empty_brace, "{f2:?}");
-    }
-
-    #[test]
-    fn per_decl_features_merge_to_whole_unit() {
-        let src = r#"
-typedef int T;
-volatile T v;
-static int s = 1;
-struct B { unsigned w : 12; };
-int helper(void) { return v + 0; }
-int f(int a) {
-    v += 2;
-    int x = a / 0;
-    g(1, (2, 3));
-    while (a) { for (;;) break; }
-    switch (a) { case 1: default: break; }
-    return a ? -(-a) : helper();
-}
-"#;
-        let ast = parse("t.c", src).unwrap();
-        let full = ast_features(&ast);
-        let mut volatile = FxHashSet::default();
-        let mut parts = Vec::new();
-        for d in &ast.unit.decls {
-            let df = decl_features(d, &volatile);
-            volatile = df.volatile_after;
-            parts.push(df.features);
-        }
-        assert_eq!(merge_decl_features(&parts), full);
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub mod features;
 pub mod ir;
 pub mod lower;
 pub mod passes;
-pub mod query;
-mod stitch;
+mod query;
 
 pub use bugs::{CrashInfo, CrashKind, Profile};
 pub use coverage::{AtomicCoverage, CoverageMap, SharedCoverage, Stage};
@@ -37,7 +36,6 @@ pub use dedup::{Claim, DedupCache, Verdict};
 pub use metamut_query::QueryDb;
 pub use passes::OptFlags;
 pub use query::QueryCache;
-pub use stitch::coverage_equal;
 
 use coverage::{feature_hash, feature_hash_display, feature_hash_str};
 

@@ -22,28 +22,20 @@ pub struct Lowered {
     pub features: Vec<u64>,
 }
 
-/// Result of lowering one external declaration in isolation.
-///
-/// The whole-unit [`lower`] is exactly the concatenation of per-declaration
-/// results in source order, which is what lets the incremental compiler
-/// cache lowering per declaration and replay only the edited one.
-#[derive(Debug, Clone)]
-pub struct LoweredDecl {
+/// Result of lowering one external declaration.
+struct LoweredDecl {
     /// Globals the declaration introduces (from a `Vars` group).
-    pub globals: Vec<(String, Option<i64>)>,
+    globals: Vec<(String, Option<i64>)>,
     /// The lowered body, when the declaration is a function definition.
-    pub function: Option<IrFunction>,
+    function: Option<IrFunction>,
     /// IR-generation features this declaration contributed.
-    pub features: Vec<u64>,
+    features: Vec<u64>,
 }
 
-/// Lowers a single external declaration against `sema`.
-///
-/// Lowering consults only the *final* semantic tables (`decl_type`,
-/// `expr_type`, `functions`, `enum_consts`), never other declarations'
-/// IR — so per-declaration results compose into [`lower`]'s output by plain
-/// concatenation.
-pub fn lower_decl(d: &c::ExternalDecl, sema: &SemaResult) -> LoweredDecl {
+/// Lowers a single external declaration against `sema`. Lowering consults
+/// only the final semantic tables, never other declarations' IR, so
+/// [`lower`] concatenates per-declaration results in source order.
+fn lower_decl(d: &c::ExternalDecl, sema: &SemaResult) -> LoweredDecl {
     let mut lw = Lowering {
         sema,
         module: Module::default(),

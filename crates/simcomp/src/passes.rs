@@ -176,9 +176,8 @@ pub fn const_fold(module: &mut Module, report: &mut OptReport) -> usize {
     folded
 }
 
-/// Per-function constant folding — the unit of work the incremental
-/// compiler replays for a single changed definition.
-pub(crate) fn const_fold_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
+/// Per-function constant folding.
+fn const_fold_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
     let mut folded = 0;
     {
         let mut known: FxHashMap<Temp, Value> = FxHashMap::default();
@@ -292,8 +291,8 @@ pub fn dead_code_elim(module: &mut Module, report: &mut OptReport) -> usize {
 }
 
 /// Per-function DCE. The `[111]` feature carries the per-function removal
-/// count, so replaying one function reproduces its cold features exactly.
-pub(crate) fn dead_code_elim_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
+/// count.
+fn dead_code_elim_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
     let mut removed = 0;
     {
         // Unreachable blocks become empty shells (keeping ids stable).
@@ -376,7 +375,7 @@ pub fn simplify_cfg(module: &mut Module, report: &mut OptReport) -> usize {
 }
 
 /// Per-function CFG simplification with a per-function `[121]` change count.
-pub(crate) fn simplify_cfg_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
+fn simplify_cfg_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
     let mut changes = 0;
     {
         // Forwarding map: empty block with a Jump terminator.
@@ -472,7 +471,7 @@ pub fn inline_trivial(module: &mut Module, report: &mut OptReport) -> usize {
 
 /// The trivial-callee map the inliner consults: every function whose body
 /// qualifies under [`trivial_body_of`], keyed by name.
-pub(crate) fn trivial_bodies(module: &Module) -> FxHashMap<String, (Vec<Inst>, Option<Value>)> {
+fn trivial_bodies(module: &Module) -> FxHashMap<String, (Vec<Inst>, Option<Value>)> {
     let mut trivial: FxHashMap<String, (Vec<Inst>, Option<Value>)> = FxHashMap::default();
     for f in &module.functions {
         if let Some(body) = trivial_body_of(f) {
@@ -485,7 +484,7 @@ pub(crate) fn trivial_bodies(module: &Module) -> FxHashMap<String, (Vec<Inst>, O
 /// Whether `f` is a trivial inline candidate: parameterless, exactly one
 /// reachable block of at most four instructions, non-recursive, ending in a
 /// plain return. Returns the spliceable body and return value when it is.
-pub(crate) fn trivial_body_of(f: &IrFunction) -> Option<(Vec<Inst>, Option<Value>)> {
+fn trivial_body_of(f: &IrFunction) -> Option<(Vec<Inst>, Option<Value>)> {
     if !f.params.is_empty() {
         return None;
     }
@@ -514,7 +513,7 @@ pub(crate) fn trivial_body_of(f: &IrFunction) -> Option<(Vec<Inst>, Option<Value
 }
 
 /// Splices trivial callee bodies into one function's call sites.
-pub(crate) fn inline_trivial_fn(
+fn inline_trivial_fn(
     f: &mut IrFunction,
     trivial: &FxHashMap<String, (Vec<Inst>, Option<Value>)>,
     report: &mut OptReport,
@@ -605,7 +604,7 @@ pub fn strlen_reduce(module: &mut Module, report: &mut OptReport) -> usize {
 
 /// Per-function sprintf→strlen strength reduction; observations land in
 /// `report.strlen_reductions` in call-site order within the function.
-pub(crate) fn strlen_reduce_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
+fn strlen_reduce_fn(f: &mut IrFunction, report: &mut OptReport) -> usize {
     let mut reduced = 0;
     let mut observations = Vec::new();
     {
@@ -655,12 +654,7 @@ pub fn loop_analysis(module: &Module, opt_level: u8, flags: &OptFlags, report: &
 }
 
 /// Loop discovery and the model vectorizer for a single function.
-pub(crate) fn loop_analysis_fn(
-    f: &IrFunction,
-    opt_level: u8,
-    flags: &OptFlags,
-    report: &mut OptReport,
-) {
+fn loop_analysis_fn(f: &IrFunction, opt_level: u8, flags: &OptFlags, report: &mut OptReport) {
     {
         let preds = f.predecessors();
         for b in &f.blocks {

@@ -286,7 +286,6 @@ mod tests {
             crashes: 0,
             execs_per_sec: 10.0,
             dedup_hit_rate: 0.0,
-            incremental_hit_rate: 0.0,
             ub_filter_rate: 0.0,
         });
 

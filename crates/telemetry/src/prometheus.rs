@@ -196,19 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn renders_cross_seed_hit_family() {
-        // The query engine's per-stage cross-seed counters ride the
-        // generic `name{label}` convention onto /metrics.
+    fn renders_labeled_counter_family() {
+        // The query store's per-kind hit counters ride the generic
+        // `name{label}` convention onto /metrics.
         let m = Metrics::new();
-        m.counter("query_cross_seed_hits{parse}")
+        m.counter("query_hits{fn-summary}")
             .fetch_add(4, Ordering::Relaxed);
-        m.counter("query_cross_seed_hits{sema}")
+        m.counter("query_hits{fn-ub}")
             .fetch_add(2, Ordering::Relaxed);
         let text = render(&m.snapshot());
         assert_valid_exposition(&text);
-        assert!(text.contains("# TYPE metamut_query_cross_seed_hits counter"));
-        assert!(text.contains("metamut_query_cross_seed_hits{label=\"parse\"} 4"));
-        assert!(text.contains("metamut_query_cross_seed_hits{label=\"sema\"} 2"));
+        assert!(text.contains("# TYPE metamut_query_hits counter"));
+        assert!(text.contains("metamut_query_hits{label=\"fn-summary\"} 4"));
+        assert!(text.contains("metamut_query_hits{label=\"fn-ub\"} 2"));
     }
 
     #[test]

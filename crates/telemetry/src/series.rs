@@ -36,13 +36,11 @@ pub struct SeriesPoint {
     pub execs_per_sec: f64,
     /// Mutant dedup cache hit rate in [0, 1] (0 when dedup is off).
     pub dedup_hit_rate: f64,
-    /// Incremental-compile cache hit rate in [0, 1] (0 when off).
-    pub incremental_hit_rate: f64,
     /// Fraction of UB-gate-checked mutants filtered, in [0, 1].
     pub ub_filter_rate: f64,
 }
 
-const FIELDS: usize = 10;
+const FIELDS: usize = 9;
 
 impl SeriesPoint {
     fn to_words(&self) -> [u64; FIELDS] {
@@ -55,7 +53,6 @@ impl SeriesPoint {
             self.crashes,
             self.execs_per_sec.to_bits(),
             self.dedup_hit_rate.to_bits(),
-            self.incremental_hit_rate.to_bits(),
             self.ub_filter_rate.to_bits(),
         ]
     }
@@ -70,8 +67,7 @@ impl SeriesPoint {
             crashes: w[5],
             execs_per_sec: f64::from_bits(w[6]),
             dedup_hit_rate: f64::from_bits(w[7]),
-            incremental_hit_rate: f64::from_bits(w[8]),
-            ub_filter_rate: f64::from_bits(w[9]),
+            ub_filter_rate: f64::from_bits(w[8]),
         }
     }
 }
@@ -229,7 +225,6 @@ mod tests {
             crashes: 0,
             execs_per_sec: 123.5,
             dedup_hit_rate: 0.25,
-            incremental_hit_rate: 0.5,
             ub_filter_rate: 0.125,
         }
     }

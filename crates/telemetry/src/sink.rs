@@ -129,8 +129,8 @@ impl<W: Write + Send> StatusSink<W> {
         } else {
             String::new()
         };
-        // Query-engine memo hit rate across every stage query (green or
-        // memoized fetches over all fetches).
+        // Memo hit rate over every query kind (stored values served over
+        // all lookups).
         let q_hits = metrics.counter_family_sum("query_hits");
         let q_fetches = q_hits + metrics.counter_family_sum("query_recomputes");
         let q = if q_fetches > 0 {
@@ -138,17 +138,8 @@ impl<W: Write + Send> StatusSink<W> {
         } else {
             String::new()
         };
-        // Cross-seed sharing: stage memo hits served from a different
-        // seed/tenant/program than the one that computed them, as a share
-        // of all memo hits.
-        let xs_hits = metrics.counter_family_sum("query_cross_seed_hits");
-        let xs = if xs_hits > 0 && q_hits > 0 {
-            format!(" | xs {:.0}%", 100.0 * xs_hits as f64 / q_hits as f64)
-        } else {
-            String::new()
-        };
         format!(
-            "[metamut] {:>7.1}s | execs {execs} ({:.1}/s) | corpus {corpus:.0} | cov {coverage:.0} | crashes {crashes}{dedup}{ub}{q}{xs}",
+            "[metamut] {:>7.1}s | execs {execs} ({:.1}/s) | corpus {corpus:.0} | cov {coverage:.0} | crashes {crashes}{dedup}{ub}{q}",
             elapsed.as_secs_f64(),
             execs as f64 / secs,
         )
@@ -212,7 +203,6 @@ mod tests {
         assert!(!line.contains("dedup"), "{line}");
         assert!(!line.contains("ub"), "{line}");
         assert!(!line.contains("| q "), "{line}");
-        assert!(!line.contains("| xs "), "{line}");
     }
 
     #[test]
@@ -245,35 +235,16 @@ mod tests {
     fn status_line_shows_query_hit_rate() {
         let metrics = Metrics::new();
         metrics
-            .counter("query_hits{parse}")
+            .counter("query_hits{fn-summary}")
             .fetch_add(60, Ordering::Relaxed);
         metrics
-            .counter("query_hits{opt}")
+            .counter("query_hits{fn-ub}")
             .fetch_add(20, Ordering::Relaxed);
         metrics
-            .counter("query_recomputes{opt}")
+            .counter("query_recomputes{fn-ub}")
             .fetch_add(20, Ordering::Relaxed);
         let line = StatusSink::<Vec<u8>>::render(&metrics, Duration::from_secs(1));
         assert!(line.contains("q 80%"), "{line}");
-        // No cross-seed hits yet: the xs field stays off the line.
-        assert!(!line.contains("| xs "), "{line}");
-    }
-
-    #[test]
-    fn status_line_shows_cross_seed_share() {
-        let metrics = Metrics::new();
-        metrics
-            .counter("query_hits{parse}")
-            .fetch_add(40, Ordering::Relaxed);
-        metrics
-            .counter("query_hits{sema}")
-            .fetch_add(10, Ordering::Relaxed);
-        metrics
-            .counter("query_cross_seed_hits{parse}")
-            .fetch_add(15, Ordering::Relaxed);
-        let line = StatusSink::<Vec<u8>>::render(&metrics, Duration::from_secs(1));
-        assert!(line.contains("q 100%"), "{line}");
-        assert!(line.contains("xs 30%"), "{line}");
     }
 
     #[test]

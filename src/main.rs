@@ -6,8 +6,7 @@
 //! metamut compile FILE [-p gcc|clang] [-O N] [--flags ...]
 //! metamut generate [-n N] [-s N]        # run the MetaMut pipeline
 //! metamut fuzz [-i N] [-s N] [-p gcc|clang] [-w N] [--no-dedup]
-//!              [--no-ub-filter] [--no-lint-penalty]
-//!              [--query-cache-cap N] [--reduce]
+//!              [--no-ub-filter] [--no-lint-penalty] [--reduce]
 //!              [--status-addr HOST:PORT]
 //! metamut analyze FILE [--json]         # dataflow UB/validity findings
 //! metamut reduce FILE [-p gcc|clang] [-O N] [--flags ...]   # minimize one crasher
@@ -69,7 +68,6 @@ fn main() -> ExitCode {
                  \n                               -w N: worker threads (0 = one per CPU; default 1)\
                  \n                               --no-ub-filter: compile UB mutants too\
                  \n                               --no-lint-penalty: uniform seed picks (ignore lints)\
-                 \n                               --query-cache-cap N: cap cached seed slots (0 = unbounded)\
                  \n                               --reduce: triage + reduce discovered crashes\
                  \n                               --reduce-out DIR: write triage.json/.md to DIR\
                  \n  analyze FILE [--json]        report dataflow UB/validity findings\
@@ -119,7 +117,7 @@ fn opt(rest: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-const VALUE_FLAGS: [&str; 27] = [
+const VALUE_FLAGS: [&str; 26] = [
     "-m",
     "-s",
     "-p",
@@ -132,7 +130,6 @@ const VALUE_FLAGS: [&str; 27] = [
     "--status-every",
     "--out",
     "--reduce-out",
-    "--query-cache-cap",
     "--trace-out",
     "--timeseries-out",
     "--status-addr",
@@ -148,6 +145,67 @@ const VALUE_FLAGS: [&str; 27] = [
     "--addr-out",
     "--cancel",
 ];
+
+/// Value flags every subcommand accepts (see `main`).
+const GLOBAL_VALUE_FLAGS: [&str; 4] = [
+    "--telemetry",
+    "--status-every",
+    "--trace-out",
+    "--timeseries-out",
+];
+
+/// Rejects arguments a subcommand does not take: every argument must be
+/// one of `switches`, a global or listed value flag followed by its
+/// value, or one of the first `max_positionals` positional arguments. A
+/// violation is a usage error: exit 2.
+fn check_args(
+    cmd: &str,
+    rest: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+    max_positionals: usize,
+) -> Result<(), ExitCode> {
+    let usage = |msg: String| {
+        eprintln!("{cmd}: {msg}");
+        ExitCode::from(2)
+    };
+    let mut args = rest.iter();
+    let mut positionals = 0;
+    while let Some(a) = args.next() {
+        if value_flags.contains(&a.as_str()) || GLOBAL_VALUE_FLAGS.contains(&a.as_str()) {
+            if args.next().is_none() {
+                return Err(usage(format!("{a} needs a value")));
+            }
+        } else if a.starts_with('-') {
+            if !switches.contains(&a.as_str()) {
+                return Err(usage(format!("unknown flag {a:?}")));
+            }
+        } else {
+            positionals += 1;
+            if positionals > max_positionals {
+                return Err(usage(format!("unexpected argument {a:?}")));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The value of the first of `flags` present, parsed as `T`; `default`
+/// when none is. An unparsable value is a usage error: exit 2.
+fn num_opt<T: std::str::FromStr>(
+    cmd: &str,
+    rest: &[String],
+    flags: &[&str],
+    default: T,
+) -> Result<T, ExitCode> {
+    let Some((flag, value)) = flags.iter().find_map(|f| Some((f, opt(rest, f)?))) else {
+        return Ok(default);
+    };
+    value.parse().map_err(|_| {
+        eprintln!("{cmd}: invalid value {value:?} for {flag} (expected an unsigned integer)");
+        ExitCode::from(2)
+    })
+}
 
 fn positionals(rest: &[String]) -> Vec<&String> {
     let mut out = Vec::new();
@@ -270,10 +328,7 @@ fn compile_cmd(rest: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let compiler = Compiler::new(profile, parse_options(rest, 2));
-    // Ride the content-addressed query engine: a one-shot CLI compile
-    // needs no seed slot, and repeated declarations (across -O variants,
-    // or within one file) serve from warm memos.
-    let r = metamut_simcomp::QueryCache::default().compile_program(&compiler, &src);
+    let r = compiler.compile(&src);
     println!(
         "{} {} → {:?} ({} branches covered)",
         compiler.profile().name(),
@@ -749,14 +804,20 @@ fn submit_cmd(rest: &[String]) -> ExitCode {
     };
     let opt_level: u8 = opt(rest, "-O").and_then(|s| s.parse().ok()).unwrap_or(2);
     let request = match verb.as_str() {
-        "fuzz" => json!({
-            "cmd": "fuzz",
-            "iterations": (opt(rest, "-i").and_then(|s| s.parse::<u64>().ok()).unwrap_or(500)),
-            "seed": (opt(rest, "-s").and_then(|s| s.parse::<u64>().ok()).unwrap_or(7)),
-            "profile": profile,
-            "opt_level": opt_level,
-            "reduce": (rest.iter().any(|a| a == "--reduce")),
-        }),
+        "fuzz" => {
+            let (iterations, seed) = match submit_fuzz_args(rest) {
+                Ok(args) => args,
+                Err(code) => return code,
+            };
+            json!({
+                "cmd": "fuzz",
+                "iterations": iterations,
+                "seed": seed,
+                "profile": profile,
+                "opt_level": opt_level,
+                "reduce": (rest.iter().any(|a| a == "--reduce")),
+            })
+        }
         "analyze" | "reduce" => {
             let Some(file) = files.first() else {
                 eprintln!("submit {verb}: missing FILE");
@@ -925,15 +986,57 @@ fn jobs_cmd(rest: &[String]) -> ExitCode {
     }
 }
 
+/// `submit … fuzz`'s iteration count and RNG seed, after rejecting any
+/// argument it does not take.
+fn submit_fuzz_args(rest: &[String]) -> Result<(u64, u64), ExitCode> {
+    let cmd = "submit fuzz";
+    check_args(
+        cmd,
+        rest,
+        &["-i", "-s", "-p", "-O"],
+        &["--reduce", "--wait"],
+        2,
+    )?;
+    Ok((
+        num_opt(cmd, rest, &["-i"], 500)?,
+        num_opt(cmd, rest, &["-s"], 7)?,
+    ))
+}
+
+/// `fuzz`'s iteration count, RNG seed and worker count, after rejecting
+/// any argument it does not take.
+fn fuzz_args(rest: &[String]) -> Result<(usize, u64, usize), ExitCode> {
+    let value_flags = [
+        "-i",
+        "-s",
+        "-p",
+        "-w",
+        "--workers",
+        "--reduce-out",
+        "--status-addr",
+        "--status-addr-out",
+    ];
+    let switches = [
+        "--no-dedup",
+        "--no-ub-filter",
+        "--no-lint-penalty",
+        "--reduce",
+    ];
+    check_args("fuzz", rest, &value_flags, &switches, 0)?;
+    Ok((
+        num_opt("fuzz", rest, &["-i"], 500)?,
+        num_opt("fuzz", rest, &["-s"], 7)?,
+        // Default to one worker: the serial engine is bit-for-bit
+        // reproducible for a given seed. `-w 0` asks for one worker per CPU.
+        num_opt("fuzz", rest, &["-w", "--workers"], 1)?,
+    ))
+}
+
 fn fuzz(rest: &[String]) -> ExitCode {
-    let iterations: usize = opt(rest, "-i").and_then(|s| s.parse().ok()).unwrap_or(500);
-    let seed: u64 = opt(rest, "-s").and_then(|s| s.parse().ok()).unwrap_or(7);
-    // Default to one worker: the serial engine is bit-for-bit reproducible
-    // for a given seed. `-w 0` asks for one worker per CPU.
-    let workers: usize = opt(rest, "-w")
-        .or_else(|| opt(rest, "--workers"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let (iterations, seed, workers) = match fuzz_args(rest) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
     let seeds: Vec<String> = metamut::fuzzing::corpus::seed_corpus()
         .iter()
         .map(|s| s.to_string())
@@ -945,7 +1048,8 @@ fn fuzz(rest: &[String]) -> ExitCode {
     let options = CompileOptions::o2();
     let compiler = Compiler::new(profile, options.clone());
     // One query database spans the campaign and (with --reduce) triage,
-    // so reduction oracles start from the memos fuzzing already built.
+    // so reduction oracles start from the UB-gate summaries fuzzing
+    // already built.
     let query_db = Arc::new(metamut_simcomp::QueryDb::new());
     let config = CampaignConfig {
         iterations,
@@ -954,9 +1058,6 @@ fn fuzz(rest: &[String]) -> ExitCode {
         workers,
         dedup: !rest.iter().any(|a| a == "--no-dedup"),
         ub_filter: !rest.iter().any(|a| a == "--no-ub-filter"),
-        query_cache_cap: opt(rest, "--query-cache-cap")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
         query_db: Some(Arc::clone(&query_db)),
         ..Default::default()
     };

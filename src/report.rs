@@ -25,7 +25,7 @@ pub struct AttributionRow {
 /// The per-iteration stage spans that partition a shard's loop body.
 /// (`iteration` wraps them all, so it is excluded to avoid double
 /// counting; `triage` runs after the campaign and is added separately.)
-const STAGE_SPANS: [&str; 4] = ["mutate", "ub_filter", "compile_memo", "compile_cold"];
+const STAGE_SPANS: [&str; 3] = ["mutate", "ub_filter", "compile"];
 
 fn hist_sum(snapshot: &Snapshot, name: &str) -> f64 {
     snapshot.histograms.get(name).map(|h| h.sum).unwrap_or(0.0)
@@ -173,15 +173,13 @@ pub fn campaign_report(
     if let Some(last) = series.last() {
         out.push_str(&format!(
             "{} execs, {} branches covered, {} corpus seeds, {} crash(es); \
-             {:.0} execs/sec, {:.0}% dedup hits, {:.0}% incremental hits, \
-             {:.0}% UB-filtered.\n\n",
+             {:.0} execs/sec, {:.0}% dedup hits, {:.0}% UB-filtered.\n\n",
             last.execs,
             last.covered,
             last.corpus,
             last.crashes,
             last.execs_per_sec,
             100.0 * last.dedup_hit_rate,
-            100.0 * last.incremental_hit_rate,
             100.0 * last.ub_filter_rate,
         ));
     }
@@ -305,33 +303,8 @@ pub fn campaign_report(
         };
         out.push_str(&format!(
             "| **total** | {total_h} | {total_r} | {total_rate:.1}% |
+
 "
-        ));
-        // Cross-seed sharing: memo hits served from a different seed,
-        // tenant, or slotless program than the one that computed them.
-        let xs: u64 = labeled_counter_values(snapshot, "query_cross_seed_hits")
-            .iter()
-            .map(|(_, n)| n)
-            .sum();
-        if xs > 0 {
-            let share = if total_h > 0 {
-                100.0 * xs as f64 / total_h as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "| cross-seed | {xs} | — | {share:.1}% of hits |
-"
-            ));
-        }
-        let scalar = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
-        out.push_str(&format!(
-            "\nMemo evictions: {}; slot evictions: {}; cross-check mismatches: {}; \
-             estimated saved wall-time: {}.\n\n",
-            scalar("query_evictions"),
-            scalar("query_slot_evictions"),
-            scalar("query_mismatches"),
-            fmt_ms(hist_sum(snapshot, "query_saved_ms")),
         ));
     }
 
@@ -384,12 +357,11 @@ mod tests {
         let t = Telemetry::new();
         t.set_enabled(true);
         // 1000ms of shard time split: 300 mutate, 200 ub_filter,
-        // 250 memo, 150 cold → 100 other; plus 500ms triage.
+        // 400 compile → 100 other; plus 500ms triage.
         t.observe_hot("shard_ms", 1000.0);
         t.observe_hot("mutate_ms", 300.0);
         t.observe_hot("ub_filter_ms", 200.0);
-        t.observe_hot("compile_memo_ms", 250.0);
-        t.observe_hot("compile_cold_ms", 150.0);
+        t.observe_hot("compile_ms", 400.0);
         t.observe_hot("triage_ms", 500.0);
         t.observe_hot("reduce_pass_ms{ddmin-decls}", 120.0);
         t.observe_hot("reduce_pass_ms{reprint}", 30.0);
@@ -397,12 +369,10 @@ mod tests {
         t.observe_hot("mutator_ms{ZeroLiteral}", 12.0);
         t.counter_add("mutator_attempts{ZeroLiteral}", 9);
         t.counter_add("mutator_applied{ZeroLiteral}", 4);
-        t.counter_add("query_hits{parse}", 90);
-        t.counter_add("query_recomputes{parse}", 10);
-        t.counter_add("query_hits{codegen}", 75);
-        t.counter_add("query_recomputes{codegen}", 25);
-        t.counter_add("query_evictions", 7);
-        t.observe_hot("query_saved_ms", 640.0);
+        t.counter_add("query_hits{fn-summary}", 90);
+        t.counter_add("query_recomputes{fn-summary}", 10);
+        t.counter_add("query_hits{fn-ub}", 75);
+        t.counter_add("query_recomputes{fn-ub}", 25);
         t.snapshot()
     }
 
@@ -426,7 +396,7 @@ mod tests {
         t.set_enabled(true);
         t.observe_hot("shard_ms", 100.0);
         t.observe_hot("mutate_ms", 80.0);
-        t.observe_hot("compile_cold_ms", 40.0); // busy 120 > shard 100
+        t.observe_hot("compile_ms", 40.0); // busy 120 > shard 100
         let rows = attribution(&t.snapshot());
         let total: f64 = rows.iter().map(|r| r.percent).sum();
         assert!((total - 100.0).abs() < 1.0, "sum {total}");
@@ -461,7 +431,6 @@ mod tests {
                 crashes: 0,
                 execs_per_sec: 100.0,
                 dedup_hit_rate: 0.0,
-                incremental_hit_rate: 0.0,
                 ub_filter_rate: 0.0,
             },
             SeriesPoint {
@@ -473,7 +442,6 @@ mod tests {
                 crashes: 1,
                 execs_per_sec: 120.0,
                 dedup_hit_rate: 0.25,
-                incremental_hit_rate: 0.5,
                 ub_filter_rate: 0.1,
             },
         ];
@@ -489,11 +457,9 @@ mod tests {
         assert!(md.contains("## Mutators"));
         assert!(md.contains("| ZeroLiteral |"));
         assert!(md.contains("## Query engine"));
-        assert!(md.contains("| parse | 90 | 10 | 90.0% |"));
-        assert!(md.contains("| codegen | 75 | 25 | 75.0% |"));
+        assert!(md.contains("| fn-summary | 90 | 10 | 90.0% |"));
+        assert!(md.contains("| fn-ub | 75 | 25 | 75.0% |"));
         assert!(md.contains("| **total** | 165 | 35 | 82.5% |"));
-        assert!(md.contains("Memo evictions: 7"));
-        assert!(md.contains("saved wall-time: 640.0ms"));
         assert!(md.contains("## Latency percentiles"));
         assert!(!md.contains("## Bugs"), "no triage given");
     }

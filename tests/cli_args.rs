@@ -1,6 +1,6 @@
 //! CLI argument validation: drive the real `metamut` binary and check that
-//! a `-p` profile name the daemon would reject is a usage error here too,
-//! instead of silently compiling with gcc-sim.
+//! arguments it cannot honour are usage errors (exit 2) instead of being
+//! silently replaced by defaults.
 
 use std::process::Command;
 
@@ -41,4 +41,60 @@ fn unknown_profile_is_a_usage_error() {
         assert!(out.status.success(), "-p {profile}: {out:?}");
     }
     let _ = std::fs::remove_file(&file);
+}
+
+/// `metamut fuzz` (and `submit … fuzz`) refuse what they cannot honour
+/// instead of silently running a different campaign: an unknown flag, or a
+/// count or seed that does not parse.
+#[test]
+fn fuzz_rejects_bad_arguments() {
+    let invocations: [(&[&str], &str); 8] = [
+        (&["fuzz", "-i", "5k"], "invalid value \"5k\" for -i"),
+        (&["fuzz", "-s", "abc"], "invalid value \"abc\" for -s"),
+        (&["fuzz", "-w", "two"], "invalid value \"two\" for -w"),
+        (
+            &["fuzz", "--workers", "-1"],
+            "invalid value \"-1\" for --workers",
+        ),
+        (
+            &["fuzz", "-i", "1", "--cache-cap", "64"],
+            "unknown flag \"--cache-cap\"",
+        ),
+        (&["fuzz", "-i"], "-i needs a value"),
+        // Rejected before any connection attempt.
+        (
+            &["submit", "127.0.0.1:1", "fuzz", "-i", "5k"],
+            "invalid value \"5k\" for -i",
+        ),
+        (
+            &["submit", "127.0.0.1:1", "fuzz", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+    ];
+    for (args, message) in invocations {
+        let out = metamut().args(args).output().expect("spawn metamut");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+
+    // Every flag fuzz documents, plus the global ones, is still accepted.
+    let dir = std::env::temp_dir().join(format!("metamut-cli-fuzz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let events = dir.join("events.jsonl");
+    let out = metamut()
+        .args(["fuzz", "-i", "20", "-s", "3", "-p", "clang", "-w", "1"])
+        .args([
+            "--no-dedup",
+            "--no-ub-filter",
+            "--no-lint-penalty",
+            "--status-every",
+            "0",
+        ])
+        .arg("--telemetry")
+        .arg(&events)
+        .output()
+        .expect("spawn metamut");
+    assert!(out.status.success(), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
