@@ -14,7 +14,7 @@
 //! parks the report under `target/experiments/`, so CI never dirties the
 //! tree.
 
-use metamut_bench::{render_table, write_bench, Check, ExpOptions};
+use metamut_bench::{median, render_table, write_bench, Check, ExpOptions};
 use metamut_reduce::fixtures::case_studies;
 use metamut_reduce::{reduce, ReduceConfig, ReductionOracle};
 use metamut_simcomp::Compiler;
@@ -42,11 +42,6 @@ struct ReductionResults {
     median_oracle_calls: u64,
     rows: Vec<ReductionRow>,
     note: String,
-}
-
-fn median<T: Copy + PartialOrd>(values: &mut [T]) -> T {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in medians"));
-    values[values.len() / 2]
 }
 
 fn main() {

@@ -25,11 +25,18 @@
 //! resumed outcome plus the persisted corpus match the baseline
 //! **bit for bit** — enforced even in smoke; determinism has no scale.
 //!
+//! Leg C (submit cost vs table size): 400 short analyze jobs submitted
+//! one after another, each waited for, so the job table grows by one
+//! finished record per submit. Gate (timing, skipped in smoke): the p50
+//! submit-RPC latency of the last quarter is at most **1.5×** that of the
+//! first — a submit appends one record to the store's job log instead of
+//! rewriting the whole table.
+//!
 //! Usage: `exp_serve [--iterations N] [--smoke]`. `--smoke` shrinks the
 //! workloads, skips the throughput check, and parks its report under
 //! `target/experiments/` so CI never dirties the tree.
 
-use metamut_bench::{render_table, write_bench, Check, ExpOptions};
+use metamut_bench::{median, render_table, write_bench, Check, ExpOptions};
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::{CampaignConfig, CampaignReport, CorpusEntry, SteppedCampaign};
@@ -67,9 +74,20 @@ struct ResumeRow {
 }
 
 #[derive(Serialize)]
+struct SubmitRow {
+    submits: usize,
+    first_quarter_p50_us: f64,
+    last_quarter_p50_us: f64,
+    growth: f64,
+    /// The store's `jobs.json` after the daemon stopped.
+    snapshot_bytes: u64,
+}
+
+#[derive(Serialize)]
 struct ServeResults {
     tenancy: TenancyRow,
     resume: ResumeRow,
+    submits: SubmitRow,
     note: String,
 }
 
@@ -311,6 +329,50 @@ fn run_resume(iterations: usize) -> ResumeRow {
     }
 }
 
+/// Leg C: sequential short jobs on an otherwise idle daemon; each submit
+/// RPC is timed while the table grows by one finished record per job.
+fn run_submits(submits: usize) -> SubmitRow {
+    let dir = scratch_dir("submits");
+    let daemon = Daemon::start(DaemonConfig {
+        store: dir.clone(),
+        addr: "127.0.0.1:0".to_string(),
+        http_addr: None,
+        workers: 2,
+        slice: 32,
+        checkpoint_every: 4,
+    })
+    .expect("start daemon");
+    let mut client = Client::connect(&daemon.local_addr().to_string()).expect("connect");
+    let programs = seed_corpus();
+    let mut latencies_us = Vec::with_capacity(submits);
+    for i in 0..submits {
+        let request = json!({"cmd": "analyze", "program": (programs[i % programs.len()])});
+        let started = Instant::now();
+        let id = client.submit(&request).expect("submit");
+        latencies_us.push(started.elapsed().as_secs_f64() * 1e6);
+        let job = client.wait(id).expect("wait");
+        assert_eq!(
+            job.get("status").and_then(|v| v.as_str()),
+            Some("done"),
+            "job record: {job:?}"
+        );
+    }
+    daemon.stop();
+    let snapshot_bytes = std::fs::metadata(dir.join("jobs.json")).map_or(0, |m| m.len());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let quarter = (submits / 4).max(1);
+    let first_quarter_p50_us = median(&mut latencies_us[..quarter].to_vec());
+    let last_quarter_p50_us = median(&mut latencies_us[submits - quarter..].to_vec());
+    SubmitRow {
+        submits,
+        first_quarter_p50_us,
+        last_quarter_p50_us,
+        growth: last_quarter_p50_us / first_quarter_p50_us,
+        snapshot_bytes,
+    }
+}
+
 fn main() {
     let opts = ExpOptions::from_args_with(|smoke| ExpOptions {
         iterations: if smoke { 80 } else { 2400 },
@@ -318,11 +380,13 @@ fn main() {
     });
     let tenancy_iters = opts.iterations;
     let resume_iters = if opts.smoke { 600 } else { 2000 };
+    let submits = if opts.smoke { 40 } else { 400 };
 
     println!("== Fuzzing daemon: multi-tenant throughput and resume determinism ==\n");
 
     let tenancy = run_tenancy(tenancy_iters);
     let resume = run_resume(resume_iters);
+    let submits = run_submits(submits);
 
     println!(
         "{}",
@@ -361,6 +425,25 @@ fn main() {
             ],
         )
     );
+    println!(
+        "{}",
+        render_table(
+            &[
+                "Sequential submits",
+                "First-quarter p50",
+                "Last-quarter p50",
+                "Growth",
+                "jobs.json",
+            ],
+            &[vec![
+                submits.submits.to_string(),
+                format!("{:.0}us", submits.first_quarter_p50_us),
+                format!("{:.0}us", submits.last_quarter_p50_us),
+                format!("{:.2}x", submits.growth),
+                format!("{} B", submits.snapshot_bytes),
+            ]],
+        )
+    );
 
     let checks = vec![
         Check::holds("tenant_outcomes_identical", tenancy.outcomes_identical),
@@ -370,16 +453,19 @@ fn main() {
         Check::holds("resume_outcome_identical", resume.outcome_identical),
         Check::holds("resume_corpus_identical", resume.corpus_identical),
         Check::at_least("daemon_speedup", tenancy.speedup, 1.2).timing(),
+        Check::at_most("submit_latency_growth", submits.growth, 1.5).timing(),
     ];
     let results = ServeResults {
         tenancy,
         resume,
+        submits,
         note: "leg A: two identical 2-worker-daemon campaigns sharing one query database vs \
                the same campaigns sequential in-process with cold private databases, measured \
                over the TCP JSON-line protocol; leg B: daemon stopped mid-campaign via the \
                graceful SIGTERM path, restarted, resumed from its on-disk checkpoint, and \
                compared field-for-field and corpus-entry-for-entry against an uninterrupted \
-               baseline"
+               baseline; leg C: sequential analyze jobs on an idle 2-worker daemon, each submit \
+               RPC timed, last-quarter p50 over first-quarter p50"
             .into(),
     };
     write_bench("serve", &opts, &results, checks);

@@ -245,6 +245,13 @@ pub fn best_of<const N: usize>(repeats: usize, mut legs: [&mut dyn FnMut(); N]) 
     best
 }
 
+/// The median of `values` (the upper one for an even count), sorting
+/// them in place.
+pub fn median<T: Copy + PartialOrd>(values: &mut [T]) -> T {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in medians"));
+    values[values.len() / 2]
+}
+
 /// One enforced gate of a `BENCH_*.json` file: a measured `value`, the
 /// `bound` it must meet (rendered as `">= 3"`, `"== 0"`, ...), and the
 /// verdict. `passed` is `None` when the check was skipped — timing

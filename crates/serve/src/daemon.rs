@@ -16,6 +16,11 @@
 //! programs reuse each other's UB-gate function summaries; `status`
 //! reports the hit counters that make the sharing visible.
 //!
+//! Every submit, completion, failure and cancel appends that one job's
+//! record to the store's job log before the request is answered; the
+//! whole table is only written by compaction (see [`crate::store`]), so a
+//! change costs one record however many jobs the daemon remembers.
+//!
 //! Campaigns checkpoint to the store every [`DaemonConfig::checkpoint_every`]
 //! slices and again on graceful shutdown (SIGTERM/SIGINT or the `shutdown`
 //! command). A restarted daemon resumes them from the checkpoint
@@ -137,6 +142,7 @@ impl Table {
         self.jobs.iter_mut().find(|j| j.record.id == id)
     }
 
+    /// Every record, cloned: compaction's input, and nothing else's.
     fn records(&self) -> Vec<JobRecord> {
         self.jobs.iter().map(|j| j.record.clone()).collect()
     }
@@ -148,8 +154,11 @@ struct Inner {
     query_db: Arc<QueryDb>,
     registry: Arc<MutatorRegistry>,
     state: Mutex<Table>,
-    /// Held across snapshot + write of `jobs.json`, and always taken
-    /// before `state`, so an older snapshot never overwrites a newer one.
+    /// Held across every read of table state that goes to the store (one
+    /// job's log record, or compaction's whole table) and its write, and
+    /// always taken before `state`: the store sees each job's states in
+    /// table order, and no append slips between a compaction's read and
+    /// its deletion of the log.
     save_lock: Mutex<()>,
     cv: Condvar,
     shutdown: AtomicBool,
@@ -169,10 +178,26 @@ impl Inner {
         self.save_lock.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn save_jobs(&self) {
-        let _save = self.save_lock();
+    /// Appends job `id`'s current record to the store's log, compacting
+    /// when the log has outgrown the snapshot.
+    fn save_job(&self, id: u64) {
+        let save = self.save_lock();
+        let Some(record) = self.table().find(id).map(|j| j.record.clone()) else {
+            return;
+        };
+        self.store.append_job(&record);
+        self.telemetry.counter_add("serve_store_appends", 1);
+        if self.store.compaction_due() {
+            self.compact(&save);
+        }
+    }
+
+    /// Compaction: the whole table becomes the store's snapshot and the
+    /// log is emptied. Takes the `save_lock` guard to prove it is held.
+    fn compact(&self, _save: &MutexGuard<'_, ()>) {
         let records = self.table().records();
-        self.store.save_jobs(&records);
+        self.store.compact_jobs(&records);
+        self.telemetry.counter_add("serve_store_compactions", 1);
     }
 }
 
@@ -307,8 +332,8 @@ impl Daemon {
         }
         // Workers are gone: every parked campaign is in the table. Snapshot
         // them so a restart resumes instead of restarting.
-        let _save = self.inner.save_lock();
-        let records = {
+        let save = self.inner.save_lock();
+        {
             let mut table = self.inner.table();
             for job in table.jobs.iter_mut() {
                 if job.record.is_terminal() {
@@ -330,9 +355,8 @@ impl Daemon {
                     self.inner.store.merge_telemetry(job.telemetry.snapshot());
                 }
             }
-            table.records()
-        };
-        self.inner.store.save_jobs(&records);
+        }
+        self.inner.compact(&save);
         self.http = None;
     }
 }
@@ -380,8 +404,10 @@ pub mod signals {
 // ---------------------------------------------------------------------------
 
 fn restore_jobs(inner: &Arc<Inner>) {
+    // An empty store (no snapshot records, no log) has nothing to restore
+    // and nothing to compact.
     let records = inner.store.load_jobs();
-    if records.is_empty() {
+    if records.is_empty() && inner.store.log_bytes() == 0 {
         return;
     }
     {
@@ -425,8 +451,9 @@ fn restore_jobs(inner: &Arc<Inner>) {
             table.jobs.push(job);
         }
     }
-    // Normalize the statuses we just rewrote back to disk.
-    inner.save_jobs();
+    // Normalize the statuses we just rewrote back to disk, folding the
+    // previous run's log into the snapshot.
+    inner.compact(&inner.save_lock());
     inner.cv.notify_all();
 }
 
@@ -539,7 +566,7 @@ fn submit_spec(inner: &Arc<Inner>, spec: JobSpec) -> Result<u64, String> {
         id
     };
     inner.telemetry.counter_add("serve_jobs_submitted", 1);
-    inner.save_jobs();
+    inner.save_job(id);
     inner.cv.notify_all();
     Ok(id)
 }
@@ -566,6 +593,7 @@ fn worker_loop(inner: Arc<Inner>) {
     loop {
         let (id, kind) = {
             let mut table = inner.table();
+            let mut quiet = false;
             loop {
                 if inner.shutting_down() {
                     return;
@@ -578,11 +606,28 @@ fn worker_loop(inner: Arc<Inner>) {
                     }
                     break (job.record.id, job.record.spec.kind.clone());
                 }
-                table = inner
+                // A whole tick without work or wake-ups: the daemon is
+                // quiet, so fold the log into the snapshot to keep
+                // `jobs.json` current. (Compacting as soon as a job ends
+                // would stall the next submit behind a table rewrite.)
+                // One attempt per quiet tick, so a failing write cannot spin.
+                if std::mem::take(&mut quiet) && inner.store.log_bytes() > 0 {
+                    drop(table);
+                    let save = inner.save_lock();
+                    // Another worker may have compacted meanwhile.
+                    if inner.store.log_bytes() > 0 {
+                        inner.compact(&save);
+                    }
+                    drop(save);
+                    table = inner.table();
+                    continue;
+                }
+                let (guard, timeout) = inner
                     .cv
                     .wait_timeout(table, Duration::from_millis(100))
-                    .map(|(t, _)| t)
-                    .unwrap_or_else(|e| e.into_inner().0);
+                    .unwrap_or_else(|e| e.into_inner());
+                table = guard;
+                quiet = timeout.timed_out();
             }
         };
         if kind == "fuzz" {
@@ -605,7 +650,7 @@ fn fail_job(inner: &Arc<Inner>, id: u64, error: String) {
         }
     }
     inner.telemetry.counter_add("serve_jobs_failed", 1);
-    inner.save_jobs();
+    inner.save_job(id);
 }
 
 fn progress_event(id: u64, p: &StepProgress, telemetry: &Telemetry) -> Value {
@@ -669,7 +714,7 @@ fn run_fuzz_slice(inner: &Arc<Inner>, id: u64) {
             }
         }
         inner.store.remove_checkpoint(id);
-        inner.save_jobs();
+        inner.save_job(id);
         return;
     }
 
@@ -746,7 +791,7 @@ fn finish_fuzz(
         }
     }
     inner.telemetry.counter_add("serve_jobs_done", 1);
-    inner.save_jobs();
+    inner.save_job(id);
 }
 
 fn job_triage(
@@ -802,7 +847,7 @@ fn run_short_job(inner: &Arc<Inner>, id: u64) {
             job.leased = false;
         }
     }
-    inner.save_jobs();
+    inner.save_job(id);
 }
 
 fn run_analyze(spec: &JobSpec) -> Result<Value, String> {
@@ -1088,7 +1133,11 @@ fn status_value(inner: &Arc<Inner>) -> Value {
             "hits": (inner.query_db.hits()),
             "recomputes": (inner.query_db.recomputes()),
         },
-        "store": (inner.store.root().display().to_string()),
+        "store": {
+            "root": (inner.store.root().display().to_string()),
+            "log_bytes": (inner.store.log_bytes()),
+            "snapshot_bytes": (inner.store.snapshot_bytes()),
+        },
     })
 }
 
@@ -1113,7 +1162,7 @@ fn cancel_job(inner: &Arc<Inner>, id: u64) -> Result<String, String> {
         }
     };
     if save {
-        inner.save_jobs();
+        inner.save_job(id);
     }
     inner.cv.notify_all();
     Ok(status)

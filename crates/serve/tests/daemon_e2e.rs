@@ -1,15 +1,16 @@
 //! End-to-end daemon tests over the JSON-line protocol: multi-tenant
 //! scheduling with a shared query database, persistent store round-trips
-//! across a restart, and SIGTERM-style checkpoint/resume determinism.
+//! across a restart, SIGTERM-style checkpoint/resume determinism, and the
+//! job log's durability at acknowledgement and replay after a crash.
 
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::{CampaignConfig, CampaignReport, CorpusEntry, SteppedCampaign};
 use metamut_serve::daemon::{Daemon, DaemonConfig};
 use metamut_serve::store::Store;
-use metamut_serve::Client;
+use metamut_serve::{Client, JobRecord, JobSpec};
 use metamut_simcomp::{CompileOptions, Compiler, OptFlags, Profile, QueryDb};
-use metamut_telemetry::Telemetry;
+use metamut_telemetry::{fetch, Telemetry};
 use serde::Value;
 use serde_json::json;
 use std::path::{Path, PathBuf};
@@ -310,6 +311,161 @@ fn events_stream_cancel_and_protocol_errors() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `jobs.log` is gone or empty: everything lives in the snapshot.
+fn log_is_compacted(dir: &Path) -> bool {
+    std::fs::metadata(dir.join("jobs.log")).map_or(true, |m| m.len() == 0)
+}
+
+/// The `jobs.json` snapshot alone, as CI and external tools read it.
+fn snapshot_records(dir: &Path) -> Vec<JobRecord> {
+    let text = std::fs::read_to_string(dir.join("jobs.json")).expect("jobs.json");
+    serde_json::from_str(&text).expect("jobs.json is a JSON array of job records")
+}
+
+/// A counter's value in a Prometheus text page (0 when absent).
+fn prometheus_counter(page: &str, name: &str) -> u64 {
+    page.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|value| value.trim().parse::<f64>().ok())
+        .map_or(0, |value| value as u64)
+}
+
+fn store_field(status: &Value, key: &str) -> u64 {
+    status
+        .get("store")
+        .and_then(|s| s.get(key))
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("status.store.{key} missing: {status:?}"))
+}
+
+#[test]
+fn acknowledged_submits_are_stored_and_the_job_log_is_observable() {
+    let dir = scratch_dir("ack");
+    let mut config = daemon_config(&dir, 2, 16);
+    config.http_addr = Some("127.0.0.1:0".to_string());
+    let daemon = Daemon::start(config).expect("start");
+    let http = daemon.http_addr().expect("http").to_string();
+    let mut client = connect(&daemon);
+
+    // Every acknowledged submit is already in the store, as a fresh
+    // handle (a restarted daemon) reads it.
+    let mut ids = Vec::new();
+    for i in 0..12 {
+        let program = format!("int main() {{ int x; return x + {i}; }}");
+        let id = client
+            .submit(&json!({"cmd": "analyze", "program": program}))
+            .expect("submit");
+        let stored = Store::open(&dir).expect("open").load_jobs();
+        assert!(
+            stored.iter().any(|r| r.id == id),
+            "job {id} was acknowledged before it was stored"
+        );
+        ids.push(id);
+    }
+    for &id in &ids {
+        let job = client.wait(id).expect("wait");
+        assert_eq!(job.get("status").and_then(|v| v.as_str()), Some("done"));
+    }
+
+    // One append per submit and per completion; once the workers go quiet
+    // they compact, which empties the log into the snapshot.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (metrics, status) = loop {
+        let metrics = fetch(&http, "/metrics").expect("/metrics");
+        let status = client.status().expect("status");
+        if prometheus_counter(&metrics, "metamut_serve_store_compactions") > 0
+            && store_field(&status, "log_bytes") == 0
+        {
+            break (metrics, status);
+        }
+        assert!(
+            Instant::now() < deadline,
+            "idle workers never compacted: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(
+        prometheus_counter(&metrics, "metamut_serve_store_appends"),
+        2 * ids.len() as u64
+    );
+    let snapshot_bytes = store_field(&status, "snapshot_bytes");
+    assert_eq!(
+        snapshot_bytes,
+        std::fs::metadata(dir.join("jobs.json"))
+            .expect("jobs.json")
+            .len()
+    );
+    assert!(log_is_compacted(&dir));
+    let snapshot = snapshot_records(&dir);
+    assert_eq!(snapshot.len(), ids.len());
+    assert!(snapshot.iter().all(|r| r.status == "done"));
+
+    daemon.stop();
+    assert!(log_is_compacted(&dir));
+    assert_eq!(snapshot_records(&dir).len(), ids.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_replays_an_uncompacted_log_and_compacts_it() {
+    let dir = scratch_dir("crash");
+    let analyze = |id: u64| JobRecord::new(id, JobSpec::analyze("int main() { return 0; }"));
+    let ended = |id: u64, status: &str| {
+        let mut record = analyze(id);
+        record.status = status.to_string();
+        record.consumed = 1;
+        record
+    };
+    // A run that crashed between compactions: its snapshot holds two
+    // queued jobs, and its log says one finished, one failed, and a third
+    // was submitted and cancelled after the snapshot.
+    let mut done = ended(1, "done");
+    done.result = Some(json!({"kind": "analyze", "findings": [], "ub": 0}));
+    let mut failed = ended(2, "failed");
+    failed.error = Some("boom".to_string());
+    let cancelled = ended(3, "cancelled");
+    {
+        let store = Store::open(&dir).expect("open");
+        store.compact_jobs(&[analyze(1), analyze(2)]);
+        for record in [&done, &failed, &cancelled] {
+            store.append_job(record);
+        }
+    }
+    assert!(!log_is_compacted(&dir));
+
+    let daemon = Daemon::start(daemon_config(&dir, 1, 16)).expect("restart");
+    // Start-up compaction folded the log into the snapshot: the logged
+    // states, not the snapshot's, are what the daemon restored.
+    assert!(log_is_compacted(&dir), "start-up compaction left the log");
+    let as_json = |records: &[&JobRecord]| serde_json::to_string(&records).expect("json");
+    let snapshot = snapshot_records(&dir);
+    assert_eq!(
+        as_json(&snapshot.iter().collect::<Vec<_>>()),
+        as_json(&[&done, &failed, &cancelled])
+    );
+    let mut client = connect(&daemon);
+    for (id, status) in [(1, "done"), (2, "failed"), (3, "cancelled")] {
+        let job = client.job(id).expect("job");
+        assert_eq!(job.get("status").and_then(|v| v.as_str()), Some(status));
+    }
+    assert_eq!(
+        client
+            .job(1)
+            .expect("job")
+            .get("result")
+            .and_then(|r| r.get("kind"))
+            .and_then(|v| v.as_str()),
+        Some("analyze")
+    );
+    // Ids continue after the logged ones.
+    let next = client
+        .submit(&json!({"cmd": "analyze", "program": "int main() { return 0; }"}))
+        .expect("submit");
+    assert_eq!(next, 4);
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
