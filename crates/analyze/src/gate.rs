@@ -1,34 +1,25 @@
-//! The campaign UB gate: decides — cheaply — whether a mutant introduces
-//! undefined behavior its parent seed did not already have.
+//! The campaign UB gate: decides whether a mutant introduces undefined
+//! behavior its parent seed did not already have.
 //!
-//! Cost is the whole game here. A campaign compiles mutants through the
-//! content-addressed memo engine (one mini-parse of the edited
-//! declaration), so a gate that fully re-parses and re-analyzes every
-//! mutant would dominate the iteration. The gate therefore mirrors the
-//! memoized compiler's structure.
+//! Every fresh verdict parses the whole mutant and compares its `Ub`
+//! finding keys against the parent's baseline (the empty set when the
+//! candidate has no parent). Editing one function can change findings in
+//! *unedited* callers — a callee that now returns 0 creates a division by
+//! zero at an old call site — so the analysis always covers the whole
+//! unit. What keeps it cheap is memoization: both the per-function
+//! summary and the per-function UB-key set live in a [`QueryDb`] under a
+//! **content-addressed summary key**, the hash of (global fingerprint,
+//! function text, resolved callee summary keys) computed bottom-up over
+//! the call-graph SCCs. A single-declaration mutant therefore
+//! re-summarizes only the edited function and its SCC ancestors
+//! (transitive callers); every other function is a memo hit — observable
+//! via [`UbGate::summary_hits`] / [`UbGate::summary_recomputes`] and the
+//! `analyze_summary_hits` / `analyze_summary_recomputes` telemetry
+//! counters.
 //!
-//! Editing one function can change findings in *unedited* callers — a
-//! callee that now returns 0 creates a division by zero at an old call
-//! site — so per-chunk verdicts would be unsound. Instead the gate
-//! splices each edited chunk's mini-parsed function into the parent's
-//! declaration list and re-runs the whole-unit summary analysis, with
-//! both the per-function summary and the per-function UB-key set
-//! memoized in a [`QueryDb`] under a **content-addressed summary key**:
-//! the hash of (global fingerprint, function text, resolved callee
-//! summary keys), computed bottom-up over the call-graph SCCs. A
-//! single-declaration mutant therefore re-summarizes only the edited
-//! function and its SCC ancestors (transitive callers); every other
-//! function is a memo hit — observable via [`UbGate::summary_hits`] /
-//! [`UbGate::summary_recomputes`] and the `analyze_summary_hits` /
-//! `analyze_summary_recomputes` telemetry counters.
-//!
-//! Anything the splice path cannot handle — non-function edits,
-//! chunk-count changes, parse failures — falls back to a full parse +
-//! analyze, which still reuses the summary memos. A mutant that does
-//! not parse is **never** gated: the
-//! compiler must see it and reject it so compilable-ratio accounting
-//! stays truthful. Verdicts are cached per `(parent, mutant)` content
-//! hash.
+//! A mutant that does not parse is **never** gated: the compiler must see
+//! it and reject it so compilable-ratio accounting stays truthful.
+//! Verdicts are cached per `(parent, mutant)` content hash.
 
 use crate::analyses::{analyze_function_with, collect_globals, summarize_function, GlobalInfo};
 use crate::callgraph::CallGraph;
@@ -37,38 +28,12 @@ use crate::summary::{summarize_functions, FnSummary};
 use metamut_lang::ast::{ExternalDecl, FunctionDef, TranslationUnit};
 use metamut_lang::chash::{hash128, Sip128};
 use metamut_lang::fxhash::{FxHashMap, FxHashSet};
-use metamut_lang::{parse, parse_with_typedefs, split_source, Ast, DeclChunk};
-use metamut_query::{dirty_set, KindId, QueryDb};
+use metamut_lang::{parse, Ast};
+use metamut_query::{KindId, QueryDb};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Cached full analysis of one parent seed.
-struct ParentInfo {
-    /// Per-chunk content hashes from `split_source`, or `None` when the
-    /// parent does not lex (every mutant then takes the full path).
-    chunk_hashes: Option<Vec<u128>>,
-    /// Span-insensitive keys of every `Ub` finding in the parent. A
-    /// mutant finding matching any of these is not *new*.
-    ub: BTreeSet<FindingKey>,
-    /// Typedef names, so single-declaration mutants mini-parse correctly.
-    typedefs: FxHashSet<String>,
-    /// File-scope facts for analyzing a lone edited function.
-    globals: GlobalInfo,
-    /// The parent source, for slicing declaration texts (summary keys
-    /// hash the exact decl text).
-    src: String,
-    /// The parsed parent, kept for the interprocedural splice path.
-    ast: Option<Ast>,
-    /// Chunk index → declaration index, when the chunk holds exactly
-    /// that one declaration (the splice path's alignment).
-    chunk_decl: Vec<Option<usize>>,
-    /// Fingerprint of everything outside function bodies that the
-    /// analyses can observe: volatile names, global array sizes, typedef
-    /// names. Function-only edits preserve it.
-    globals_hash: u128,
-}
 
 /// Bumps the `analyze_findings{analysis}` counter family for one freshly
 /// analyzed mutant.
@@ -85,23 +50,12 @@ fn count_findings(findings: &[Finding]) {
     }
 }
 
-/// Typedef names of a unit (they change how a lone chunk parses).
-fn typedef_names(unit: &TranslationUnit) -> FxHashSet<String> {
-    let mut typedefs = FxHashSet::default();
-    for d in &unit.decls {
-        if let ExternalDecl::Typedef(t) = d {
-            typedefs.insert(t.name.clone());
-        }
-    }
-    typedefs
-}
-
 /// Content fingerprint of the analysis-visible file scope: sorted
 /// volatile names, sorted `(array, size)` pairs, sorted typedef names.
 /// Two units with equal fingerprints analyze any byte-identical function
 /// identically, which is what licenses sharing summary memos between the
 /// parent and its function-only mutants.
-fn globals_fingerprint(globals: &GlobalInfo, typedefs: &FxHashSet<String>) -> u128 {
+fn globals_fingerprint(globals: &GlobalInfo, unit: &TranslationUnit) -> u128 {
     let mut h = Sip128::default();
     let mut vol: Vec<&str> = globals.volatile.iter().map(String::as_str).collect();
     vol.sort_unstable();
@@ -120,8 +74,16 @@ fn globals_fingerprint(globals: &GlobalInfo, typedefs: &FxHashSet<String>) -> u1
         h.write_str(name);
         h.write_u128(size as u128);
     }
-    let mut tds: Vec<&str> = typedefs.iter().map(String::as_str).collect();
+    let mut tds: Vec<&str> = unit
+        .decls
+        .iter()
+        .filter_map(|d| match d {
+            ExternalDecl::Typedef(t) => Some(t.name.as_str()),
+            _ => None,
+        })
+        .collect();
     tds.sort_unstable();
+    tds.dedup();
     h.write_u64(tds.len() as u64);
     for t in tds {
         h.write_str(t);
@@ -203,13 +165,15 @@ struct GateKinds {
 
 /// Shared, thread-safe UB gate for a fuzzing campaign.
 pub struct UbGate {
-    parents: Mutex<FxHashMap<u128, Arc<ParentInfo>>>,
+    /// Span-insensitive `Ub` finding keys of each parent seed, keyed by
+    /// its content hash. A mutant finding matching one of these is not
+    /// *new*.
+    baselines: Mutex<FxHashMap<u128, Arc<BTreeSet<FindingKey>>>>,
     /// Keyed by (parent content hash, or 0 without a parent; mutant
     /// content hash).
     verdicts: Mutex<FxHashMap<(u128, u128), bool>>,
     checked: AtomicU64,
     filtered: AtomicU64,
-    fast_path: AtomicU64,
     summary_hits: AtomicU64,
     summary_recomputes: AtomicU64,
     /// The query database memoizing per-function summaries and
@@ -239,11 +203,10 @@ impl UbGate {
             fn_ub: db.register_kind("fn-ub"),
         });
         UbGate {
-            parents: Mutex::default(),
+            baselines: Mutex::default(),
             verdicts: Mutex::default(),
             checked: AtomicU64::new(0),
             filtered: AtomicU64::new(0),
-            fast_path: AtomicU64::new(0),
             summary_hits: AtomicU64::new(0),
             summary_recomputes: AtomicU64::new(0),
             db,
@@ -261,9 +224,10 @@ impl UbGate {
         self.filtered.load(Ordering::Relaxed)
     }
 
-    /// Fresh verdicts that took the incremental fast path.
+    /// Always 0: the gate has a single decision path. Kept only because
+    /// the frozen `exp_perf` benchmark still reads it.
     pub fn fast_path(&self) -> u64 {
-        self.fast_path.load(Ordering::Relaxed)
+        0
     }
 
     /// Function-summary memo hits.
@@ -305,133 +269,43 @@ impl UbGate {
     }
 
     fn decide(&self, parent: Option<&str>, mutant: &str) -> bool {
-        let info = parent.map(|p| self.parent_info(p));
-        let baseline: &BTreeSet<FindingKey> = match &info {
-            Some(i) => &i.ub,
-            None => {
-                static EMPTY: std::sync::OnceLock<BTreeSet<FindingKey>> =
-                    std::sync::OnceLock::new();
-                EMPTY.get_or_init(BTreeSet::new)
-            }
-        };
-        if let Some(i) = &info {
-            if let Some(verdict) = self.spliced_verdict(i, mutant, baseline) {
-                return verdict;
-            }
-        }
+        let baseline = parent.map(|p| self.baseline(p));
         let Ok(ast) = parse("<ub-gate>", mutant) else {
             return false;
         };
         let keys = self.unit_ub_keys(&ast, mutant);
-        !keys.is_subset(baseline)
+        baseline.map_or(!keys.is_empty(), |b| !keys.is_subset(&b))
     }
 
-    /// The splice fast path: every dirty chunk mini-parses to a single
-    /// function definition aligned with one parent declaration, so the
-    /// mutant's unit is the parent's declaration list with those
-    /// functions swapped in — no full re-parse, parent globals reused
-    /// (function-only edits cannot change them). The whole spliced unit
-    /// is then analyzed through the summary memos: unchanged functions
-    /// whose callee cone is also unchanged are cache hits.
-    fn spliced_verdict(
-        &self,
-        parent: &ParentInfo,
-        mutant: &str,
-        baseline: &BTreeSet<FindingKey>,
-    ) -> Option<bool> {
-        let parent_hashes = parent.chunk_hashes.as_ref()?;
-        let ast = parent.ast.as_ref()?;
-        let (_, chunks) = split_source(mutant)?;
-        if chunks.len() != parent_hashes.len() {
-            return None;
-        }
-        let hashes: Vec<u128> = chunks.iter().map(|c| c.hash).collect();
-        let edited = dirty_set(parent_hashes, &hashes)?;
-        if edited.is_empty() {
-            // Byte-shuffled but chunk-identical: nothing new.
-            return Some(false);
-        }
-
-        // Mini-parse each edited chunk; all-or-nothing.
-        let mut repl: FxHashMap<usize, (Ast, &str)> = FxHashMap::default();
-        for &c in &edited {
-            let d = parent.chunk_decl.get(c).copied().flatten()?;
-            let ExternalDecl::Function(pf) = &ast.unit.decls[d] else {
-                return None;
-            };
-            pf.body.as_ref()?;
-            let chunk_src = chunks[c].text(mutant);
-            let cast = parse_with_typedefs("<ub-gate-chunk>", chunk_src, &parent.typedefs).ok()?;
-            let [ExternalDecl::Function(f)] = &cast.unit.decls[..] else {
-                return None;
-            };
-            f.body.as_ref()?;
-            repl.insert(d, (cast, chunk_src));
-        }
-
-        let mut funcs: Vec<&FunctionDef> = Vec::new();
-        let mut texts: Vec<&str> = Vec::new();
-        for (d, decl) in ast.unit.decls.iter().enumerate() {
-            if let Some((cast, csrc)) = repl.get(&d) {
-                let [ExternalDecl::Function(f)] = &cast.unit.decls[..] else {
-                    unreachable!("validated above");
-                };
-                funcs.push(f);
-                texts.push(&csrc[f.span.lo as usize..f.span.hi as usize]);
-            } else if let ExternalDecl::Function(f) = decl {
-                if f.body.is_some() {
-                    funcs.push(f);
-                    texts.push(&parent.src[f.span.lo as usize..f.span.hi as usize]);
-                }
-            }
-        }
-        let keys =
-            self.analyze_functions_memo(&funcs, &texts, &parent.globals, parent.globals_hash);
-        self.fast_path.fetch_add(1, Ordering::Relaxed);
-        Some(!keys.is_subset(baseline))
-    }
-
-    /// Summary-driven UB keys of a fully parsed unit, routed through the
-    /// memo engine so the splice path and the full path share artifacts.
+    /// Summary-driven UB keys of a parsed unit: a bottom-up
+    /// summarize-and-analyze over its function definitions, memoizing
+    /// per-function summaries and UB-key sets under content-addressed
+    /// summary keys. Each key hashes the function's exact declaration
+    /// text, so byte-identical functions share memos across mutants and
+    /// seeds.
     fn unit_ub_keys(&self, ast: &Ast, src: &str) -> BTreeSet<FindingKey> {
         let globals = collect_globals(&ast.unit);
-        let typedefs = typedef_names(&ast.unit);
-        let globals_hash = globals_fingerprint(&globals, &typedefs);
+        let globals_hash = globals_fingerprint(&globals, &ast.unit);
         let mut funcs: Vec<&FunctionDef> = Vec::new();
-        let mut texts: Vec<&str> = Vec::new();
+        let mut fn_hashes: Vec<u128> = Vec::new();
         for decl in &ast.unit.decls {
             if let ExternalDecl::Function(f) = decl {
                 if f.body.is_some() {
                     funcs.push(f);
-                    texts.push(&src[f.span.lo as usize..f.span.hi as usize]);
+                    fn_hashes.push(hash128(
+                        &src.as_bytes()[f.span.lo as usize..f.span.hi as usize],
+                    ));
                 }
             }
         }
-        self.analyze_functions_memo(&funcs, &texts, &globals, globals_hash)
-    }
-
-    /// Bottom-up summarize-and-analyze over a function list, memoizing
-    /// per-function summaries and UB-key sets under content-addressed
-    /// summary keys. `texts[i]` must be the exact declaration text of
-    /// `funcs[i]` — byte-identical declarations hash identically whether
-    /// they came from a full parse or a spliced chunk, which is what
-    /// makes the memos shareable across paths and across seeds.
-    fn analyze_functions_memo(
-        &self,
-        funcs: &[&FunctionDef],
-        texts: &[&str],
-        globals: &GlobalInfo,
-        globals_hash: u128,
-    ) -> BTreeSet<FindingKey> {
         let (db, kinds) = (&self.db, &self.kinds);
         let telemetry = metamut_telemetry::handle();
-        let cg = CallGraph::build(funcs);
-        let fn_hashes: Vec<u128> = texts.iter().map(|t| hash128(t.as_bytes())).collect();
-        let skeys = summary_keys(&cg, funcs, &fn_hashes, globals_hash);
+        let cg = CallGraph::build(&funcs);
+        let skeys = summary_keys(&cg, &funcs, &fn_hashes, globals_hash);
 
-        let env = summarize_functions(funcs, &cg, |i, env| {
+        let env = summarize_functions(&funcs, &cg, |i, env| {
             let (value, hit) = db.memo_once(kinds.summary, skeys[i], || {
-                Arc::new(summarize_function(funcs[i], globals, env))
+                Arc::new(summarize_function(funcs[i], &globals, env))
             });
             if hit {
                 self.summary_hits.fetch_add(1, Ordering::Relaxed);
@@ -451,7 +325,7 @@ impl UbGate {
         let mut all = BTreeSet::new();
         for (i, f) in funcs.iter().enumerate() {
             let (value, _) = db.memo_once(kinds.fn_ub, skeys[i], || {
-                let findings = analyze_function_with(f, globals, &env);
+                let findings = analyze_function_with(f, &globals, &env);
                 count_findings(&findings);
                 Arc::new(ub_keys(&findings))
             });
@@ -467,75 +341,21 @@ impl UbGate {
     // Parent baselines
     // ------------------------------------------------------------------
 
-    fn parent_info(&self, parent: &str) -> Arc<ParentInfo> {
+    /// The parent's baseline key set, analyzed once per parent. The
+    /// analysis runs through the summary memos, so it pre-warms them and
+    /// the first mutant only pays for its own edit. An unparseable parent
+    /// has an empty baseline.
+    fn baseline(&self, parent: &str) -> Arc<BTreeSet<FindingKey>> {
         let key = hash128(parent.as_bytes());
-        if let Some(info) = self.parents.lock().get(&key) {
-            return Arc::clone(info);
+        if let Some(ub) = self.baselines.lock().get(&key) {
+            return Arc::clone(ub);
         }
-        let split = split_source(parent);
-        let chunk_hashes: Option<Vec<u128>> = split
-            .as_ref()
-            .map(|(_, chunks)| chunks.iter().map(|c| c.hash).collect());
-        let info = match parse("<ub-gate-parent>", parent) {
-            Ok(ast) => {
-                let typedefs = typedef_names(&ast.unit);
-                let globals = collect_globals(&ast.unit);
-                let globals_hash = globals_fingerprint(&globals, &typedefs);
-                let chunk_decl = split
-                    .as_ref()
-                    .map(|(_, chunks)| align_chunks(chunks, &ast.unit.decls))
-                    .unwrap_or_default();
-                // Parent baselines run through the memo engine:
-                // analyzing the parent pre-warms the summary store, so
-                // the first mutant only pays for its own edit.
-                let ub = self.unit_ub_keys(&ast, parent);
-                Arc::new(ParentInfo {
-                    chunk_hashes,
-                    ub,
-                    typedefs,
-                    globals,
-                    src: parent.to_owned(),
-                    ast: Some(ast),
-                    chunk_decl,
-                    globals_hash,
-                })
-            }
-            Err(_) => Arc::new(ParentInfo {
-                chunk_hashes,
-                ub: BTreeSet::new(),
-                typedefs: FxHashSet::default(),
-                globals: GlobalInfo::default(),
-                src: parent.to_owned(),
-                ast: None,
-                chunk_decl: Vec::new(),
-                globals_hash: 0,
-            }),
-        };
-        self.parents.lock().insert(key, Arc::clone(&info));
-        info
+        let ub = Arc::new(
+            parse("<ub-gate-parent>", parent)
+                .map(|ast| self.unit_ub_keys(&ast, parent))
+                .unwrap_or_default(),
+        );
+        self.baselines.lock().insert(key, Arc::clone(&ub));
+        ub
     }
-}
-
-/// Maps each chunk to the unique declaration it contains (`None` when a
-/// chunk holds zero or several declarations, or a declaration straddles
-/// a chunk boundary). Both lists are in source order, so one forward
-/// pass aligns them.
-fn align_chunks(chunks: &[DeclChunk], decls: &[ExternalDecl]) -> Vec<Option<usize>> {
-    let mut map = vec![None; chunks.len()];
-    let mut d = 0;
-    for (c, chunk) in chunks.iter().enumerate() {
-        let mut inside = 0;
-        let mut only = None;
-        while d < decls.len() && decls[d].span().hi <= chunk.span.hi {
-            if decls[d].span().lo >= chunk.span.lo {
-                inside += 1;
-                only = Some(d);
-            }
-            d += 1;
-        }
-        if inside == 1 {
-            map[c] = only;
-        }
-    }
-    map
 }

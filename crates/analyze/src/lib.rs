@@ -20,9 +20,9 @@
 //!   return lattice, observability and termination — which call sites
 //!   consume to make every check interprocedural.
 //! - [`alpha`] detects no-op mutants via α-equivalence of reprints.
-//! - [`gate`] packages it all as a thread-safe campaign filter with an
-//!   incremental single-function fast path and content-addressed summary
-//!   memoization on a shared query database.
+//! - [`gate`] packages it all as a thread-safe campaign filter: a full
+//!   parse of each mutant, checked against its parent's UB baseline, with
+//!   content-addressed summary memoization on a shared query database.
 //! - [`fixtures`] is the seeded-UB / known-clean corpus the tests and the
 //!   `exp_analyze` bench gates run against.
 //!

@@ -23,16 +23,11 @@ fn clean_mutant_passes() {
 }
 
 #[test]
-fn new_ub_is_gated_via_fast_path() {
+fn new_ub_in_one_edited_body_is_gated() {
     let gate = UbGate::new();
     let mutant = PARENT.replace("acc = acc + helper(i, i + 1);", "acc = acc / 0;");
     assert_ne!(mutant, PARENT);
     assert!(gate.introduces_new_ub(Some(PARENT), &mutant));
-    assert_eq!(
-        gate.fast_path(),
-        1,
-        "a single-function body edit must take the incremental path"
-    );
     assert_eq!(gate.filtered(), 1);
 }
 
@@ -70,12 +65,13 @@ fn verdicts_are_cached() {
     let gate = UbGate::new();
     let mutant = PARENT.replace("return acc;", "return acc / 0;");
     assert!(gate.introduces_new_ub(Some(PARENT), &mutant));
+    let recomputes = gate.summary_recomputes();
     assert!(gate.introduces_new_ub(Some(PARENT), &mutant));
     assert_eq!(gate.checked(), 2);
     assert_eq!(gate.filtered(), 2);
     assert_eq!(
-        gate.fast_path(),
-        1,
+        gate.summary_recomputes(),
+        recomputes,
         "second query must hit the verdict cache"
     );
 }
@@ -87,24 +83,21 @@ fn multi_chunk_edits_fall_back_to_full_analysis() {
         .replace("int g = 3;", "int g = 4;")
         .replace("return acc;", "return acc / 0;");
     assert!(gate.introduces_new_ub(Some(PARENT), &mutant));
-    assert_eq!(gate.fast_path(), 0);
 }
 
 #[test]
-fn multi_function_edits_take_the_fast_path() {
-    // Two function bodies edited at once: the dirty set names both, each
-    // mini-parses to a lone definition, and the verdicts union.
+fn two_edited_bodies_gate_only_when_one_adds_ub() {
+    // Two function bodies edited at once: clean edits pass, and new UB in
+    // either body gates the mutant.
     let gate = UbGate::new();
     let clean = PARENT
         .replace("a * b + g", "a + b + g")
         .replace("int acc = 0;", "int acc = 1;");
     assert!(!gate.introduces_new_ub(Some(PARENT), &clean));
-    assert_eq!(gate.fast_path(), 1);
     let dirty = PARENT
         .replace("a * b + g", "a + b + g")
         .replace("int acc = 0;", "int acc = 1 / 0;");
     assert!(gate.introduces_new_ub(Some(PARENT), &dirty));
-    assert_eq!(gate.fast_path(), 2, "k-chunk edits must stay incremental");
     assert_eq!(gate.checked(), 2);
     assert_eq!(gate.filtered(), 1);
 }
@@ -141,7 +134,6 @@ fn single_decl_edit_resummarizes_only_scc_ancestors() {
     let gate = UbGate::with_db(db);
     let mutant = parent.replace("return x + 1;", "return x + 2;");
     assert!(!gate.introduces_new_ub(Some(parent), &mutant));
-    assert_eq!(gate.fast_path(), 1);
     assert_eq!(
         gate.summary_recomputes(),
         7,
@@ -160,25 +152,6 @@ fn gate_catches_cross_call_ub() {
     let mutant = parent.replace("return 1;", "return 0;");
     let gate = UbGate::new();
     assert!(gate.introduces_new_ub(Some(parent), &mutant));
-    assert_eq!(gate.fast_path(), 1, "a lone body edit stays incremental");
-}
-
-#[test]
-fn spliced_and_full_interproc_paths_agree() {
-    let parent = "int zero(void) { return 1; }\n\
-                  int g = 1;\n\
-                  int f(void) { return 10 / zero(); }\n";
-    // Function-only edit: the splice path decides it.
-    let spliced = parent.replace("return 1;", "return 0;");
-    let g1 = UbGate::new();
-    assert!(g1.introduces_new_ub(Some(parent), &spliced));
-    assert_eq!(g1.fast_path(), 1);
-    // Same edit plus a global edit: chunk alignment fails, full path —
-    // and the verdict is the same.
-    let full = spliced.replace("int g = 1;", "int g = 2;");
-    let g2 = UbGate::new();
-    assert!(g2.introduces_new_ub(Some(parent), &full));
-    assert_eq!(g2.fast_path(), 0);
 }
 
 #[test]

@@ -16,10 +16,10 @@
 //! mutant throughput may drop by at most **10%** versus the same serial
 //! μCFuzz campaign with `--no-ub-filter`. The gated and ungated campaigns
 //! run as one interleaved best-of-N pair; the gated leg's stats also
-//! report the gate's fast-path rate and its summary memo hits and
-//! recomputes (per-function summaries are memoized under content keys,
-//! so a single-declaration mutant re-summarizes only the edited function
-//! and its transitive callers).
+//! report the gate's summary memo hits and recomputes (per-function
+//! summaries are memoized under content keys, so a single-declaration
+//! mutant re-summarizes only the edited function and its transitive
+//! callers).
 //!
 //! Every fixture check holds at any scale — a wrong verdict is wrong in
 //! smoke mode too; the cost check is a timing check, skipped in smoke.
@@ -79,7 +79,6 @@ struct GateStats {
     overhead_pct: f64,
     mutants_checked: u64,
     mutants_filtered: u64,
-    fast_path_rate_pct: f64,
     summary_hits: u64,
     summary_recomputes: u64,
     summary_hit_rate_pct: f64,
@@ -233,7 +232,6 @@ fn main() {
         overhead_pct: 100.0 * (gated_s - unfiltered_s) / unfiltered_s,
         mutants_checked: ub.checked,
         mutants_filtered: ub.filtered,
-        fast_path_rate_pct: pct(ub.fast_path, ub.checked),
         summary_hits: ub.summary_hits,
         summary_recomputes: ub.summary_recomputes,
         summary_hit_rate_pct: pct(ub.summary_hits, ub.summary_hits + ub.summary_recomputes),
@@ -269,7 +267,6 @@ fn main() {
                 "Mutants/s",
                 "Checked",
                 "Filtered",
-                "Fast path",
                 "Memo hits",
                 "Overhead"
             ],
@@ -281,14 +278,12 @@ fn main() {
                     "-".into(),
                     "-".into(),
                     "-".into(),
-                    "-".into(),
                 ],
                 vec![
                     "UB gate".into(),
                     format!("{:.0}", c.gated_per_sec),
                     c.mutants_checked.to_string(),
                     c.mutants_filtered.to_string(),
-                    format!("{:.0}%", c.fast_path_rate_pct),
                     format!("{:.0}%", c.summary_hit_rate_pct),
                     format!("{:+.1}%", c.overhead_pct),
                 ],
@@ -313,7 +308,7 @@ fn main() {
                metamut_analyze::fixtures (leaks = cross-call fixtures the analysis flags \
                without summaries); gate cost = serial uCFuzz campaign over the seed corpus \
                vs gcc-sim -O2, ub_filter on vs off, best-of-N wall time over interleaved \
-               rounds; fast-path rate and summary memo hits/recomputes from the gated leg"
+               rounds; summary memo hits/recomputes from the gated leg"
             .into(),
     };
     write_bench("analysis", &opts, &results, checks);

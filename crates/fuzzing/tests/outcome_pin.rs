@@ -35,8 +35,8 @@ const DEDUP: DedupStats = DedupStats {
 const UB: UbStats = UbStats {
     checked: 1_680,
     filtered: 23,
-    fast_path: 1_471,
-    summary_hits: 1_992,
+    fast_path: 0,
+    summary_hits: 2_026,
     summary_recomputes: 2_626,
 };
 

@@ -26,7 +26,6 @@
 
 pub mod ast;
 pub mod chash;
-pub mod declsplit;
 pub mod error;
 pub mod fxhash;
 pub mod lexer;
@@ -40,9 +39,8 @@ pub mod types;
 pub mod visit;
 
 pub use ast::Ast;
-pub use declsplit::{split_decls, split_source, DeclChunk};
 pub use error::{Diagnostic, Diagnostics};
-pub use parser::{parse, parse_with_typedefs};
+pub use parser::parse;
 pub use rewrite::Rewriter;
 pub use sema::{analyze, SemaResult};
 pub use source::{SourceFile, Span};

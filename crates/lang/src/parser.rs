@@ -28,30 +28,9 @@ use crate::token::{Token, TokenKind};
 /// # Ok::<(), metamut_lang::error::Diagnostics>(())
 /// ```
 pub fn parse(name: &str, src: &str) -> Result<Ast, Diagnostics> {
-    parse_with_typedefs(name, src, &FxHashSet::default())
-}
-
-/// Like [`parse`], but with `typedefs` pre-seeded into the parser's typedef
-/// table.
-///
-/// This is the entry point for parsing a single declaration excised from a
-/// larger translation unit: the lexer hack needs the typedef names the
-/// earlier declarations introduced, and nothing else from them (this subset
-/// only admits file-scope typedefs, so the seeded set fully reproduces the
-/// parser state at any declaration boundary).
-///
-/// # Errors
-///
-/// Returns the accumulated diagnostics if lexing or parsing fails.
-pub fn parse_with_typedefs(
-    name: &str,
-    src: &str,
-    typedefs: &FxHashSet<String>,
-) -> Result<Ast, Diagnostics> {
     let tokens = lex(src)?;
     let file = SourceFile::new(name, src);
     let mut p = Parser::new(&file, tokens);
-    p.typedefs = typedefs.clone();
     match p.parse_translation_unit() {
         Ok(unit) => {
             let node_count = p.next_id;
@@ -66,6 +45,19 @@ pub fn parse_with_typedefs(
     }
 }
 
+/// How deep the tree [`parse`] builds may nest. Each nested paren,
+/// operand, statement, block, initializer list and declarator level
+/// counts one, and so does each step of a left-deep fold (`a+b+c`,
+/// `f()()`, `a,b,c`). Deeper input is a parse error instead of a stack
+/// overflow.
+///
+/// The bound is set by debug builds, where the parser's recursive
+/// descent takes up to ~25 KiB of stack per level (nested blocks): 64
+/// levels parse, type-check, analyze and compile within a 2 MiB thread
+/// stack with room to spare. Generated programs and campaign mutants
+/// reach about 15.
+pub const MAX_NESTING: u32 = 64;
+
 /// Internal abort marker; the real error lives in `Parser::diags`.
 type PResult<T> = Result<T, ()>;
 
@@ -76,6 +68,11 @@ struct Parser<'f> {
     next_id: u32,
     typedefs: FxHashSet<String>,
     diags: Diagnostics,
+    /// Nesting level of the node being parsed (see [`MAX_NESTING`]).
+    depth: u32,
+    /// Deepest level the tree reaches so far; [`Parser::measure`]
+    /// scopes it to one subtree.
+    high: u32,
 }
 
 /// Parsed declaration specifiers.
@@ -148,7 +145,53 @@ impl<'f> Parser<'f> {
             next_id: 0,
             typedefs: FxHashSet::default(),
             diags: Diagnostics::new(),
+            depth: 0,
+            high: 0,
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Nesting limit
+    // ------------------------------------------------------------------
+
+    /// Records that the tree reaches `h` levels below the current one.
+    fn reach(&mut self, h: u32) -> PResult<()> {
+        if self.depth + h > MAX_NESTING {
+            return self.error(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.high = self.high.max(self.depth + h);
+        Ok(())
+    }
+
+    /// Moves one level down; the caller restores `depth`.
+    fn descend(&mut self) -> PResult<()> {
+        self.depth += 1;
+        self.reach(0)
+    }
+
+    /// Parses a child one level below the current node.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.descend()?;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// Starts measuring what is parsed next at the current level, for
+    /// folds: wrapping an operand pushes all of it one level down, so a
+    /// fold needs its operand's [`Parser::height`]. Returns the outer
+    /// watermark, which [`Parser::unmeasure`] merges back.
+    fn measure(&mut self) -> u32 {
+        std::mem::replace(&mut self.high, self.depth)
+    }
+
+    /// How many levels below the current one the measured part reaches.
+    fn height(&self) -> u32 {
+        self.high - self.depth
+    }
+
+    fn unmeasure(&mut self, outer: u32) {
+        self.high = self.high.max(outer);
     }
 
     // ------------------------------------------------------------------
@@ -626,7 +669,7 @@ impl<'f> Parser<'f> {
         if self.eat(TokenKind::LBrace) {
             let mut fields = Vec::new();
             while !self.at(TokenKind::RBrace) {
-                self.parse_field_decl(&mut fields)?;
+                self.nested(|p| p.parse_field_decl(&mut fields))?;
             }
             self.expect(TokenKind::RBrace)?;
             let span = Span::new(lo, self.prev_end());
@@ -731,8 +774,11 @@ impl<'f> Parser<'f> {
 
     /// Parses a (possibly abstract) declarator.
     fn parse_declarator(&mut self, abstract_ok: bool) -> PResult<Declarator> {
+        // Each pointer and suffix wraps the type one level deeper.
+        let outer = self.depth;
         let mut ptrs = Vec::new();
         while self.eat(TokenKind::Star) {
+            self.descend()?;
             let mut q = Quals::NONE;
             loop {
                 match self.kind() {
@@ -759,7 +805,7 @@ impl<'f> Parser<'f> {
             DeclrCore::Name(self.file.snippet(tok.span).to_string(), tok.span)
         } else if self.at(TokenKind::LParen) && self.is_paren_declarator() {
             self.bump();
-            let inner = self.parse_declarator(abstract_ok)?;
+            let inner = self.nested(|p| p.parse_declarator(abstract_ok))?;
             self.expect(TokenKind::RParen)?;
             DeclrCore::Paren(Box::new(inner))
         } else if abstract_ok {
@@ -771,6 +817,7 @@ impl<'f> Parser<'f> {
         let mut suffixes = Vec::new();
         loop {
             if self.eat(TokenKind::LBracket) {
+                self.descend()?;
                 let size = if self.at(TokenKind::RBracket) {
                     None
                 } else {
@@ -778,8 +825,8 @@ impl<'f> Parser<'f> {
                 };
                 self.expect(TokenKind::RBracket)?;
                 suffixes.push(Suffix::Array(size));
-            } else if self.at(TokenKind::LParen) {
-                self.bump();
+            } else if self.eat(TokenKind::LParen) {
+                self.descend()?;
                 let (params, variadic) = self.parse_param_list()?;
                 self.expect(TokenKind::RParen)?;
                 suffixes.push(Suffix::Func(params, variadic));
@@ -787,6 +834,7 @@ impl<'f> Parser<'f> {
                 break;
             }
         }
+        self.depth = outer;
 
         Ok(Declarator {
             ptrs,
@@ -901,11 +949,12 @@ impl<'f> Parser<'f> {
             if self.at(TokenKind::Eof) {
                 return self.error("unexpected end of input in block");
             }
-            if self.starts_decl() {
-                items.push(BlockItem::Decl(self.parse_local_decl()?));
+            let item = if self.starts_decl() {
+                BlockItem::Decl(self.nested(Self::parse_local_decl)?)
             } else {
-                items.push(BlockItem::Stmt(self.parse_stmt()?));
-            }
+                BlockItem::Stmt(self.nested(Self::parse_stmt)?)
+            };
+            items.push(item);
         }
         self.expect(TokenKind::RBrace)?;
         let id = self.id();
@@ -984,7 +1033,7 @@ impl<'f> Parser<'f> {
             self.bump();
             let mut items = Vec::new();
             while !self.at(TokenKind::RBrace) {
-                items.push(self.parse_initializer()?);
+                items.push(self.nested(Self::parse_initializer)?);
                 if !self.eat(TokenKind::Comma) {
                     break;
                 }
@@ -1020,9 +1069,9 @@ impl<'f> Parser<'f> {
                 self.expect(LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect(RParen)?;
-                let then_stmt = Box::new(self.parse_stmt()?);
+                let then_stmt = Box::new(self.nested(Self::parse_stmt)?);
                 let else_stmt = if self.eat(KwElse) {
-                    Some(Box::new(self.parse_stmt()?))
+                    Some(Box::new(self.nested(Self::parse_stmt)?))
                 } else {
                     None
                 };
@@ -1042,7 +1091,7 @@ impl<'f> Parser<'f> {
                 self.expect(LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect(RParen)?;
-                let body = Box::new(self.parse_stmt()?);
+                let body = Box::new(self.nested(Self::parse_stmt)?);
                 let id = self.id();
                 Ok(Stmt {
                     id,
@@ -1052,7 +1101,7 @@ impl<'f> Parser<'f> {
             }
             KwDo => {
                 self.bump();
-                let body = Box::new(self.parse_stmt()?);
+                let body = Box::new(self.nested(Self::parse_stmt)?);
                 self.expect(KwWhile)?;
                 self.expect(LParen)?;
                 let cond = self.parse_expr()?;
@@ -1090,7 +1139,7 @@ impl<'f> Parser<'f> {
                     Some(self.parse_expr()?)
                 };
                 self.expect(RParen)?;
-                let body = Box::new(self.parse_stmt()?);
+                let body = Box::new(self.nested(Self::parse_stmt)?);
                 let id = self.id();
                 Ok(Stmt {
                     id,
@@ -1108,7 +1157,7 @@ impl<'f> Parser<'f> {
                 self.expect(LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect(RParen)?;
-                let body = Box::new(self.parse_stmt()?);
+                let body = Box::new(self.nested(Self::parse_stmt)?);
                 let id = self.id();
                 Ok(Stmt {
                     id,
@@ -1120,7 +1169,7 @@ impl<'f> Parser<'f> {
                 self.bump();
                 let expr = self.parse_conditional_expr()?;
                 self.expect(Colon)?;
-                let stmt = Box::new(self.parse_stmt()?);
+                let stmt = Box::new(self.nested(Self::parse_stmt)?);
                 let id = self.id();
                 Ok(Stmt {
                     id,
@@ -1131,7 +1180,7 @@ impl<'f> Parser<'f> {
             KwDefault => {
                 self.bump();
                 self.expect(Colon)?;
-                let stmt = Box::new(self.parse_stmt()?);
+                let stmt = Box::new(self.nested(Self::parse_stmt)?);
                 let id = self.id();
                 Ok(Stmt {
                     id,
@@ -1193,7 +1242,7 @@ impl<'f> Parser<'f> {
                 let tok = self.bump();
                 let name = self.file.snippet(tok.span).to_string();
                 self.bump(); // ':'
-                let stmt = Box::new(self.parse_stmt()?);
+                let stmt = Box::new(self.nested(Self::parse_stmt)?);
                 let id = self.id();
                 Ok(Stmt {
                     id,
@@ -1224,9 +1273,13 @@ impl<'f> Parser<'f> {
 
     fn parse_expr(&mut self) -> PResult<Expr> {
         let lo = self.tok().span.lo;
+        let outer = self.measure();
         let mut e = self.parse_assignment_expr()?;
+        let mut h = self.height();
         while self.eat(TokenKind::Comma) {
-            let rhs = self.parse_assignment_expr()?;
+            let rhs = self.nested(Self::parse_assignment_expr)?;
+            h = self.height().max(h + 1);
+            self.reach(h)?;
             let id = self.id();
             e = Expr {
                 id,
@@ -1237,13 +1290,17 @@ impl<'f> Parser<'f> {
                 },
             };
         }
+        self.unmeasure(outer);
         Ok(e)
     }
 
     fn parse_assignment_expr(&mut self) -> PResult<Expr> {
         use TokenKind::*;
         let lo = self.tok().span.lo;
+        let outer = self.measure();
         let lhs = self.parse_conditional_expr()?;
+        let h = self.height();
+        self.unmeasure(outer);
         let op = match self.kind() {
             Eq => None,
             PlusEq => Some(BinaryOp::Add),
@@ -1259,7 +1316,8 @@ impl<'f> Parser<'f> {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.parse_assignment_expr()?;
+        self.reach(h + 1)?;
+        let rhs = self.nested(Self::parse_assignment_expr)?;
         let id = self.id();
         Ok(Expr {
             id,
@@ -1274,13 +1332,17 @@ impl<'f> Parser<'f> {
 
     fn parse_conditional_expr(&mut self) -> PResult<Expr> {
         let lo = self.tok().span.lo;
+        let outer = self.measure();
         let cond = self.parse_binary_expr(1)?;
+        let h = self.height();
+        self.unmeasure(outer);
         if !self.eat(TokenKind::Question) {
             return Ok(cond);
         }
-        let then_expr = self.parse_expr()?;
+        self.reach(h + 1)?;
+        let then_expr = self.nested(Self::parse_expr)?;
         self.expect(TokenKind::Colon)?;
-        let else_expr = self.parse_assignment_expr()?;
+        let else_expr = self.nested(Self::parse_assignment_expr)?;
         let id = self.id();
         Ok(Expr {
             id,
@@ -1320,14 +1382,18 @@ impl<'f> Parser<'f> {
 
     fn parse_binary_expr(&mut self, min_prec: u8) -> PResult<Expr> {
         let lo = self.tok().span.lo;
+        let outer = self.measure();
         let mut lhs = self.parse_cast_expr()?;
+        let mut h = self.height();
         while let Some(op) = Self::binop_of(self.kind()) {
             let prec = op.precedence();
             if prec < min_prec {
                 break;
             }
             self.bump();
-            let rhs = self.parse_binary_expr(prec + 1)?;
+            let rhs = self.nested(|p| p.parse_binary_expr(prec + 1))?;
+            h = self.height().max(h + 1);
+            self.reach(h)?;
             let id = self.id();
             lhs = Expr {
                 id,
@@ -1339,6 +1405,7 @@ impl<'f> Parser<'f> {
                 },
             };
         }
+        self.unmeasure(outer);
         Ok(lhs)
     }
 
@@ -1349,10 +1416,10 @@ impl<'f> Parser<'f> {
             let save = self.pos;
             self.bump();
             if self.starts_type_name() {
-                let ty = self.parse_type_name()?;
+                let ty = self.nested(Self::parse_type_name)?;
                 self.expect(TokenKind::RParen)?;
                 if self.at(TokenKind::LBrace) {
-                    let init = self.parse_initializer()?;
+                    let init = self.nested(Self::parse_initializer)?;
                     let id = self.id();
                     return Ok(Expr {
                         id,
@@ -1363,7 +1430,7 @@ impl<'f> Parser<'f> {
                         },
                     });
                 }
-                let inner = self.parse_cast_expr()?;
+                let inner = self.nested(Self::parse_cast_expr)?;
                 let id = self.id();
                 return Ok(Expr {
                     id,
@@ -1401,9 +1468,9 @@ impl<'f> Parser<'f> {
         if let Some(op) = op {
             self.bump();
             let operand = if op.is_inc_dec() {
-                self.parse_unary_expr()?
+                self.nested(Self::parse_unary_expr)?
             } else {
-                self.parse_cast_expr()?
+                self.nested(Self::parse_cast_expr)?
             };
             let id = self.id();
             return Ok(Expr {
@@ -1421,7 +1488,7 @@ impl<'f> Parser<'f> {
                 let save = self.pos;
                 self.bump();
                 if self.starts_type_name() {
-                    let ty = self.parse_type_name()?;
+                    let ty = self.nested(Self::parse_type_name)?;
                     self.expect(RParen)?;
                     let id = self.id();
                     return Ok(Expr {
@@ -1432,7 +1499,7 @@ impl<'f> Parser<'f> {
                 }
                 self.pos = save;
             }
-            let operand = self.parse_unary_expr()?;
+            let operand = self.nested(Self::parse_unary_expr)?;
             let id = self.id();
             return Ok(Expr {
                 id,
@@ -1446,12 +1513,14 @@ impl<'f> Parser<'f> {
     fn parse_postfix_expr(&mut self) -> PResult<Expr> {
         use TokenKind::*;
         let lo = self.tok().span.lo;
+        let outer = self.measure();
         let mut e = self.parse_primary_expr()?;
+        let mut h = self.height();
         loop {
             match self.kind() {
                 LBracket => {
                     self.bump();
-                    let index = self.parse_expr()?;
+                    let index = self.nested(Self::parse_expr)?;
                     self.expect(RBracket)?;
                     let id = self.id();
                     e = Expr {
@@ -1468,7 +1537,7 @@ impl<'f> Parser<'f> {
                     let mut args = Vec::new();
                     if !self.at(RParen) {
                         loop {
-                            args.push(self.parse_assignment_expr()?);
+                            args.push(self.nested(Self::parse_assignment_expr)?);
                             if !self.eat(Comma) {
                                 break;
                             }
@@ -1521,7 +1590,11 @@ impl<'f> Parser<'f> {
                 }
                 _ => break,
             }
+            // Every suffix wraps `e`, pushing it one level down.
+            h = self.height().max(h + 1);
+            self.reach(h)?;
         }
+        self.unmeasure(outer);
         Ok(e)
     }
 
@@ -1595,7 +1668,7 @@ impl<'f> Parser<'f> {
             }
             LParen => {
                 self.bump();
-                let inner = self.parse_expr()?;
+                let inner = self.nested(Self::parse_expr)?;
                 self.expect(RParen)?;
                 let id = self.id();
                 Ok(Expr {
@@ -2016,5 +2089,80 @@ int f(int n) {
             ExternalDecl::Vars(g) => assert_eq!(g.vars[0].ty.array_rank(), 2),
             _ => panic!(),
         }
+    }
+
+    /// `shape(n)` nests `n` levels: it parses a little below the limit and
+    /// fails with the nesting diagnostic just above it and far above it
+    /// (where an unbounded parser would overflow the stack).
+    fn assert_nesting_limited(shape: impl Fn(usize) -> String) {
+        let limit = MAX_NESTING as usize;
+        ok(&shape(limit - 4));
+        for n in [limit + 1, 20_000] {
+            let Err(err) = parse("deep.c", &shape(n)) else {
+                panic!("{n} levels parsed past the limit");
+            };
+            let msg = &err.first_error().expect("an error").message;
+            assert!(msg.starts_with("nesting deeper than"), "{n}: {msg}");
+        }
+    }
+
+    fn in_return(expr: &str) -> String {
+        format!("int p(void); int f(int x) {{ return {expr}; }}")
+    }
+
+    #[test]
+    fn nested_parens_are_limited() {
+        assert_nesting_limited(|n| in_return(&format!("{}1{}", "(".repeat(n), ")".repeat(n))));
+    }
+
+    #[test]
+    fn nested_unary_and_casts_are_limited() {
+        assert_nesting_limited(|n| in_return(&format!("{}x", "- ".repeat(n))));
+        assert_nesting_limited(|n| in_return(&format!("{}x", "(int)".repeat(n))));
+    }
+
+    #[test]
+    fn nested_statements_are_limited() {
+        assert_nesting_limited(|n| format!("void f(void) {{ {}; }}", "if (1) ".repeat(n)));
+    }
+
+    #[test]
+    fn nested_blocks_are_limited() {
+        assert_nesting_limited(|n| {
+            format!("void f(void) {{ {}{} }}", "{".repeat(n), "}".repeat(n))
+        });
+    }
+
+    #[test]
+    fn nested_initializers_are_limited() {
+        assert_nesting_limited(|n| format!("int x = {}1{};", "{".repeat(n), "}".repeat(n)));
+    }
+
+    #[test]
+    fn nested_declarators_are_limited() {
+        assert_nesting_limited(|n| format!("int {}p;", "*".repeat(n)));
+        assert_nesting_limited(|n| format!("int {}p{};", "(".repeat(n), ")".repeat(n)));
+        assert_nesting_limited(|n| format!("int p{};", "[1]".repeat(n)));
+    }
+
+    #[test]
+    fn binary_folds_are_limited() {
+        assert_nesting_limited(|n| in_return(&vec!["1"; n].join("+")));
+        // A fold whose first operand is itself deep.
+        assert_nesting_limited(|n| {
+            let half = n / 2;
+            let first = format!("{}1{}", "(".repeat(half), ")".repeat(half));
+            in_return(&format!("{first}{}", "*2".repeat(n - half)))
+        });
+    }
+
+    #[test]
+    fn postfix_folds_are_limited() {
+        assert_nesting_limited(|n| in_return(&format!("p{}", "()".repeat(n))));
+    }
+
+    #[test]
+    fn comma_folds_are_limited() {
+        assert_nesting_limited(|n| format!("void f(int x) {{ {}; }}", vec!["x"; n].join(",")));
     }
 }

@@ -31,25 +31,6 @@ pub type DynValue = Arc<dyn Any + Send + Sync>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KindId(u32);
 
-/// Indices of positions where `current` differs from `baseline`.
-///
-/// Returns `None` when the slices have different lengths — the caller cannot
-/// map positions one-to-one and must fall back to a full recomputation.
-pub fn dirty_set<T: PartialEq>(baseline: &[T], current: &[T]) -> Option<Vec<usize>> {
-    if baseline.len() != current.len() {
-        return None;
-    }
-    Some(
-        baseline
-            .iter()
-            .zip(current)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect(),
-    )
-}
-
 type Shard = Mutex<FxHashMap<(KindId, u128), DynValue>>;
 
 /// The memo database: registered kind names, sharded memo tables, and
@@ -230,14 +211,6 @@ mod tests {
         // All four workers hit the shared memo.
         assert_eq!(db.recomputes(), recomputes);
         assert!(db.hits() >= 4);
-    }
-
-    #[test]
-    fn dirty_set_finds_changed_positions() {
-        assert_eq!(dirty_set(&[1, 2, 3], &[1, 9, 3]), Some(vec![1]));
-        assert_eq!(dirty_set(&[1, 2], &[3, 4]), Some(vec![0, 1]));
-        assert_eq!(dirty_set(&[1, 2], &[1, 2]), Some(vec![]));
-        assert_eq!(dirty_set(&[1], &[1, 2]), None);
     }
 
     #[test]

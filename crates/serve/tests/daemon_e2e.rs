@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over the JSON-line protocol: multi-tenant
 //! scheduling with a shared query database, persistent store round-trips
-//! across a restart, SIGTERM-style checkpoint/resume determinism, and the
-//! job log's durability at acknowledgement and replay after a crash.
+//! across a restart, SIGTERM-style checkpoint/resume determinism, the
+//! job log's durability at acknowledgement and replay after a crash, and
+//! a worker surviving a deeply nested program.
 
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
@@ -310,6 +311,37 @@ fn events_stream_cancel_and_protocol_errors() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_analyze_job_fails_and_the_daemon_keeps_serving() {
+    let dir = scratch_dir("deep");
+    let daemon = Daemon::start(daemon_config(&dir, 1, 16)).expect("start");
+    let mut client = connect(&daemon);
+
+    // Without the parser's nesting limit, 1,000 nested parens overflow a
+    // worker's 2 MiB stack and abort the whole daemon.
+    let deep = format!(
+        "int f(void) {{ return {}1{}; }}",
+        "(".repeat(1_000),
+        ")".repeat(1_000)
+    );
+    let id = client
+        .submit(&json!({"cmd": "analyze", "program": deep}))
+        .expect("submit deep");
+    let job = client.wait(id).expect("wait deep");
+    assert_eq!(job.get("status").and_then(|v| v.as_str()), Some("failed"));
+    let error = job.get("error").and_then(|v| v.as_str()).unwrap_or("");
+    assert!(error.contains("does not parse"), "error: {error:?}");
+
+    let next = client
+        .submit(&json!({"cmd": "analyze", "program": "int main(void) { return 0; }"}))
+        .expect("submit next");
+    let job = client.wait(next).expect("wait next");
+    assert_eq!(job.get("status").and_then(|v| v.as_str()), Some("done"));
 
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);

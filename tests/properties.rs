@@ -210,7 +210,7 @@ proptest! {
     // verdicts.
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    /// The UB gate (splice fast path, summary memos, verdict cache) is a
+    /// The UB gate (summary memos, parent baselines, verdict cache) is a
     /// faster route to the reference verdicts: with a parent it agrees
     /// with `first_new_ub`, without one with "the mutant has a UB
     /// finding". The mutant stacks one to four library mutators on a
