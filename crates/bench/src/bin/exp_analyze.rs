@@ -12,17 +12,19 @@
 //!    analysis run without function summaries;
 //! 5. zero findings on the cross-call clean controls.
 //!
-//! And it must be *cheap*: with the pre-compile UB gate armed, campaign
-//! mutant throughput may drop by at most **10%** versus the same serial
-//! μCFuzz campaign with `--no-ub-filter`. The gated and ungated campaigns
-//! run as one interleaved best-of-N pair; the gated leg's stats also
-//! report the gate's summary memo hits and recomputes (per-function
-//! summaries are memoized under content keys, so a single-declaration
-//! mutant re-summarizes only the edited function and its transitive
-//! callers).
+//! And it must be *cheap*: with the UB gate armed, campaign mutant
+//! throughput may drop by at most **10%** versus the same serial μCFuzz
+//! campaign with `--no-ub-filter`. The gated and ungated campaigns run as
+//! one interleaved best-of-N pair; the gated leg's stats also report the
+//! gate's summary memo hits and recomputes (per-function summaries are
+//! memoized under content keys, so a single-declaration mutant
+//! re-summarizes only the edited function and its transitive callers).
+//! The campaign asks the gate only about compiled mutants that would add
+//! coverage or a new crash signature, so the gated leg also reports gate
+//! queries per dedup miss: a deterministic count, bounded at any scale.
 //!
 //! Every fixture check holds at any scale — a wrong verdict is wrong in
-//! smoke mode too; the cost check is a timing check, skipped in smoke.
+//! smoke mode too; the timing check is skipped in smoke.
 //! The report lands in `BENCH_analysis.json` at the repository root.
 //!
 //! Usage: `exp_analyze [--iterations N] [--repeats N] [--smoke]`.
@@ -77,11 +79,13 @@ struct GateStats {
     unfiltered_per_sec: f64,
     gated_per_sec: f64,
     overhead_pct: f64,
+    dedup_misses: u64,
     mutants_checked: u64,
     mutants_filtered: u64,
     summary_hits: u64,
     summary_recomputes: u64,
     summary_hit_rate_pct: f64,
+    queries_per_miss: f64,
 }
 
 #[derive(Serialize)]
@@ -220,9 +224,9 @@ fn main() {
             &mut || gated = Some(campaign(iterations, true)),
         ],
     );
-    let ub = gated
-        .and_then(|r| r.ub)
-        .expect("gated campaign must carry UB stats");
+    let gated = gated.expect("the gated leg ran");
+    let ub = gated.ub.expect("gated campaign must carry UB stats");
+    let misses = gated.dedup.expect("dedup is on by default").misses;
     let campaign_stats = GateStats {
         iterations,
         unfiltered_s,
@@ -230,11 +234,13 @@ fn main() {
         unfiltered_per_sec: iterations as f64 / unfiltered_s,
         gated_per_sec: iterations as f64 / gated_s,
         overhead_pct: 100.0 * (gated_s - unfiltered_s) / unfiltered_s,
+        dedup_misses: misses,
         mutants_checked: ub.checked,
         mutants_filtered: ub.filtered,
         summary_hits: ub.summary_hits,
         summary_recomputes: ub.summary_recomputes,
         summary_hit_rate_pct: pct(ub.summary_hits, ub.summary_hits + ub.summary_recomputes),
+        queries_per_miss: ub.checked as f64 / misses.max(1) as f64,
     };
 
     let row = |label: &str, s: &Sweep| {
@@ -300,6 +306,9 @@ fn main() {
         Check::equals("intraproc_leaks", corpus.intraproc_leaks.len() as f64, 0.0),
         all("interproc_clean_fixtures_silent", &corpus.interproc_clean),
         Check::at_most("ub_gate_overhead_pct", c.overhead_pct, 10.0).timing(),
+        // 0.18 at 3,000 iterations, 0.45 at the smoke's 300 (more of a
+        // young campaign's coverage is new); gating every miss reads 1.
+        Check::at_most("ub_gate_queries_per_miss", c.queries_per_miss, 0.5),
     ];
     let results = AnalyzeResults {
         corpus,
@@ -308,7 +317,8 @@ fn main() {
                metamut_analyze::fixtures (leaks = cross-call fixtures the analysis flags \
                without summaries); gate cost = serial uCFuzz campaign over the seed corpus \
                vs gcc-sim -O2, ub_filter on vs off, best-of-N wall time over interleaved \
-               rounds; summary memo hits/recomputes from the gated leg"
+               rounds; summary memo hits/recomputes and gate queries per dedup miss from \
+               the gated leg"
             .into(),
     };
     write_bench("analysis", &opts, &results, checks);

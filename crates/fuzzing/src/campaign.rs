@@ -14,7 +14,7 @@ use crate::parallel::ExchangeHub;
 use metamut_analyze::UbGate;
 use metamut_muast::MutRng;
 use metamut_simcomp::{
-    AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, Outcome, QueryDb, Stage, Verdict,
+    AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, QueryDb, Stage, Verdict,
 };
 use metamut_telemetry::{SeriesPoint, Telemetry};
 use parking_lot::Mutex;
@@ -44,11 +44,12 @@ pub struct CampaignConfig {
     /// Exchange newly discovered seeds across shards every this many
     /// iterations per worker (`0` disables exchange).
     pub exchange_every: usize,
-    /// Statically analyze mutants before compiling and skip any that
-    /// introduce undefined behavior their parent seed did not have (see
-    /// `metamut_analyze::UbGate`). Skipped mutants count as generated but
-    /// not compilable. `--no-ub-filter` turns it off, reproducing the
-    /// unfiltered engine bit-for-bit.
+    /// Keep mutants that introduce undefined behavior their parent seed
+    /// did not have (see `metamut_analyze::UbGate`) out of the campaign.
+    /// The gate judges a compiled mutant only if it would add coverage or
+    /// a new crash signature; a filtered mutant counts as generated but
+    /// not compilable and changes nothing. `--no-ub-filter` turns it off,
+    /// reproducing the unfiltered engine bit-for-bit.
     pub ub_filter: bool,
     /// The query database holding the UB gate's function-summary memos.
     /// `None` gives the campaign a private database; pass a shared one to
@@ -176,7 +177,8 @@ impl MutantStats {
 /// UB-gate statistics for one campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UbStats {
-    /// Mutants put to the gate (dedup misses while the filter is on).
+    /// Mutants put to the gate: dedup misses that would have added
+    /// coverage or a new crash signature.
     pub checked: u64,
     /// Mutants skipped for introducing new undefined behavior.
     pub filtered: u64,
@@ -285,7 +287,7 @@ pub(crate) struct CampaignShared {
     /// corpus feed).
     pub(crate) corpus_log: Mutex<Vec<CorpusEntry>>,
     dedup: Option<DedupCache>,
-    /// The UB pre-compile gate, shared so parent analyses and verdicts are
+    /// The UB gate, shared so parent analyses and verdicts are
     /// computed once per campaign. `None` when the filter is off — the
     /// worker loop is then structurally identical to the unfiltered engine.
     ub_gate: Option<UbGate>,
@@ -425,7 +427,7 @@ pub(crate) fn run_worker(
     mutants
 }
 
-/// The body of one fuzzing iteration — generate, gate, compile, account —
+/// The body of one fuzzing iteration — generate, compile, gate, account —
 /// shared verbatim by the serial loop, the parallel workers, and the
 /// daemon's stepped (checkpointable) engine, so all three produce the
 /// identical per-iteration state evolution.
@@ -463,39 +465,46 @@ pub(crate) fn fuzz_iteration(
             if claimed.is_some() {
                 telemetry.counter_add("dedup_misses", 1);
             }
-            let seed = candidate
-                .parent
-                .and_then(|i| generator.seed_source(i))
-                .map(str::to_owned);
-            // Pre-compile UB gate: a mutant that introduces undefined
-            // behavior its parent lacks is skipped outright — it counts
-            // as a generated, non-compilable mutant and never reaches
-            // the compiler (or the dedup/coverage stores).
+            let result = {
+                let _compile_span = telemetry.span_fast("compile");
+                shared.compiler.compile(&candidate.program)
+            };
+            let crash = result.outcome.crash().map(|info| (info, info.signature()));
+            // UB gate, asked only about a candidate that would change the
+            // campaign: one that sets a coverage bit or registers a crash
+            // signature nobody has yet. The probe writes nothing. Covered
+            // bits and registered signatures only ever grow, so a
+            // candidate that adds nothing now can never credit a bit or
+            // register a signature later, on this worker or any other.
+            // Every credited bit and every registered crash (hence every
+            // pooled seed and every witness) has therefore passed the
+            // gate, for any worker count.
             let gated = shared.ub_gate.as_ref().is_some_and(|g| {
+                let changes_campaign = shared.coverage.would_add(&result.coverage)
+                    || crash.is_some_and(|(_, sig)| !shared.crashes.lock().0.contains(&sig));
+                if !changes_campaign {
+                    return false;
+                }
                 let _ub_span = telemetry.span_fast("ub_filter");
                 telemetry.counter_add("ub_checked", 1);
-                let gated = g.introduces_new_ub(seed.as_deref(), &candidate.program);
+                let seed = candidate.parent.and_then(|i| generator.seed_source(i));
+                let gated = g.introduces_new_ub(seed, &candidate.program);
                 if gated {
                     telemetry.counter_add("ub_filtered", 1);
                 }
                 gated
             });
             if gated {
-                // The mutant never reaches the compiler, so there is no
-                // verdict to publish — release the claim so the next
-                // occurrence is re-gated and accounted the same way.
+                // A mutant with new undefined behavior changes nothing:
+                // no coverage, no crash and no verdict. Release the claim
+                // so the next occurrence is gated and accounted the same
+                // way.
                 if let Some(cache) = shared.dedup.as_ref() {
                     cache.abandon_hashed(mutant_hash);
                 }
                 (false, 0)
             } else {
-                let result = {
-                    let _compile_span = telemetry.span_fast("compile");
-                    shared.compiler.compile(&candidate.program)
-                };
-                let compiled = result.outcome.front_end_accepted();
-                if let Outcome::Crash(info) = &result.outcome {
-                    let sig = info.signature();
+                if let Some((info, sig)) = crash {
                     let mut crashes = shared.crashes.lock();
                     if crashes.0.insert(sig) {
                         telemetry.counter_add(
@@ -513,10 +522,11 @@ pub(crate) fn fuzz_iteration(
                 let new_bits = shared.coverage.merge(&result.coverage);
                 // Publish the verdict only now: a concurrent worker that
                 // sees the cache entry may skip merging entirely.
+                let verdict = Verdict::of(&result);
                 if let Some(cache) = shared.dedup.as_ref() {
-                    cache.insert_hashed(mutant_hash, Verdict::of(&result));
+                    cache.insert_hashed(mutant_hash, verdict);
                 }
-                (compiled, new_bits)
+                (verdict.compiled, new_bits)
             }
         }
     };
@@ -667,7 +677,7 @@ mod tests {
         assert_eq!(report.series.last().unwrap().covered, report.final_coverage);
         assert_eq!(report.workers, 1);
         // Dedup is on by default; hits + misses account for every iteration,
-        // and every miss was either UB-filtered or compiled into the cache.
+        // and every miss was either UB-filtered or cached as a verdict.
         let dedup = report.dedup.expect("dedup on by default");
         let ub = report.ub.expect("ub filter on by default");
         assert_eq!(dedup.hits + dedup.misses, 60);
@@ -731,23 +741,26 @@ mod tests {
         assert_eq!(report.mutants.total, 80);
     }
 
-    #[test]
-    fn ub_filter_skips_ub_mutants_before_the_compiler() {
-        // A generator that always emits a division by zero: with the
-        // filter on, nothing ever reaches the compiler.
-        struct UbEmitter;
-        impl TestGenerator for UbEmitter {
-            fn name(&self) -> &'static str {
-                "ub-emitter"
-            }
-            fn next_candidate(&mut self, _rng: &mut MutRng) -> crate::generator::Candidate {
-                crate::generator::Candidate {
-                    program: "int f(void) { return 1 / 0; }".to_string(),
-                    parent: None,
-                }
-            }
-            fn feedback(&mut self, _c: &crate::generator::Candidate, _n: bool, _k: bool) {}
+    /// A generator that always emits a division by zero.
+    struct UbEmitter;
+    impl TestGenerator for UbEmitter {
+        fn name(&self) -> &'static str {
+            "ub-emitter"
         }
+        fn next_candidate(&mut self, _rng: &mut MutRng) -> crate::generator::Candidate {
+            crate::generator::Candidate {
+                program: "int f(void) { return 1 / 0; }".to_string(),
+                parent: None,
+            }
+        }
+        fn feedback(&mut self, _c: &crate::generator::Candidate, _n: bool, _k: bool) {}
+    }
+
+    #[test]
+    fn ub_filter_keeps_new_ub_out_of_the_campaign() {
+        // Its coverage is new every time (nothing is ever merged), so
+        // every iteration is gated and filtered, and the campaign state
+        // never changes.
         let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
         let cfg = CampaignConfig {
             iterations: 20,
@@ -757,11 +770,32 @@ mod tests {
         };
         let report = run_campaign(&mut UbEmitter, &compiler, &cfg);
         let ub = report.ub.expect("filter on by default");
-        assert_eq!(ub.checked, 20, "every iteration misses dedup and is gated");
+        assert_eq!(ub.checked, 20, "every iteration would add coverage");
         assert_eq!(ub.filtered, 20, "every emission introduces UB");
         assert_eq!(report.mutants.total, 20);
         assert_eq!(report.mutants.compilable, 0);
-        assert_eq!(report.final_coverage, 0, "nothing reached the compiler");
+        assert_eq!(report.final_coverage, 0, "nothing was merged");
+        assert_eq!(report.dedup.unwrap().unique, 0, "no verdict was cached");
+
+        // Four workers race on the same candidate: each gated owner
+        // abandons its claim, so the next one is gated too. (One seed per
+        // worker: the engine runs at most one worker per seed.)
+        let report = crate::parallel::run_parallel_campaign(
+            &vec![String::new(); 4],
+            |_w, _shard| UbEmitter,
+            &compiler,
+            &CampaignConfig {
+                iterations: 40,
+                workers: 4,
+                ..cfg.clone()
+            },
+        );
+        assert_eq!(report.workers, 4);
+        let ub = report.ub.unwrap();
+        assert!(ub.checked > 0);
+        assert_eq!(ub.filtered, ub.checked);
+        assert_eq!(report.final_coverage, 0);
+        assert!(report.crashes.is_empty());
 
         // Same generator with the filter off: everything compiles.
         let report = run_campaign(

@@ -25,19 +25,19 @@ const CRASHES: [(u64, usize); 4] = [
 ];
 const MUTANTS: MutantStats = MutantStats {
     total: 2_000,
-    compilable: 1_829,
+    compilable: 1_846,
 };
 const DEDUP: DedupStats = DedupStats {
     hits: 320,
     misses: 1_680,
-    unique: 1_657,
+    unique: 1_674,
 };
 const UB: UbStats = UbStats {
-    checked: 1_680,
-    filtered: 23,
+    checked: 333,
+    filtered: 6,
     fast_path: 0,
-    summary_hits: 2_026,
-    summary_recomputes: 2_626,
+    summary_hits: 571,
+    summary_recomputes: 611,
 };
 
 #[test]

@@ -204,13 +204,13 @@ fn multi_worker_campaign_accounts_exactly() {
     }
     assert_eq!(report.series.last().unwrap().covered, report.final_coverage);
     // Every iteration is either a dedup hit or a fresh lookup miss, and
-    // every miss either got UB-filtered before the compiler or compiled
-    // into a distinct cache entry.
+    // every miss was either UB-filtered or cached as a distinct verdict.
+    // Only the misses that would change the campaign are gated.
     let dedup = report.dedup.expect("dedup on by default");
     let ub = report.ub.expect("ub filter on by default");
     assert_eq!(dedup.hits + dedup.misses, 200);
     assert_eq!(dedup.unique as u64 + ub.filtered, dedup.misses);
-    assert_eq!(ub.checked, dedup.misses, "every miss is gated");
+    assert!(ub.checked <= dedup.misses, "only misses are gated");
 }
 
 /// Worker counts only redistribute the budget — coverage stays in the

@@ -221,6 +221,15 @@ impl AtomicCoverage {
         new
     }
 
+    /// Whether [`AtomicCoverage::merge`] would set any bit of `local`
+    /// right now: relaxed loads only, so probing never writes. Bits are
+    /// never cleared, so a `false` stays `false` for the same `local`.
+    pub fn would_add(&self, local: &CoverageMap) -> bool {
+        local.touched.iter().any(|&wi| {
+            local.words[wi as usize] & !self.words[wi as usize].load(Ordering::Relaxed) != 0
+        })
+    }
+
     /// Total covered branches across all stages.
     pub fn count(&self) -> usize {
         self.words
@@ -428,6 +437,23 @@ mod tests {
             serial.count_stage(Stage::Opt)
         );
         assert_eq!(atomic.snapshot().count(), serial.count());
+    }
+
+    #[test]
+    fn would_add_probes_without_writing() {
+        let atomic = AtomicCoverage::new();
+        let mut local = CoverageMap::new();
+        local.record(Stage::FrontEnd, 5);
+        local.record(Stage::BackEnd, 700);
+        assert!(atomic.would_add(&local), "unseen bits");
+        assert!(atomic.would_add(&local), "probing set nothing");
+        assert_eq!(atomic.count(), 0);
+        assert_eq!(atomic.merge(&local), 2);
+        assert!(!atomic.would_add(&local), "every bit already merged");
+        assert_eq!(atomic.count(), 2);
+        local.record(Stage::BackEnd, 701);
+        assert!(atomic.would_add(&local), "one unseen bit is enough");
+        assert_eq!(atomic.count(), 2);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub enum Claim {
     Hit(Verdict),
     /// First sighting — the caller owns this source and must end the
     /// reservation with [`DedupCache::insert_hashed`] (after a compile) or
-    /// [`DedupCache::abandon_hashed`] (if it never reaches the compiler).
+    /// [`DedupCache::abandon_hashed`] (if no verdict may be cached).
     Owner,
 }
 
@@ -141,9 +141,8 @@ impl DedupCache {
     }
 
     /// Releases a [`DedupCache::claim_hashed`] reservation without
-    /// publishing a verdict — for sources that never reach the compiler
-    /// (the campaign's pre-compile UB gate), so each occurrence is
-    /// re-gated and accounted.
+    /// publishing a verdict — for sources the campaign's UB gate filtered,
+    /// so each occurrence is re-gated and accounted.
     pub fn abandon_hashed(&self, hash: u128) {
         let mut shard = self.shard(hash).lock();
         if matches!(shard.get(&hash), Some(Slot::InFlight)) {

@@ -36,7 +36,9 @@ pub struct SeriesPoint {
     pub execs_per_sec: f64,
     /// Mutant dedup cache hit rate in [0, 1] (0 when dedup is off).
     pub dedup_hit_rate: f64,
-    /// Fraction of UB-gate-checked mutants filtered, in [0, 1].
+    /// Fraction of UB-gate-checked mutants filtered, in [0, 1]. The gate
+    /// checks only mutants that would have changed the campaign (new
+    /// coverage or a new crash signature).
     pub ub_filter_rate: f64,
 }
 

@@ -73,7 +73,9 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
 /// cache hit rate (`dedup_hits` over `dedup_hits + dedup_misses`); it is
 /// omitted while neither counter has fired (dedup disabled, or no lookups
 /// yet). The `ub` field is the UB-gate filter rate (`ub_filtered` over
-/// `ub_checked`), likewise omitted until the gate has fired.
+/// `ub_checked`), likewise omitted until the gate has fired. The gate
+/// checks only mutants that would have changed the campaign (new coverage
+/// or a new crash signature), so the rate is a share of those.
 pub struct StatusSink<W: Write + Send = std::io::Stderr> {
     writer: W,
     interval: Duration,

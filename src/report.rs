@@ -173,7 +173,8 @@ pub fn campaign_report(
     if let Some(last) = series.last() {
         out.push_str(&format!(
             "{} execs, {} branches covered, {} corpus seeds, {} crash(es); \
-             {:.0} execs/sec, {:.0}% dedup hits, {:.0}% UB-filtered.\n\n",
+             {:.0} execs/sec, {:.0}% dedup hits, {:.0}% of campaign-changing mutants \
+             UB-filtered.\n\n",
             last.execs,
             last.covered,
             last.corpus,
