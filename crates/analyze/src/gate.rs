@@ -1,7 +1,7 @@
 //! The campaign UB gate: decides whether a mutant introduces undefined
 //! behavior its parent seed did not already have.
 //!
-//! Every fresh verdict parses the whole mutant and compares its `Ub`
+//! Every fresh verdict analyzes the whole mutant and compares its `Ub`
 //! finding keys against the parent's baseline (the empty set when the
 //! candidate has no parent). Editing one function can change findings in
 //! *unedited* callers — a callee that now returns 0 creates a division by
@@ -16,6 +16,13 @@
 //! via [`UbGate::summary_hits`] / [`UbGate::summary_recomputes`] and the
 //! `analyze_summary_hits` / `analyze_summary_recomputes` telemetry
 //! counters.
+//!
+//! The gate takes the caller's parse. The campaign and the reduction
+//! oracle hand it the `Ast` their compile's front end already built
+//! ([`UbGate::introduces_new_ub_parsed`]), so a gated mutant is lexed and
+//! parsed once. Text-only callers use [`UbGate::introduces_new_ub`],
+//! which parses only on a verdict-cache miss. Both feed the same
+//! decision.
 //!
 //! A mutant that does not parse is **never** gated: the compiler must see
 //! it and reject it so compilable-ratio accounting stays truthful.
@@ -245,7 +252,31 @@ impl UbGate {
     /// `parent = None` means the candidate has no seed lineage (e.g. a
     /// generative fuzzer); the baseline is then the empty set, so *any*
     /// UB finding gates. Unparseable mutants always return `false`.
+    ///
+    /// Parses `mutant` only on a verdict-cache miss. A caller that has
+    /// already parsed it hands its parse to
+    /// [`UbGate::introduces_new_ub_parsed`] instead.
     pub fn introduces_new_ub(&self, parent: Option<&str>, mutant: &str) -> bool {
+        self.verdict(parent, mutant, || {
+            self.decide(parent, parse("<ub-gate>", mutant).ok().as_ref())
+        })
+    }
+
+    /// [`UbGate::introduces_new_ub`] on the caller's parse of `mutant`:
+    /// `ast` is `mutant` parsed, or `None` when it does not parse (and
+    /// is therefore never gated).
+    pub fn introduces_new_ub_parsed(
+        &self,
+        parent: Option<&str>,
+        mutant: &str,
+        ast: Option<&Ast>,
+    ) -> bool {
+        debug_assert!(ast.is_none_or(|a| a.source() == mutant));
+        self.verdict(parent, mutant, || self.decide(parent, ast))
+    }
+
+    /// Answers from the verdict cache, or runs `decide` and caches it.
+    fn verdict(&self, parent: Option<&str>, mutant: &str, decide: impl FnOnce() -> bool) -> bool {
         self.checked.fetch_add(1, Ordering::Relaxed);
         let key = (
             parent.map_or(0, |p| hash128(p.as_bytes())),
@@ -255,7 +286,7 @@ impl UbGate {
         let verdict = cached.unwrap_or_else(|| {
             let telemetry = metamut_telemetry::handle();
             let started = std::time::Instant::now();
-            let verdict = self.decide(parent, mutant);
+            let verdict = decide();
             if telemetry.enabled() {
                 telemetry.observe("analyze_ms", started.elapsed().as_secs_f64() * 1e3);
             }
@@ -268,12 +299,14 @@ impl UbGate {
         verdict
     }
 
-    fn decide(&self, parent: Option<&str>, mutant: &str) -> bool {
+    /// The one decision path: the parent's baseline first (it pre-warms
+    /// the summary memos), then the mutant's own UB keys.
+    fn decide(&self, parent: Option<&str>, ast: Option<&Ast>) -> bool {
         let baseline = parent.map(|p| self.baseline(p));
-        let Ok(ast) = parse("<ub-gate>", mutant) else {
+        let Some(ast) = ast else {
             return false;
         };
-        let keys = self.unit_ub_keys(&ast, mutant);
+        let keys = self.unit_ub_keys(ast);
         baseline.map_or(!keys.is_empty(), |b| !keys.is_subset(&b))
     }
 
@@ -283,7 +316,8 @@ impl UbGate {
     /// summary keys. Each key hashes the function's exact declaration
     /// text, so byte-identical functions share memos across mutants and
     /// seeds.
-    fn unit_ub_keys(&self, ast: &Ast, src: &str) -> BTreeSet<FindingKey> {
+    fn unit_ub_keys(&self, ast: &Ast) -> BTreeSet<FindingKey> {
+        let src = ast.source();
         let globals = collect_globals(&ast.unit);
         let globals_hash = globals_fingerprint(&globals, &ast.unit);
         let mut funcs: Vec<&FunctionDef> = Vec::new();
@@ -352,7 +386,7 @@ impl UbGate {
         }
         let ub = Arc::new(
             parse("<ub-gate-parent>", parent)
-                .map(|ast| self.unit_ub_keys(&ast, parent))
+                .map(|ast| self.unit_ub_keys(&ast))
                 .unwrap_or_default(),
         );
         self.baselines.lock().insert(key, Arc::clone(&ub));

@@ -488,7 +488,8 @@ pub(crate) fn fuzz_iteration(
                 let _ub_span = telemetry.span_fast("ub_filter");
                 telemetry.counter_add("ub_checked", 1);
                 let seed = candidate.parent.and_then(|i| generator.seed_source(i));
-                let gated = g.introduces_new_ub(seed, &candidate.program);
+                let gated =
+                    g.introduces_new_ub_parsed(seed, &candidate.program, result.ast.as_ref());
                 if gated {
                     telemetry.counter_add("ub_filtered", 1);
                 }

@@ -28,7 +28,27 @@ use crate::token::{Token, TokenKind};
 /// # Ok::<(), metamut_lang::error::Diagnostics>(())
 /// ```
 pub fn parse(name: &str, src: &str) -> Result<Ast, Diagnostics> {
-    let tokens = lex(src)?;
+    parse_tokens(name, src, lex(src)?)
+}
+
+/// Parses the tokens [`lex`] produced from `src` into an [`Ast`]: the
+/// second half of [`parse`], for callers that already lexed `src` and
+/// use the tokens for something else too.
+///
+/// # Errors
+///
+/// Returns the parse diagnostics if parsing fails.
+///
+/// # Examples
+///
+/// ```
+/// use metamut_lang::{lexer::lex, parser::parse_tokens};
+/// let src = "int main(void) { return 0; }";
+/// let ast = parse_tokens("t.c", src, lex(src)?)?;
+/// assert!(ast.find_function("main").is_some());
+/// # Ok::<(), metamut_lang::error::Diagnostics>(())
+/// ```
+pub fn parse_tokens(name: &str, src: &str, tokens: Vec<Token>) -> Result<Ast, Diagnostics> {
     let file = SourceFile::new(name, src);
     let mut p = Parser::new(&file, tokens);
     match p.parse_translation_unit() {

@@ -9,18 +9,23 @@
 //! *different* crashes) is a failed candidate, so reduction can never
 //! silently slide from one bug onto another.
 //!
-//! Three layers keep the oracle cheap, checked in order:
+//! Three layers keep the oracle cheap, checked in order. A candidate past
+//! the cache costs exactly one [`Compiler::compile`], whose front end
+//! lexes and parses it once for the pre-filter, the crash check and the
+//! UB guard:
 //!
 //! 1. **Verdict cache** — byte-identical retries (ddmin revisits subsets
 //!    across granularity levels) are answered without recompiling.
-//! 2. **Syntactic pre-filter** — when the target crash fires *past* the
-//!    front end, a candidate our parser rejects can never reach it: the
-//!    pipeline stops at the front end, so any crash it produces has a
-//!    front-end signature, never the target's. One parse replaces a full
-//!    compile. Front-end targets skip this filter entirely — raw-byte bugs
-//!    (paren storms, identifier overflows) fire on unparseable input.
-//! 3. **Compile** — every candidate that still has to compile is one
-//!    [`Compiler::compile`] call.
+//! 2. **Pre-filter** — the compile's own front end. When the target crash
+//!    fires *past* the front end, a candidate the parser rejects can never
+//!    reach it: the pipeline stops at the front end, so any crash it
+//!    produces has a front-end signature, never the target's. Such a
+//!    candidate counts in [`ReductionOracle::prefilter_skips`], not in
+//!    [`ReductionOracle::calls`]. Front-end targets skip this filter
+//!    entirely — raw-byte bugs (paren storms, identifier overflows) fire
+//!    on unparseable input.
+//! 3. **Crash check** — every other candidate is judged on its compile's
+//!    outcome and counts as one oracle call.
 //!
 //! On top of the crash check, a **UB guard** keeps reduced witnesses
 //! *valid*: a candidate that reproduces the signature but that the
@@ -30,9 +35,9 @@
 //! reads uninitialized variables, and a bug report built on a UB program
 //! gets bounced by compiler maintainers. The gate runs on the oracle's
 //! [`QueryDb`] with the original witness as parent, so it reuses the
-//! function-summary memos it shares with the campaign. It never judges a
-//! candidate it cannot parse — raw-byte crashers reduce exactly as
-//! without it.
+//! function-summary memos it shares with the campaign, and it takes the
+//! compile's parse rather than parsing again. It never judges a candidate
+//! that does not parse — raw-byte crashers reduce exactly as without it.
 
 use metamut_analyze::UbGate;
 use metamut_lang::chash::hash128;
@@ -47,7 +52,7 @@ pub struct ReductionOracle {
     compiler: Compiler,
     target: u64,
     /// Pipeline stage of the target crash; anything past the front end
-    /// enables the syntactic pre-filter.
+    /// enables the pre-filter.
     target_stage: Stage,
     /// The witness the oracle was built from: the UB guard's parent.
     original: String,
@@ -61,7 +66,7 @@ pub struct ReductionOracle {
 
 impl ReductionOracle {
     /// Builds the oracle *from* a crashing witness: compiles `witness`,
-    /// locks onto the signature it produces, arms the syntactic pre-filter
+    /// locks onto the signature it produces, arms the pre-filter
     /// with the crash's stage, and makes the witness the UB guard's
     /// baseline. Returns `None` when the witness does not crash this
     /// compiler configuration at all.
@@ -110,14 +115,15 @@ impl ReductionOracle {
         &self.compiler
     }
 
-    /// Compiler invocations so far (cache hits and pre-filter skips are
-    /// free).
+    /// Oracle calls so far: every uncached candidate the pre-filter did
+    /// not settle (cache hits and pre-filter skips are free).
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
 
-    /// Candidates answered by the syntactic pre-filter instead of a
-    /// compile.
+    /// Candidates the pre-filter settled: their compile stopped at a
+    /// front end that could not parse them, against a post-front-end
+    /// target.
     pub fn prefilter_skips(&self) -> u64 {
         self.prefilter_skips.load(Ordering::Relaxed)
     }
@@ -134,30 +140,38 @@ impl ReductionOracle {
         if let Some(&v) = self.verdicts.lock().get(&key) {
             return v;
         }
-        // Syntactic pre-filter: a post-front-end crash needs a candidate
-        // the front end accepts, so a failed parse settles the verdict
-        // without compiling. Unsound for front-end targets (raw-byte bugs
-        // crash on unparseable input), hence the stage gate.
-        if self.target_stage != Stage::FrontEnd && metamut_lang::parse("<red>", src).is_err() {
+        let result = self.compiler.compile(src);
+        // Pre-filter on the compile's own front end: a post-front-end
+        // crash needs a candidate the front end accepts, so a failed parse
+        // settles the verdict. Unsound for front-end targets (raw-byte
+        // bugs crash on unparseable input), hence the stage gate.
+        let verdict = if self.target_stage != Stage::FrontEnd && result.ast.is_none() {
             self.prefilter_skips.fetch_add(1, Ordering::Relaxed);
             metamut_telemetry::handle().counter_add("reduce_prefilter_skips", 1);
-            self.verdicts.lock().insert(key, false);
-            return false;
-        }
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        metamut_telemetry::handle().counter_add("reduce_oracle_calls", 1);
-        let result = self.compiler.compile(src);
-        let mut verdict = result
-            .outcome
-            .crash()
-            .is_some_and(|c| c.signature() == self.target);
-        // UB guard: the right crash on an *invalid* program is still a
-        // failed candidate.
-        if verdict && self.ub_gate.introduces_new_ub(Some(&self.original), src) {
-            self.ub_rejects.fetch_add(1, Ordering::Relaxed);
-            metamut_telemetry::handle().counter_add("reduce_ub_rejects", 1);
-            verdict = false;
-        }
+            false
+        } else {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            metamut_telemetry::handle().counter_add("reduce_oracle_calls", 1);
+            let same_crash = result
+                .outcome
+                .crash()
+                .is_some_and(|c| c.signature() == self.target);
+            // UB guard: the right crash on an *invalid* program is still a
+            // failed candidate.
+            if same_crash
+                && self.ub_gate.introduces_new_ub_parsed(
+                    Some(&self.original),
+                    src,
+                    result.ast.as_ref(),
+                )
+            {
+                self.ub_rejects.fetch_add(1, Ordering::Relaxed);
+                metamut_telemetry::handle().counter_add("reduce_ub_rejects", 1);
+                false
+            } else {
+                same_crash
+            }
+        };
         self.verdicts.lock().insert(key, verdict);
         verdict
     }
@@ -238,7 +252,7 @@ lt:\n\
         assert_eq!(
             oracle.calls(),
             calls_before,
-            "pre-filtered candidates must not compile"
+            "pre-filtered candidates are not oracle calls"
         );
         // Skipped verdicts are cached like any other.
         assert!(!oracle.reproduces("void foo( {"));
@@ -246,6 +260,22 @@ lt:\n\
         // Parseable candidates still go through the compiler.
         assert!(oracle.reproduces(BACKEND_WITNESS));
         assert!(oracle.calls() > calls_before);
+    }
+
+    #[test]
+    fn prefilter_settles_only_what_does_not_parse() {
+        // The pre-filter is the parse, not the type check: a candidate
+        // that parses but fails sema is a full oracle call.
+        let oracle =
+            ReductionOracle::for_witness(Profile::Clang, CompileOptions::o0(), BACKEND_WITNESS)
+                .expect("witness crashes clang-sim in the back end");
+        let calls_before = oracle.calls();
+        assert!(!oracle.reproduces("int f(void) { return undeclared; }"));
+        assert_eq!(oracle.prefilter_skips(), 0);
+        assert_eq!(oracle.calls(), calls_before + 1);
+        assert!(!oracle.reproduces("int f(void) { return 0 }"));
+        assert_eq!(oracle.prefilter_skips(), 1);
+        assert_eq!(oracle.calls(), calls_before + 1);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub use passes::OptFlags;
 pub use query::QueryCache;
 
 use coverage::{feature_hash, feature_hash_display, feature_hash_str};
+use metamut_lang::Ast;
 
 /// Command-line-equivalent options for one compilation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -119,6 +120,18 @@ impl Outcome {
         matches!(self, Outcome::Success { .. })
     }
 
+    /// A front-end rejection carrying the diagnostics' count and first
+    /// error message.
+    fn rejected(diags: &metamut_lang::Diagnostics) -> Self {
+        Outcome::Rejected {
+            diagnostics: diags.len(),
+            first_error: diags
+                .first_error()
+                .map(|d| d.message.clone())
+                .unwrap_or_default(),
+        }
+    }
+
     /// The crash, if one occurred.
     pub fn crash(&self) -> Option<&CrashInfo> {
         match self {
@@ -135,6 +148,11 @@ pub struct CompileResult {
     pub outcome: Outcome,
     /// Branch coverage observed during this run.
     pub coverage: CoverageMap,
+    /// The front end's parse of the input, whatever the outcome; `None`
+    /// when the input does not lex or parse. Consumers that need the
+    /// tree (the UB gate, the reduction oracle) take it from here instead
+    /// of parsing the same text again.
+    pub ast: Option<Ast>,
 }
 
 /// An instrumented compiler instance.
@@ -206,9 +224,12 @@ impl Compiler {
             feature_hash(&[5, raw.max_string_len.min(512) as u64 / 8]),
         );
 
+        // One lex feeds both the token-pair coverage and the parser; a lex
+        // error's diagnostics feed both coverage records below.
+        let lexed = metamut_lang::lexer::lex(src);
         // Lexer-level coverage: every distinct adjacent token-kind pair is a
         // scanner/parser dispatch edge. Byte-level fuzzers live here.
-        match metamut_lang::lexer::lex(src) {
+        match &lexed {
             Ok(tokens) => {
                 // The scanner has finitely many dispatch edges: bucket the
                 // token-pair space so byte-level fuzzers saturate it, like
@@ -236,14 +257,14 @@ impl Compiler {
             }
         }
 
-        let parsed = metamut_lang::parse("<fuzz>", src);
-        let ast = match parsed {
+        let parsed =
+            lexed.and_then(|tokens| metamut_lang::parser::parse_tokens("<fuzz>", src, tokens));
+        match &parsed {
             Ok(ast) => {
                 // Token/AST shape coverage.
                 for d in &ast.unit.decls {
                     cov.record(Stage::FrontEnd, feature_hash(&[6, decl_code(d)]));
                 }
-                Some(ast)
             }
             Err(diags) => {
                 // Error-recovery paths are front-end coverage too: the
@@ -259,10 +280,9 @@ impl Compiler {
                     Stage::FrontEnd,
                     feature_hash(&[7, diags.len().min(32) as u64]),
                 );
-                None
             }
-        };
-        let ast_feats = ast.as_ref().map(features::ast_features);
+        }
+        let ast_feats = parsed.as_ref().ok().map(features::ast_features);
 
         // Front-end bug check runs on whatever the front end saw, even when
         // the input is ultimately rejected (error recovery crashes!).
@@ -279,17 +299,19 @@ impl Compiler {
             return CompileResult {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
+                ast: parsed.ok(),
             };
         }
 
-        let Some(ast) = ast else {
-            return CompileResult {
-                outcome: Outcome::Rejected {
-                    diagnostics: 1,
-                    first_error: "parse error".into(),
-                },
-                coverage: cov,
-            };
+        let ast = match parsed {
+            Ok(ast) => ast,
+            Err(diags) => {
+                return CompileResult {
+                    outcome: Outcome::rejected(&diags),
+                    coverage: cov,
+                    ast: None,
+                }
+            }
         };
 
         let sema = match metamut_lang::analyze(&ast) {
@@ -320,14 +342,9 @@ impl Compiler {
                     feature_hash(&[10, diags.len().min(32) as u64]),
                 );
                 return CompileResult {
-                    outcome: Outcome::Rejected {
-                        diagnostics: diags.len(),
-                        first_error: diags
-                            .first_error()
-                            .map(|d| d.message.clone())
-                            .unwrap_or_default(),
-                    },
+                    outcome: Outcome::rejected(&diags),
                     coverage: cov,
+                    ast: Some(ast),
                 };
             }
         };
@@ -353,6 +370,7 @@ impl Compiler {
             return CompileResult {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
+                ast: Some(ast),
             };
         }
 
@@ -382,6 +400,7 @@ impl Compiler {
             return CompileResult {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
+                ast: Some(ast),
             };
         }
 
@@ -404,6 +423,7 @@ impl Compiler {
             return CompileResult {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
+                ast: Some(ast),
             };
         }
 
@@ -413,6 +433,7 @@ impl Compiler {
                 spills: asm.spills,
             },
             coverage: cov,
+            ast: Some(ast),
         }
     }
 }

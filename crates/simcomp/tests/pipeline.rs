@@ -192,3 +192,26 @@ void f(void) {
     assert!(result.outcome.crash().is_some());
     assert!(start.elapsed().as_secs() < 5);
 }
+
+#[test]
+fn front_end_rejections_report_the_real_diagnostic() {
+    let gcc = Compiler::new(Profile::Gcc, CompileOptions::o2());
+    let rejection = |src: &str| match gcc.compile(src).outcome {
+        Outcome::Rejected {
+            diagnostics,
+            first_error,
+        } => (diagnostics, first_error),
+        other => panic!("{src:?} must be rejected, got {other:?}"),
+    };
+    let deep_sum = format!("int f(void) {{ return {}; }}", vec!["1"; 20_000].join("+"));
+    for (src, message) in [
+        (deep_sum.as_str(), "nesting deeper than 64 levels"),
+        ("int x = 1 @ 2;", "stray byte 0x40 in program"),
+        ("int x; /* never closed", "unterminated block comment"),
+    ] {
+        let (diagnostics, first_error) = rejection(src);
+        assert_eq!(first_error, message);
+        let expected = metamut_lang::parse("<t>", src).expect_err("input does not parse");
+        assert_eq!(diagnostics, expected.len());
+    }
+}

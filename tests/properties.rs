@@ -204,6 +204,13 @@ fn shared_gate() -> &'static metamut_analyze::UbGate {
     GATE.get_or_init(metamut_analyze::UbGate::new)
 }
 
+/// A second shared gate that only ever sees the compiler's parse, so its
+/// verdicts never come from the text wrapper's cache.
+fn shared_parsed_gate() -> &'static metamut_analyze::UbGate {
+    static GATE: std::sync::OnceLock<metamut_analyze::UbGate> = std::sync::OnceLock::new();
+    GATE.get_or_init(metamut_analyze::UbGate::new)
+}
+
 proptest! {
     // Cases are cheap, and only about one stacked mutant in a hundred
     // introduces UB, so many cases are needed to reach the gate's `true`
@@ -213,8 +220,10 @@ proptest! {
     /// The UB gate (summary memos, parent baselines, verdict cache) is a
     /// faster route to the reference verdicts: with a parent it agrees
     /// with `first_new_ub`, without one with "the mutant has a UB
-    /// finding". The mutant stacks one to four library mutators on a
-    /// corpus seed, like a campaign's havoc step.
+    /// finding". Its text entry point and its entry point on the
+    /// compiler's parse return the same verdict. The mutant stacks one to
+    /// four library mutators on a corpus seed, like a campaign's havoc
+    /// step.
     #[test]
     fn ub_gate_agrees_with_reference_analysis(
         pick_seed in any::<u16>(),
@@ -235,13 +244,30 @@ proptest! {
             }
         }
         let gate = shared_gate();
+        let with_parent = gate.introduces_new_ub(Some(parent), &mutant);
         prop_assert_eq!(
-            gate.introduces_new_ub(Some(parent), &mutant),
+            with_parent,
             metamut_analyze::first_new_ub(parent, &mutant).is_some(),
             "mutant:\n{}", mutant
         );
         let has_ub = metamut_analyze::analyze_source(&mutant)
             .is_ok_and(|findings| findings.iter().any(|f| f.is_ub()));
-        prop_assert_eq!(gate.introduces_new_ub(None, &mutant), has_ub, "mutant:\n{}", mutant);
+        let without_parent = gate.introduces_new_ub(None, &mutant);
+        prop_assert_eq!(without_parent, has_ub, "mutant:\n{}", mutant);
+
+        let ast = metamut_simcomp::Compiler::new(
+            metamut_simcomp::Profile::Gcc,
+            metamut_simcomp::CompileOptions::o2(),
+        )
+        .compile(&mutant)
+        .ast;
+        let parsed_gate = shared_parsed_gate();
+        for (parent, text_verdict) in [(Some(parent), with_parent), (None, without_parent)] {
+            prop_assert_eq!(
+                parsed_gate.introduces_new_ub_parsed(parent, &mutant, ast.as_ref()),
+                text_verdict,
+                "mutant:\n{}", mutant
+            );
+        }
     }
 }
