@@ -108,7 +108,7 @@ fn interproc_memos_are_shared_across_gates() {
     // database, so a second gate re-deciding the same mutant computes
     // nothing new.
     use std::sync::Arc;
-    let db = Arc::new(metamut_query::QueryDb::new());
+    let db = Arc::new(metamut_analyze::QueryDb::new());
     let first = UbGate::with_db(Arc::clone(&db));
     let mutant = PARENT.replace("int acc = 0;", "int acc = 2;");
     assert!(!first.introduces_new_ub(Some(PARENT), &mutant));
@@ -130,7 +130,7 @@ fn single_decl_edit_resummarizes_only_scc_ancestors() {
                   int b(int x) { return c(x); }\n\
                   int a(int x) { return b(x); }\n\
                   int d(int x) { return x * 2; }\n";
-    let db = Arc::new(metamut_query::QueryDb::new());
+    let db = Arc::new(metamut_analyze::QueryDb::new());
     let gate = UbGate::with_db(db);
     let mutant = parent.replace("return x + 1;", "return x + 2;");
     assert!(!gate.introduces_new_ub(Some(parent), &mutant));

@@ -36,6 +36,7 @@
 //! workloads, skips the throughput check, and parks its report under
 //! `target/experiments/` so CI never dirties the tree.
 
+use metamut_analyze::QueryDb;
 use metamut_bench::{median, render_table, write_bench, Check, ExpOptions};
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
@@ -43,7 +44,7 @@ use metamut_fuzzing::{CampaignConfig, CampaignReport, CorpusEntry, SteppedCampai
 use metamut_serve::daemon::{Daemon, DaemonConfig};
 use metamut_serve::store::Store;
 use metamut_serve::Client;
-use metamut_simcomp::{CompileOptions, Compiler, OptFlags, Profile, QueryDb};
+use metamut_simcomp::{CompileOptions, Compiler, OptFlags, Profile};
 use metamut_telemetry::{fetch, Telemetry};
 use serde::{Serialize, Value};
 use serde_json::json;

@@ -11,11 +11,9 @@
 
 use crate::generator::TestGenerator;
 use crate::parallel::ExchangeHub;
-use metamut_analyze::UbGate;
+use metamut_analyze::{QueryDb, UbGate};
 use metamut_muast::MutRng;
-use metamut_simcomp::{
-    AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, QueryDb, Stage, Verdict,
-};
+use metamut_simcomp::{AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, Stage, Verdict};
 use metamut_telemetry::{SeriesPoint, Telemetry};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};

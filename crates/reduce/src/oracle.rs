@@ -39,10 +39,10 @@
 //! compile's parse rather than parsing again. It never judges a candidate
 //! that does not parse — raw-byte crashers reduce exactly as without it.
 
-use metamut_analyze::UbGate;
+use metamut_analyze::{QueryDb, UbGate};
 use metamut_lang::chash::hash128;
 use metamut_lang::fxhash::FxHashMap;
-use metamut_simcomp::{CompileOptions, Compiler, Profile, QueryDb, Stage};
+use metamut_simcomp::{CompileOptions, Compiler, Profile, Stage};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -28,7 +28,7 @@ pub struct TriageConfig {
     /// campaign's shared database so reduction starts from the function
     /// summaries fuzzing already built; `None` gives every oracle a
     /// private one.
-    pub query_db: Option<Arc<metamut_simcomp::QueryDb>>,
+    pub query_db: Option<Arc<metamut_analyze::QueryDb>>,
 }
 
 /// One triaged bug: the reduced witness plus its bookkeeping.

@@ -33,7 +33,10 @@ mod query;
 pub use bugs::{CrashInfo, CrashKind, Profile};
 pub use coverage::{AtomicCoverage, CoverageMap, SharedCoverage, Stage};
 pub use dedup::{Claim, DedupCache, Verdict};
-pub use metamut_query::QueryDb;
+/// Re-exported only because the standalone `exp_perf` benchmark imports
+/// `metamut_simcomp::{QueryCache, QueryDb}`; it goes with the
+/// [`QueryCache`] shim. Workspace crates use `metamut_analyze::QueryDb`.
+pub use metamut_analyze::QueryDb;
 pub use passes::OptFlags;
 pub use query::QueryCache;
 

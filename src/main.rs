@@ -1050,7 +1050,7 @@ fn fuzz(rest: &[String]) -> ExitCode {
     // One query database spans the campaign and (with --reduce) triage,
     // so reduction oracles start from the UB-gate summaries fuzzing
     // already built.
-    let query_db = Arc::new(metamut_simcomp::QueryDb::new());
+    let query_db = Arc::new(metamut_analyze::QueryDb::new());
     let config = CampaignConfig {
         iterations,
         seed,
