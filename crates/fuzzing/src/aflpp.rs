@@ -3,7 +3,6 @@
 //! compilable) but its byte soup explores front-end error handling.
 
 use crate::generator::{Candidate, SeedPool, TestGenerator};
-use bytes::BytesMut;
 use metamut_muast::MutRng;
 
 /// The byte-level fuzzer.
@@ -26,7 +25,7 @@ impl AflPlusPlus {
         }
     }
 
-    fn havoc_once(buf: &mut BytesMut, rng: &mut MutRng) {
+    fn havoc_once(buf: &mut Vec<u8>, rng: &mut MutRng) {
         if buf.is_empty() {
             buf.extend_from_slice(b"A");
             return;
@@ -94,7 +93,7 @@ impl TestGenerator for AflPlusPlus {
 
     fn next_candidate(&mut self, rng: &mut MutRng) -> Candidate {
         let (parent_idx, parent) = self.pool.pick(rng);
-        let mut buf = BytesMut::from(parent.as_bytes());
+        let mut buf = parent.as_bytes().to_vec();
         let stack = rng.index(self.max_stack) + 1;
         for _ in 0..stack {
             Self::havoc_once(&mut buf, rng);

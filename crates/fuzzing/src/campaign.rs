@@ -17,7 +17,7 @@ use metamut_simcomp::{AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, St
 use metamut_telemetry::{SeriesPoint, Telemetry};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -255,15 +255,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Crash counts per compiler component (one Table 4 row).
-    pub fn crashes_by_stage(&self) -> HashMap<Stage, usize> {
-        let mut m = HashMap::new();
-        for c in &self.crashes {
-            *m.entry(c.info.stage).or_insert(0) += 1;
-        }
-        m
-    }
-
     /// Signatures of all unique crashes (for Figure 8's Venn overlap).
     pub fn signatures(&self) -> Vec<u64> {
         self.crashes.iter().map(|c| c.signature).collect()

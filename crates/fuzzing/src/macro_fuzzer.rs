@@ -7,11 +7,12 @@
 use crate::generator::SeedPool;
 use metamut_muast::{mutate_source, MutRng, MutationOutcome, MutatorRegistry};
 use metamut_simcomp::{
-    CompileOptions, Compiler, OptFlags, Outcome, Profile, SharedCoverage, Stage,
+    AtomicCoverage, CompileOptions, Compiler, OptFlags, Outcome, Profile, Stage,
 };
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Configuration for a field experiment.
@@ -87,15 +88,6 @@ impl FieldReport {
         }
         m
     }
-
-    /// Bug counts per compiler.
-    pub fn by_compiler(&self) -> HashMap<String, usize> {
-        let mut m = HashMap::new();
-        for b in &self.bugs {
-            *m.entry(b.compiler.clone()).or_insert(0) += 1;
-        }
-        m
-    }
 }
 
 /// Samples a random command line (§3.4 enhancement #1).
@@ -111,6 +103,12 @@ fn sample_options(rng: &mut MutRng) -> CompileOptions {
 }
 
 /// Runs the macro fuzzer against one compiler profile.
+///
+/// Workers share one [`AtomicCoverage`]; a program joins the pool iff its
+/// merge credits at least one new bit, so each bit pools exactly one
+/// program however the workers interleave. A read-only `would_add` probe
+/// goes first, so the common compile that adds nothing writes no shared
+/// word.
 pub fn run_field_experiment(
     profile: Profile,
     mutators: Arc<MutatorRegistry>,
@@ -119,25 +117,22 @@ pub fn run_field_experiment(
 ) -> FieldReport {
     let telemetry = metamut_telemetry::handle();
     let _field_span = telemetry.span("macro_fuzz");
-    let shared_cov = SharedCoverage::new();
-    let shared_pool = Arc::new(Mutex::new(SeedPool::new(seeds)));
-    let found: Arc<Mutex<Vec<FoundBug>>> = Arc::new(Mutex::new(Vec::new()));
-    let compiles = Arc::new(Mutex::new(0usize));
+    let coverage = AtomicCoverage::new();
+    let pool = Mutex::new(SeedPool::new(seeds));
+    let found = Mutex::new(Vec::<FoundBug>::new());
+    let compiles = AtomicUsize::new(0);
+    let mutators: &MutatorRegistry = &mutators;
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..config.workers {
-            let shared_cov = shared_cov.clone();
-            let shared_pool = Arc::clone(&shared_pool);
-            let found = Arc::clone(&found);
-            let compiles = Arc::clone(&compiles);
-            let mutators = Arc::clone(&mutators);
-            scope.spawn(move |_| {
+            let (coverage, pool, found, compiles) = (&coverage, &pool, &found, &compiles);
+            scope.spawn(move || {
                 let mut rng = MutRng::new(config.seed ^ (w as u64).wrapping_mul(0x9E37_79B9));
                 let base = Compiler::new(profile, CompileOptions::o2());
                 for _ in 0..config.iterations_per_worker {
                     // Pick a parent from the shared pool.
                     let parent = {
-                        let pool = shared_pool.lock();
+                        let pool = pool.lock();
                         let (_, p) = pool.pick(&mut rng);
                         p.to_string()
                     };
@@ -166,7 +161,7 @@ pub fn run_field_experiment(
                     // Random command line (§3.4 #1).
                     let compiler = base.with_options(sample_options(&mut rng));
                     let result = compiler.compile(&program);
-                    *compiles.lock() += 1;
+                    compiles.fetch_add(1, Ordering::Relaxed);
                     telemetry.counter_add("fuzz_execs", 1);
                     if let Outcome::Crash(info) = &result.outcome {
                         let mut found = found.lock();
@@ -186,27 +181,24 @@ pub fn run_field_experiment(
                         }
                     }
                     // Shared coverage map (§3.4 #3).
-                    if shared_cov.would_grow(&result.coverage) {
-                        shared_cov.merge(&result.coverage);
-                        shared_pool.lock().push(program);
+                    let local = &result.coverage;
+                    if coverage.would_add(local) && coverage.merge(local) > 0 {
+                        let mut pool = pool.lock();
+                        pool.push(program);
                         if telemetry.enabled() {
-                            telemetry.gauge_set("fuzz_coverage", shared_cov.count() as f64);
-                            telemetry.gauge_set("fuzz_corpus", shared_pool.lock().len() as f64);
+                            telemetry.gauge_set("fuzz_coverage", coverage.count() as f64);
+                            telemetry.gauge_set("fuzz_corpus", pool.len() as f64);
                         }
                     }
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
 
-    let total_compiles = *compiles.lock();
     FieldReport {
-        bugs: Arc::try_unwrap(found)
-            .map(|m| m.into_inner())
-            .unwrap_or_default(),
-        total_compiles,
-        final_coverage: shared_cov.count(),
+        bugs: found.into_inner(),
+        total_compiles: compiles.into_inner(),
+        final_coverage: coverage.count(),
     }
 }
 

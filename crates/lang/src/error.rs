@@ -143,11 +143,6 @@ impl Diagnostics {
         self.items.iter().find(|d| d.severity == Severity::Error)
     }
 
-    /// Consumes the collection and returns the raw diagnostics.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
-    }
-
     /// Merges another collection into this one.
     pub fn extend(&mut self, other: Diagnostics) {
         self.items.extend(other.items);

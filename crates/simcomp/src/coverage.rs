@@ -5,9 +5,7 @@
 //! bitmap of AFL-style fuzzers. The evaluation's "covered branches" metric
 //! (Figure 7) is the population count of this map.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Compilation stages, which double as the compiler components that crashes
 /// are attributed to (Table 4 / Table 6).
@@ -175,17 +173,10 @@ impl CoverageMap {
         }
         map
     }
-
-    /// Whether `other` covers at least one branch `self` does not.
-    pub fn would_grow(&self, other: &CoverageMap) -> bool {
-        other
-            .touched
-            .iter()
-            .any(|&wi| other.words[wi as usize] & !self.words[wi as usize] != 0)
-    }
 }
 
-/// A lock-free coverage bitmap shared across parallel campaign workers.
+/// A lock-free coverage bitmap shared across parallel workers: the
+/// campaign engine's and the macro fuzzer's (§3.4 enhancement #3).
 ///
 /// Each word is an [`AtomicU64`]; merging a worker's local map is a series
 /// of `fetch_or` operations, so concurrent merges never block and — because
@@ -271,48 +262,6 @@ impl AtomicCoverage {
     }
 }
 
-/// A thread-safe coverage map shared across parallel fuzzing workers
-/// (macro-fuzzer enhancement #3 in §3.4).
-#[derive(Clone, Default)]
-pub struct SharedCoverage {
-    inner: Arc<Mutex<CoverageMap>>,
-}
-
-impl std::fmt::Debug for SharedCoverage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedCoverage")
-            .field("covered", &self.count())
-            .finish()
-    }
-}
-
-impl SharedCoverage {
-    /// A fresh shared map.
-    pub fn new() -> Self {
-        SharedCoverage::default()
-    }
-
-    /// Merges a worker's local observations; returns newly covered bits.
-    pub fn merge(&self, local: &CoverageMap) -> usize {
-        self.inner.lock().merge(local)
-    }
-
-    /// Whether merging `local` would add coverage.
-    pub fn would_grow(&self, local: &CoverageMap) -> bool {
-        self.inner.lock().would_grow(local)
-    }
-
-    /// Total covered branches.
-    pub fn count(&self) -> usize {
-        self.inner.lock().count()
-    }
-
-    /// A snapshot of the current map.
-    pub fn snapshot(&self) -> CoverageMap {
-        self.inner.lock().clone()
-    }
-}
-
 /// FNV-1a hash used to turn structural observations into feature ids.
 pub fn feature_hash(parts: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -379,9 +328,7 @@ mod tests {
         a.record(Stage::IrGen, 10);
         b.record(Stage::IrGen, 10);
         b.record(Stage::IrGen, 11);
-        assert!(a.would_grow(&b));
         assert_eq!(a.merge(&b), 1);
-        assert!(!a.would_grow(&b));
         assert_eq!(a.merge(&b), 0);
     }
 
@@ -396,30 +343,11 @@ mod tests {
         let back = CoverageMap::from_sparse_words(&sparse);
         assert_eq!(back.count(), m.count());
         assert_eq!(back.to_sparse_words(), sparse);
-        assert!(!m.would_grow(&back) && !back.would_grow(&m));
+        assert_eq!(m.clone().merge(&back), 0);
+        assert_eq!(back.clone().merge(&m), 0);
         // Corrupt input degrades instead of panicking.
         let garbage = [(u32::MAX, 0xFFu64), (3, 0)];
         assert_eq!(CoverageMap::from_sparse_words(&garbage).count(), 0);
-    }
-
-    #[test]
-    fn shared_coverage_threads() {
-        let shared = SharedCoverage::new();
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let s = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut local = CoverageMap::new();
-                for i in 0..100 {
-                    local.record(Stage::BackEnd, t * 1000 + i);
-                }
-                s.merge(&local);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.count(), 400);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod passes;
 mod query;
 
 pub use bugs::{CrashInfo, CrashKind, Profile};
-pub use coverage::{AtomicCoverage, CoverageMap, SharedCoverage, Stage};
+pub use coverage::{AtomicCoverage, CoverageMap, Stage};
 pub use dedup::{Claim, DedupCache, Verdict};
 /// Re-exported only because the standalone `exp_perf` benchmark imports
 /// `metamut_simcomp::{QueryCache, QueryDb}`; it goes with the

@@ -24,8 +24,8 @@
 //!   [`Telemetry::span_fast`] is the sink-event-free variant for
 //!   per-iteration spans.
 //! - **Time-series** ([`SeriesRecorder`], via [`Telemetry::series`]): a
-//!   lock-free ring of fixed-cadence [`SeriesPoint`] campaign samples,
-//!   flushed to `timeseries.jsonl`.
+//!   bounded, mutex-guarded buffer of fixed-cadence [`SeriesPoint`]
+//!   campaign samples, flushed to `timeseries.jsonl`.
 //! - **HTTP status** ([`StatusServer`]): a std-only endpoint serving
 //!   `/metrics` (Prometheus text, see [`prometheus`]), `/timeseries`,
 //!   and `/spans` from a live campaign.
@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Environment variable consulted by [`init_from_arg`] when no
+/// Environment variable consulted by [`init_from_args`] when no
 /// `--telemetry` flag is given.
 pub const ENV_VAR: &str = "METAMUT_TELEMETRY";
 
@@ -149,7 +149,7 @@ impl Telemetry {
         &self.inner.spans
     }
 
-    /// The campaign time-series ring (off until `set_enabled(true)`).
+    /// The campaign time-series buffer (off until `set_enabled(true)`).
     pub fn series(&self) -> &SeriesRecorder {
         &self.inner.series
     }
@@ -450,7 +450,7 @@ pub fn labeled(name: &str, label: &str) -> String {
 
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 
-/// The process-global pipeline. Disabled until [`init_from_arg`] (or an
+/// The process-global pipeline. Disabled until [`init_from_args`] (or an
 /// explicit `set_enabled`) turns it on.
 pub fn handle() -> &'static Telemetry {
     GLOBAL.get_or_init(Telemetry::disabled)
@@ -459,16 +459,11 @@ pub fn handle() -> &'static Telemetry {
 /// Wires the global pipeline from a `--telemetry <path>` argument,
 /// falling back to the `METAMUT_TELEMETRY` environment variable. On
 /// success the global handle is enabled with a JSONL sink at the path
-/// and a once-per-second status line on stderr; returns the path.
-pub fn init_from_arg(arg: Option<&str>) -> Option<PathBuf> {
-    init_from_args(arg, None)
-}
-
-/// Like [`init_from_arg`], with a `--status-every <secs>` override for
-/// the stderr status-line interval. `status_every` falls back to the
-/// `METAMUT_STATUS_EVERY` environment variable, then to one second; a
-/// value of `0` suppresses the status sink entirely (the JSONL sink is
-/// unaffected).
+/// and a status line on stderr; returns the path. `status_every`
+/// (`--status-every <secs>`) sets the status-line interval, falling back
+/// to the `METAMUT_STATUS_EVERY` environment variable, then to one
+/// second; a value of `0` suppresses the status sink entirely (the JSONL
+/// sink is unaffected).
 pub fn init_from_args(arg: Option<&str>, status_every: Option<f64>) -> Option<PathBuf> {
     let path = arg.map(PathBuf::from).or_else(|| {
         std::env::var(ENV_VAR)

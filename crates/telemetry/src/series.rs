@@ -1,20 +1,23 @@
-//! Lock-free campaign time-series: fixed-cadence samples of coverage,
-//! throughput, corpus size, and cache hit rates, written from the fuzzing
-//! hot loop into a seqlock-style ring buffer and flushed to
-//! `timeseries.jsonl` (one JSON object per line) at campaign end.
+//! Campaign time-series: fixed-cadence samples of coverage, throughput,
+//! corpus size, and cache hit rates, taken from the fuzzing loop into a
+//! bounded buffer and flushed to `timeseries.jsonl` (one JSON object per
+//! line) at campaign end.
 //!
-//! Writers never block: a sample claims its slot with one `fetch_add` on
-//! the cursor and publishes through a per-slot sequence word (odd while a
-//! write is in flight, even when stable). Readers — the `/timeseries`
-//! HTTP endpoint and the final flush — retry slots whose sequence moved
-//! underneath them, so a concurrent snapshot is always built from whole
-//! samples. When the ring wraps, the oldest samples are overwritten; the
-//! default capacity holds hours of sampling at any sane cadence.
+//! A campaign samples once every `sample_every` iterations, right after a
+//! coverage count that walks the whole map, so one short lock per sample
+//! is cheap next to the sample itself: the buffer is a mutex-guarded
+//! `VecDeque`. A writer pushes one whole sample under the lock and
+//! readers — the `/timeseries` HTTP endpoint and the final flush — copy
+//! whole samples under it, so no reader sees a torn sample. At capacity
+//! the oldest sample is dropped; the default capacity holds hours of
+//! sampling at any sane cadence.
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Default ring capacity (samples).
+/// Default capacity (samples).
 pub const DEFAULT_SERIES_CAPACITY: usize = 8192;
 
 /// One time-series sample.
@@ -42,59 +45,13 @@ pub struct SeriesPoint {
     pub ub_filter_rate: f64,
 }
 
-const FIELDS: usize = 9;
-
-impl SeriesPoint {
-    fn to_words(&self) -> [u64; FIELDS] {
-        [
-            self.t_us,
-            self.iteration,
-            self.execs,
-            self.covered,
-            self.corpus,
-            self.crashes,
-            self.execs_per_sec.to_bits(),
-            self.dedup_hit_rate.to_bits(),
-            self.ub_filter_rate.to_bits(),
-        ]
-    }
-
-    fn from_words(w: &[u64; FIELDS]) -> Self {
-        SeriesPoint {
-            t_us: w[0],
-            iteration: w[1],
-            execs: w[2],
-            covered: w[3],
-            corpus: w[4],
-            crashes: w[5],
-            execs_per_sec: f64::from_bits(w[6]),
-            dedup_hit_rate: f64::from_bits(w[7]),
-            ub_filter_rate: f64::from_bits(w[8]),
-        }
-    }
-}
-
-/// One ring slot: a seqlock sequence word plus the sample fields.
-struct Slot {
-    /// 0 = never written; odd = write in flight; even > 0 = stable.
-    seq: AtomicU64,
-    words: [AtomicU64; FIELDS],
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// The lock-free sample ring.
+/// The bounded sample buffer: the newest `capacity` samples in arrival
+/// order, plus how many were ever recorded.
 pub struct SeriesRecorder {
     on: AtomicBool,
-    cursor: AtomicU64,
-    slots: Vec<Slot>,
+    capacity: usize,
+    recorded: AtomicU64,
+    ring: Mutex<VecDeque<SeriesPoint>>,
 }
 
 impl Default for SeriesRecorder {
@@ -104,12 +61,14 @@ impl Default for SeriesRecorder {
 }
 
 impl SeriesRecorder {
-    /// A recorder with the given ring capacity, initially off.
+    /// A recorder holding at most `capacity` samples, initially off.
+    /// Storage grows with the samples actually recorded.
     pub fn new(capacity: usize) -> Self {
         SeriesRecorder {
             on: AtomicBool::new(false),
-            cursor: AtomicU64::new(0),
-            slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
+            capacity: capacity.max(1),
+            recorded: AtomicU64::new(0),
+            ring: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -126,62 +85,26 @@ impl SeriesRecorder {
 
     /// Total samples ever recorded (monotone; exceeds capacity on wrap).
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Stores one sample. Lock-free: one atomic claim plus plain stores
-    /// bracketed by the slot's sequence word.
+    /// Stores one sample, dropping the oldest one at capacity.
     pub fn record(&self, point: &SeriesPoint) {
         if !self.enabled() {
             return;
         }
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
-        let slot = &self.slots[idx];
-        // Odd sequence marks the write in flight. Acquire the slot by CAS
-        // so two writers that wrapped onto it cannot interleave; Release on
-        // the closing store publishes the field writes to readers.
-        let mut seq = slot.seq.load(Ordering::Relaxed);
-        loop {
-            if seq & 1 == 0 {
-                match slot.seq.compare_exchange_weak(
-                    seq,
-                    seq + 1,
-                    Ordering::Acquire,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(cur) => seq = cur,
-                }
-            } else {
-                std::hint::spin_loop();
-                seq = slot.seq.load(Ordering::Relaxed);
-            }
+        let mut ring = self.ring.lock();
+        if ring.len() == self.capacity {
+            ring.pop_front();
         }
-        for (w, v) in slot.words.iter().zip(point.to_words()) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(seq + 2, Ordering::Release);
+        ring.push_back(point.clone());
+        self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the buffered samples, sorted by iteration (parallel
-    /// workers publish out of order). Slots caught mid-write are skipped —
-    /// the writer will finish and the next snapshot sees them.
+    /// workers publish out of order).
     pub fn points(&self) -> Vec<SeriesPoint> {
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            for _attempt in 0..4 {
-                let before = slot.seq.load(Ordering::Acquire);
-                if before == 0 || before & 1 == 1 {
-                    break;
-                }
-                let words: [u64; FIELDS] =
-                    std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-                if slot.seq.load(Ordering::Acquire) == before {
-                    out.push(SeriesPoint::from_words(&words));
-                    break;
-                }
-            }
-        }
+        let mut out: Vec<SeriesPoint> = self.ring.lock().iter().cloned().collect();
         out.sort_by_key(|p| (p.iteration, p.t_us));
         out
     }

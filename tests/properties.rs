@@ -10,7 +10,7 @@
 
 use metamut::prelude::*;
 use metamut_muast::MutRng;
-use metamut_simcomp::{CoverageMap, Stage};
+use metamut_simcomp::{AtomicCoverage, CoverageMap, Stage};
 use proptest::prelude::*;
 
 proptest! {
@@ -127,7 +127,22 @@ proptest! {
         let mut merged = b.clone();
         merged.merge(&a);
         prop_assert_eq!(merged.count(), a.count().max(merged.count()));
-        prop_assert!(!a.would_grow(&b) || !a.contains(Stage::Opt, features[0]));
+        // Probing predicts merging: on a shared map holding the first half
+        // of the features, `would_add` on the first and last feature holds
+        // iff merging them credits at least one new bit, and never after
+        // that merge.
+        let shared = AtomicCoverage::new();
+        let mut half = CoverageMap::new();
+        for &f in &features[..features.len() / 2] {
+            half.record(Stage::Opt, f);
+        }
+        shared.merge(&half);
+        let mut ends = CoverageMap::new();
+        ends.record(Stage::Opt, features[0]);
+        ends.record(Stage::Opt, features[features.len() - 1]);
+        let would_add = shared.would_add(&ends);
+        prop_assert_eq!(would_add, shared.merge(&ends) > 0);
+        prop_assert!(!shared.would_add(&ends));
     }
 
     /// Compiling is a pure function of (source, profile, options): same
