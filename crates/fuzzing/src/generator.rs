@@ -79,6 +79,17 @@ pub trait TestGenerator: Send {
         None
     }
 
+    /// [`TestGenerator::pool_snapshot`] restricted to the entries from
+    /// index `from` on, with the export mark still absolute: what a
+    /// checkpoint delta appends to the image's pool. The default slices
+    /// the full snapshot; pools that can copy only the tail override it.
+    fn pool_snapshot_from(&self, from: usize) -> Option<PoolSnapshot> {
+        let mut snapshot = self.pool_snapshot()?;
+        snapshot.programs.drain(..from.min(snapshot.programs.len()));
+        snapshot.foreign.drain(..from.min(snapshot.foreign.len()));
+        Some(snapshot)
+    }
+
     /// Restores pool state captured by [`TestGenerator::pool_snapshot`].
     /// Returns `false` when this generator does not support restoration.
     fn restore_pool(&mut self, snapshot: PoolSnapshot) -> bool {
@@ -309,9 +320,16 @@ impl SeedPool {
     /// A serializable image of the pool (programs, foreign flags, export
     /// mark) for campaign checkpoints.
     pub fn snapshot(&self) -> PoolSnapshot {
+        self.snapshot_from(0)
+    }
+
+    /// [`SeedPool::snapshot`] of the entries from index `from` on (none
+    /// past the end); the export mark stays absolute.
+    pub fn snapshot_from(&self, from: usize) -> PoolSnapshot {
+        let tail = self.items.get(from..).unwrap_or_default();
         PoolSnapshot {
-            programs: self.items.iter().map(|e| e.program.clone()).collect(),
-            foreign: self.items.iter().map(|e| e.foreign).collect(),
+            programs: tail.iter().map(|e| e.program.clone()).collect(),
+            foreign: tail.iter().map(|e| e.foreign).collect(),
             export_mark: self.export_mark,
         }
     }

@@ -68,7 +68,9 @@ pub use campaign::{
 pub use generator::{PoolSnapshot, TestGenerator};
 pub use macro_fuzzer::{run_field_experiment, FieldReport, MacroConfig};
 pub use parallel::{run_parallel_campaign, run_parallel_campaign_with};
-pub use resume::{CampaignCheckpoint, StepProgress, SteppedCampaign, CHECKPOINT_VERSION};
+pub use resume::{
+    CampaignCheckpoint, CheckpointDelta, StepProgress, SteppedCampaign, CHECKPOINT_VERSION,
+};
 
 use std::sync::Arc;
 

@@ -199,6 +199,10 @@ impl TestGenerator for MuCFuzz {
         Some(self.pool.snapshot())
     }
 
+    fn pool_snapshot_from(&self, from: usize) -> Option<PoolSnapshot> {
+        Some(self.pool.snapshot_from(from))
+    }
+
     fn restore_pool(&mut self, snapshot: PoolSnapshot) -> bool {
         self.pool = SeedPool::from_snapshot(snapshot);
         true

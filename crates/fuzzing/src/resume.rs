@@ -18,6 +18,12 @@
 //! the checkpoint: a witness that no longer reproduces its signature is a
 //! corrupt or stale checkpoint and fails the restore loudly.
 //!
+//! [`SteppedCampaign::checkpoint_delta`] captures only what changed since
+//! the last checkpoint (full or delta), so a periodic checkpoint costs the
+//! work since the previous one; replaying the deltas over the full image
+//! with [`CheckpointDelta::apply`] yields exactly the full checkpoint taken
+//! at the same point.
+//!
 //! Dedup caches, UB-gate summary memos, and UB-gate verdicts are
 //! deliberately *not* checkpointed: they are pure throughput state, proven
 //! elsewhere not to change reports, so a resumed campaign merely starts
@@ -81,6 +87,155 @@ pub struct CampaignCheckpoint {
     pub corpus_log: Vec<CorpusEntry>,
 }
 
+/// What a campaign changed between two checkpoints: the new pool, corpus,
+/// series and crash entries, the coverage words that changed, and the
+/// replaced scalars. Every list a checkpoint holds only ever grows (the
+/// pool, corpus log, series and crash list are appended to; coverage bits
+/// are only ever set), so the entries past the previous checkpoint's
+/// lengths are the whole difference.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CheckpointDelta {
+    /// `next_iteration` of the image this delta applies to; replay refuses
+    /// a delta that does not continue its image.
+    pub since: usize,
+    /// First iteration the resumed campaign will run.
+    pub next_iteration: usize,
+    /// Raw worker-RNG state at checkpoint time.
+    pub rng: Vec<u64>,
+    /// Mutant production counters.
+    pub mutants: MutantStats,
+    /// The pool entries appended since the last checkpoint (programs and
+    /// foreign flags) and the pool's current export mark.
+    pub pool: PoolSnapshot,
+    /// Corpus-log entries appended since the last checkpoint.
+    pub corpus_log: Vec<CorpusEntry>,
+    /// Sample points appended since the last checkpoint.
+    pub series: Vec<SamplePoint>,
+    /// Crashes found since the last checkpoint.
+    pub crashes: Vec<CrashSeed>,
+    /// Coverage words whose bits changed, with their new value, in word
+    /// order.
+    pub coverage: Vec<(u32, u64)>,
+}
+
+impl CheckpointDelta {
+    /// Replays this delta over `image`, the full checkpoint as of the
+    /// previous checkpoint; afterwards `image` equals the full checkpoint
+    /// taken together with this delta. Errs, leaving `image` untouched,
+    /// when the delta does not continue `image`.
+    pub fn apply(self, image: &mut CampaignCheckpoint) -> Result<(), String> {
+        if self.since != image.next_iteration {
+            return Err(format!(
+                "delta continues iteration {} but the image is at {}",
+                self.since, image.next_iteration
+            ));
+        }
+        image.next_iteration = self.next_iteration;
+        image.rng = self.rng;
+        image.mutants = self.mutants;
+        image.pool.programs.extend(self.pool.programs);
+        image.pool.foreign.extend(self.pool.foreign);
+        image.pool.export_mark = self.pool.export_mark;
+        image.corpus_log.extend(self.corpus_log);
+        image.series.extend(self.series);
+        image.crashes.extend(self.crashes);
+        // Both lists are in word order: merge, the delta's value winning.
+        let mut old = std::mem::take(&mut image.coverage).into_iter().peekable();
+        let mut merged = Vec::with_capacity(old.len() + self.coverage.len());
+        for (word, bits) in self.coverage {
+            while let Some(&(w, _)) = old.peek() {
+                if w > word {
+                    break;
+                }
+                let entry = old.next().expect("peeked");
+                if w < word {
+                    merged.push(entry);
+                }
+            }
+            merged.push((word, bits));
+        }
+        merged.extend(old);
+        image.coverage = merged;
+        Ok(())
+    }
+}
+
+/// How much of a campaign's state its last checkpoint already holds.
+#[derive(Debug, Default)]
+struct Persisted {
+    next_iteration: usize,
+    pool: usize,
+    corpus_log: usize,
+    series: usize,
+    crashes: usize,
+    /// The sparse coverage words as last written, in word order.
+    coverage: Vec<(u32, u64)>,
+}
+
+impl Persisted {
+    /// Everything `image` holds.
+    fn of(image: &CampaignCheckpoint) -> Persisted {
+        Persisted {
+            next_iteration: image.next_iteration,
+            pool: image.pool.programs.len(),
+            corpus_log: image.corpus_log.len(),
+            series: image.series.len(),
+            crashes: image.crashes.len(),
+            coverage: image.coverage.clone(),
+        }
+    }
+}
+
+/// The entries of an append-only list past `mark`, or an error when the
+/// list shrank below it (an image already holds entries that are gone).
+fn appended<'a, T>(what: &str, list: &'a [T], mark: usize) -> Result<&'a [T], String> {
+    list.get(mark..)
+        .ok_or_else(|| format!("{what} shrank from {mark} to {} entries", list.len()))
+}
+
+/// Crash records as the witnesses a checkpoint persists.
+fn crash_seeds(records: &[CrashRecord]) -> Vec<CrashSeed> {
+    records
+        .iter()
+        .map(|c| CrashSeed {
+            witness: c.witness.clone(),
+            signature: c.signature,
+            first_iteration: c.first_iteration,
+        })
+        .collect()
+}
+
+/// The words of `now` that differ from `before` (both sparse, in word
+/// order). Errs when a bit of `before` is missing from `now`: coverage
+/// only grows, so a cleared bit means the image no longer describes it.
+fn changed_words(before: &[(u32, u64)], now: &[(u32, u64)]) -> Result<Vec<(u32, u64)>, String> {
+    let mut changed = Vec::new();
+    let mut old = before.iter().peekable();
+    for &(word, bits) in now {
+        let mut prev = 0;
+        while let Some(&&(w, b)) = old.peek() {
+            if w > word {
+                break;
+            }
+            old.next();
+            if w < word {
+                return Err(format!("coverage word {w} was cleared"));
+            }
+            prev = b;
+        }
+        if prev & !bits != 0 {
+            return Err(format!("coverage word {word} lost bits"));
+        }
+        if prev != bits {
+            changed.push((word, bits));
+        }
+    }
+    match old.next() {
+        Some(&(w, _)) => Err(format!("coverage word {w} was cleared")),
+        None => Ok(changed),
+    }
+}
+
 /// Point-in-time progress of a stepped campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StepProgress {
@@ -102,6 +257,9 @@ pub struct SteppedCampaign {
     generator: Box<dyn TestGenerator>,
     rng: MutRng,
     mutants: MutantStats,
+    /// What the last checkpoint (full or delta) covered: the next delta
+    /// starts here.
+    persisted: Persisted,
 }
 
 impl SteppedCampaign {
@@ -121,6 +279,7 @@ impl SteppedCampaign {
             generator,
             rng,
             mutants: MutantStats::default(),
+            persisted: Persisted::default(),
         }
     }
 
@@ -186,27 +345,16 @@ impl SteppedCampaign {
         self.shared.crashes.lock().1.clone()
     }
 
-    /// Snapshots the campaign's full deterministic state. Fails when the
-    /// generator cannot expose its pool (hidden mutable state would make
-    /// the resumed run diverge silently).
-    pub fn checkpoint(&self) -> Result<CampaignCheckpoint, String> {
+    /// Snapshots the campaign's full deterministic state and counts it as
+    /// persisted: the next [`SteppedCampaign::checkpoint_delta`] starts
+    /// from it. Fails when the generator cannot expose its pool (hidden
+    /// mutable state would make the resumed run diverge silently).
+    pub fn checkpoint(&mut self) -> Result<CampaignCheckpoint, String> {
         let pool = self
             .generator
             .pool_snapshot()
-            .ok_or_else(|| format!("{} does not support checkpointing", self.generator.name()))?;
-        let crashes = self
-            .shared
-            .crashes
-            .lock()
-            .1
-            .iter()
-            .map(|c| CrashSeed {
-                witness: c.witness.clone(),
-                signature: c.signature,
-                first_iteration: c.first_iteration,
-            })
-            .collect();
-        Ok(CampaignCheckpoint {
+            .ok_or_else(|| self.no_pool())?;
+        let checkpoint = CampaignCheckpoint {
             version: CHECKPOINT_VERSION,
             fuzzer: self.generator.name().to_string(),
             iterations: self.shared.config.iterations,
@@ -216,11 +364,67 @@ impl SteppedCampaign {
             rng: self.rng.state().to_vec(),
             pool,
             coverage: self.shared.coverage.snapshot().to_sparse_words(),
-            crashes,
+            crashes: crash_seeds(&self.shared.crashes.lock().1),
             series: self.shared.series.lock().clone(),
             mutants: self.mutants,
             corpus_log: self.shared.corpus_log.lock().clone(),
-        })
+        };
+        self.persisted = Persisted::of(&checkpoint);
+        Ok(checkpoint)
+    }
+
+    /// What changed since the last checkpoint (full or delta), counted as
+    /// persisted in turn. Its size follows the work done since then, not
+    /// the campaign's. Fails like [`SteppedCampaign::checkpoint`], and
+    /// when state the last checkpoint holds has disappeared (a list shrank
+    /// or a coverage bit was cleared), which no delta can express.
+    pub fn checkpoint_delta(&mut self) -> Result<CheckpointDelta, String> {
+        let from = &self.persisted;
+        if self.generator.pool_len() < from.pool {
+            return Err(format!(
+                "pool shrank from {} to {} entries",
+                from.pool,
+                self.generator.pool_len()
+            ));
+        }
+        let pool = self
+            .generator
+            .pool_snapshot_from(from.pool)
+            .ok_or_else(|| self.no_pool())?;
+        let coverage = self.shared.coverage.snapshot().to_sparse_words();
+        let delta = CheckpointDelta {
+            since: from.next_iteration,
+            next_iteration: self.completed(),
+            rng: self.rng.state().to_vec(),
+            mutants: self.mutants,
+            pool,
+            corpus_log: appended(
+                "corpus log",
+                &self.shared.corpus_log.lock(),
+                from.corpus_log,
+            )?
+            .to_vec(),
+            series: appended("series", &self.shared.series.lock(), from.series)?.to_vec(),
+            crashes: crash_seeds(appended(
+                "crash list",
+                &self.shared.crashes.lock().1,
+                from.crashes,
+            )?),
+            coverage: changed_words(&from.coverage, &coverage)?,
+        };
+        self.persisted = Persisted {
+            next_iteration: delta.next_iteration,
+            pool: from.pool + delta.pool.programs.len(),
+            corpus_log: from.corpus_log + delta.corpus_log.len(),
+            series: from.series + delta.series.len(),
+            crashes: from.crashes + delta.crashes.len(),
+            coverage,
+        };
+        Ok(delta)
+    }
+
+    fn no_pool(&self) -> String {
+        format!("{} does not support checkpointing", self.generator.name())
     }
 
     /// Rebuilds a campaign from a checkpoint so it continues bit-for-bit
@@ -316,6 +520,16 @@ impl SteppedCampaign {
                 });
             }
         }
+        // The restored state is what the store holds: the next delta
+        // starts from it.
+        let persisted = Persisted {
+            next_iteration: checkpoint.next_iteration,
+            pool: generator.pool_len(),
+            corpus_log: checkpoint.corpus_log.len(),
+            series: checkpoint.series.len(),
+            crashes: shared.crashes.lock().1.len(),
+            coverage: shared.coverage.snapshot().to_sparse_words(),
+        };
         *shared.series.lock() = checkpoint.series;
         *shared.corpus_log.lock() = checkpoint.corpus_log;
         Ok(SteppedCampaign {
@@ -323,6 +537,7 @@ impl SteppedCampaign {
             generator,
             rng: MutRng::from_state(rng_state),
             mutants: checkpoint.mutants,
+            persisted,
         })
     }
 
@@ -486,5 +701,90 @@ mod tests {
         assert!(
             SteppedCampaign::resume(bad, fuzzer(), &compiler, &cfg, Telemetry::disabled()).is_err()
         );
+    }
+
+    /// A base plus every delta since equals the full checkpoint at every
+    /// slice, and a campaign resumed from the replayed image finishes
+    /// exactly like the uninterrupted one.
+    #[test]
+    fn replayed_deltas_equal_the_full_checkpoint_at_every_slice() {
+        let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
+        let cfg = config(2000);
+        // `full` takes only full checkpoints, `delta` only deltas after its
+        // first: the two run in lockstep on the same deterministic stream.
+        let mut full = SteppedCampaign::new(fuzzer(), &compiler, &cfg, Telemetry::disabled());
+        let mut delta = SteppedCampaign::new(fuzzer(), &compiler, &cfg, Telemetry::disabled());
+        full.step(32);
+        delta.step(32);
+        let mut image = delta.checkpoint().expect("base");
+        let (mut deltas, mut resume_from) = (0, None);
+        while !full.is_done() {
+            full.step(32);
+            delta.step(32);
+            let step = delta.checkpoint_delta().expect("delta");
+            // Through JSON, as the store's log line.
+            let line = serde_json::to_string(&step).expect("serialize");
+            let step: CheckpointDelta = serde_json::from_str(&line).expect("parse");
+            step.apply(&mut image).expect("apply");
+            deltas += 1;
+            let want = full.checkpoint().expect("checkpoint");
+            assert_eq!(image, want, "replay diverged after {deltas} deltas");
+            if image.next_iteration >= 1000 && resume_from.is_none() {
+                resume_from = Some(image.clone());
+            }
+        }
+        assert!(!image.crashes.is_empty() && !image.corpus_log.is_empty());
+        let (want, want_corpus) = full.finish();
+
+        let mut resumed = SteppedCampaign::resume(
+            resume_from.expect("a mid-run image"),
+            fuzzer(),
+            &compiler,
+            &cfg,
+            Telemetry::disabled(),
+        )
+        .expect("resume");
+        while !resumed.is_done() {
+            resumed.step(32);
+        }
+        let (got, got_corpus) = resumed.finish();
+        assert!(got.outcome_eq(&want), "resumed campaign diverged");
+        assert_eq!(got_corpus, want_corpus, "corpus logs diverged");
+    }
+
+    #[test]
+    fn deltas_chain_only_onto_their_own_image() {
+        let compiler = Compiler::new(Profile::Clang, CompileOptions::o2());
+        let cfg = config(60);
+        let mut c = SteppedCampaign::new(fuzzer(), &compiler, &cfg, Telemetry::disabled());
+        c.step(20);
+        let mut image = c.checkpoint().expect("base");
+        c.step(20);
+        let step = c.checkpoint_delta().expect("delta");
+        let before = image.clone();
+        step.clone().apply(&mut image).expect("applies once");
+        assert!(
+            step.apply(&mut image).is_err(),
+            "a replayed delta is refused"
+        );
+
+        // A delta taken with nothing new carries only the scalars.
+        let idle = c.checkpoint_delta().expect("idle delta");
+        assert_eq!(idle.since, idle.next_iteration);
+        assert!(idle.pool.programs.is_empty() && idle.coverage.is_empty());
+        assert!(idle.series.is_empty() && idle.corpus_log.is_empty());
+        assert_ne!(before, image);
+    }
+
+    #[test]
+    fn changed_words_reports_new_words_and_refuses_cleared_bits() {
+        let before = [(1, 0b01), (5, 0b10)];
+        assert_eq!(
+            changed_words(&before, &[(0, 4), (1, 0b01), (5, 0b11), (9, 1)]),
+            Ok(vec![(0, 4), (5, 0b11), (9, 1)])
+        );
+        assert!(changed_words(&before, &[(1, 0b01)]).is_err(), "word 5 gone");
+        assert!(changed_words(&before, &[(1, 0b10), (5, 0b10)]).is_err());
+        assert!(changed_words(&before, &[(5, 0b10)]).is_err(), "word 1 gone");
     }
 }

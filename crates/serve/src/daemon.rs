@@ -23,8 +23,11 @@
 //!
 //! Campaigns checkpoint to the store every [`DaemonConfig::checkpoint_every`]
 //! slices and again on graceful shutdown (SIGTERM/SIGINT or the `shutdown`
-//! command). A restarted daemon resumes them from the checkpoint
-//! bit-identically; interrupted one-shot jobs are simply re-queued.
+//! command). A checkpoint appends only what changed since the previous
+//! one to the job's delta log; a full image is written only as the job's
+//! first base and when the log outgrows it. A restarted daemon resumes
+//! campaigns from base plus deltas bit-identically; interrupted one-shot
+//! jobs are simply re-queued.
 
 use crate::job::{
     compile_options, parse_profile, FuzzSpec, JobRecord, JobSpec, STATUS_CANCELLED, STATUS_DONE,
@@ -340,17 +343,9 @@ impl Daemon {
                 if job.record.is_terminal() {
                     continue;
                 }
-                if let Some(campaign) = &job.campaign {
-                    match campaign.checkpoint() {
-                        Ok(cp) => {
-                            self.inner.store.save_checkpoint(job.record.id, &cp);
-                            job.record.consumed = campaign.completed();
-                        }
-                        Err(e) => eprintln!(
-                            "metamut-serve: checkpoint of job {} failed: {e}",
-                            job.record.id
-                        ),
-                    }
+                if let Some(campaign) = &mut job.campaign {
+                    checkpoint_job(&self.inner, job.record.id, campaign);
+                    job.record.consumed = campaign.completed();
                     // Close this segment's telemetry so counters sum
                     // correctly across resume segments.
                     self.inner.store.merge_telemetry(job.telemetry.snapshot());
@@ -431,6 +426,7 @@ fn restore_jobs(inner: &Arc<Inner>) {
                                 Err(e) => {
                                     record.status = STATUS_FAILED.to_string();
                                     record.error = Some(format!("resume failed: {e}"));
+                                    inner.store.remove_checkpoint(record.id);
                                 }
                             }
                         }
@@ -685,9 +681,14 @@ fn run_fuzz_slice(inner: &Arc<Inner>, id: u64) {
     };
     let mut campaign = match campaign {
         Some(c) => c,
-        // First lease: build the campaign from its spec (outside the lock).
+        // First lease: build the campaign from its spec (outside the lock),
+        // dropping checkpoint files a previous run may have left: its first
+        // checkpoint is a fresh base.
         None => match build_campaign(inner, &spec, &cancel, telemetry.clone()) {
-            Ok(c) => c,
+            Ok(c) => {
+                inner.store.remove_checkpoint(id);
+                c
+            }
             Err(e) => {
                 fail_job(inner, id, e);
                 return;
@@ -720,15 +721,8 @@ fn run_fuzz_slice(inner: &Arc<Inner>, id: u64) {
     }
 
     // Periodic checkpoint, taken outside the table lock.
-    let checkpoint =
-        if inner.config.checkpoint_every > 0 && (slices + 1) % inner.config.checkpoint_every == 0 {
-            campaign.checkpoint().ok()
-        } else {
-            None
-        };
-    if let Some(cp) = &checkpoint {
-        inner.store.save_checkpoint(id, cp);
-        inner.telemetry.counter_add("serve_checkpoints", 1);
+    if inner.config.checkpoint_every > 0 && (slices + 1) % inner.config.checkpoint_every == 0 {
+        checkpoint_job(inner, id, &mut campaign);
     }
 
     let mut table = inner.table();
@@ -739,6 +733,23 @@ fn run_fuzz_slice(inner: &Arc<Inner>, id: u64) {
         job.push_event(event);
         job.campaign = Some(campaign);
         job.leased = false;
+    }
+}
+
+/// Checkpoints job `id`'s campaign to the store (a delta, or a full base
+/// when one is due) and counts what it wrote.
+fn checkpoint_job(inner: &Inner, id: u64, campaign: &mut SteppedCampaign) {
+    match inner.store.checkpoint_campaign(id, campaign) {
+        Ok((bytes, base)) => {
+            inner.telemetry.counter_add("serve_checkpoints", 1);
+            inner.telemetry.counter_add("serve_checkpoint_bytes", bytes);
+            if base && bytes > 0 {
+                inner
+                    .telemetry
+                    .counter_add("serve_checkpoint_compactions", 1);
+            }
+        }
+        Err(e) => eprintln!("metamut-serve: checkpoint of job {id} failed: {e}"),
     }
 }
 

@@ -20,41 +20,60 @@
 //! - `triage.json` / `triage.md` — the merged [`TriageReport`] across all
 //!   jobs ([`TriageReport::merge`] dedups bugs by signature).
 //! - `telemetry.json` — the merged metrics [`Snapshot`] across all jobs.
-//! - `checkpoints/job-N.json` — one [`CampaignCheckpoint`] per in-flight
-//!   campaign, written on interval and at shutdown.
+//! - `checkpoints/job-N.json` — the base of an in-flight campaign's
+//!   checkpoint: one compact [`CampaignCheckpoint`], written by the job's
+//!   first checkpoint and by every compaction.
+//! - `checkpoints/job-N.log` — the campaign's progress since that base: one
+//!   compact JSON [`CheckpointDelta`] per line, appended by every later
+//!   checkpoint. [`Store::load_checkpoint`] replays the deltas over the
+//!   base, skipping a line that does not continue the image before it.
+//!   The daemon compacts a job's checkpoint when its log outgrows its base
+//!   (with the same floor), and deletes both files when the job ends.
 //! - `daemon.json` — the live daemon's bound addresses and pid, so
 //!   clients and CI scripts can find an ephemeral-port daemon.
 //!
-//! Every read of a corrupted or truncated file degrades to a warning plus
-//! the empty default — a damaged store never panics the daemon; a torn or
-//! corrupt `jobs.log` line is skipped. Whole-file writes go through a temp
-//! file + rename so a crash mid-write leaves the previous version intact;
-//! every write gets its own temp name, so concurrent writers of one file
-//! never share (and tear or lose) a temp file. A log append is one
-//! `write_all` of one line, so a crash can tear at most the last line.
+//! The job table and every checkpoint are one journal each: a snapshot
+//! plus an append-only log. Every read of a corrupted or truncated file
+//! degrades to a warning plus the empty default — a damaged store never
+//! panics the daemon; a torn or corrupt log line is skipped. Whole-file
+//! writes go through a temp file + rename so a crash mid-write leaves the
+//! previous version intact; every write gets its own temp name, so
+//! concurrent writers of one file never share (and tear or lose) a temp
+//! file. A log append is one `write_all` of one line, so a crash can tear
+//! at most the last line.
 
 use crate::job::JobRecord;
-use metamut_fuzzing::{CampaignCheckpoint, CorpusEntry};
+use metamut_fuzzing::{CampaignCheckpoint, CheckpointDelta, CorpusEntry, SteppedCampaign};
 use metamut_reduce::TriageReport;
 use metamut_telemetry::Snapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// On-disk format version; bump on any incompatible layout change.
-/// Version 2 added `jobs.log`, which a version-1 build would ignore.
-pub const STORE_VERSION: u32 = 2;
+/// Version 2 added `jobs.log`, which a version-1 build would ignore;
+/// version 3 added the checkpoint logs, which a version-2 build would
+/// ignore, resuming from a stale base.
+pub const STORE_VERSION: u32 = 3;
 
-/// The job log counts as outgrowing the snapshot only past this many
-/// bytes, so a small table is not rewritten on every other change.
+/// A log counts as outgrowing its snapshot only past this many bytes, so
+/// a small snapshot is not rewritten on every other change.
 pub const LOG_COMPACT_FLOOR: u64 = 64 * 1024;
 
 const JOBS_SNAPSHOT: &str = "jobs.json";
 const JOBS_LOG: &str = "jobs.log";
+
+/// Job `id`'s checkpoint base and delta log.
+fn checkpoint_files(id: u64) -> (String, String) {
+    (
+        format!("checkpoints/job-{id}.json"),
+        format!("checkpoints/job-{id}.log"),
+    )
+}
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct StoreMeta {
@@ -85,17 +104,112 @@ pub struct DaemonInfo {
     pub pid: u32,
 }
 
-/// The job table's write side: the append handle on `jobs.log` and the
-/// byte sizes that decide when to compact.
-#[derive(Default)]
-struct JobFiles {
+/// The write side of a snapshot-plus-log pair: a snapshot of the whole
+/// state, rewritten only by compaction, and a log with one compact JSON
+/// line per change since. Holds the append handle and the byte sizes that
+/// decide when to compact.
+struct Journal {
+    snapshot: String,
+    log_name: String,
     /// Opened on the first append, dropped when compaction deletes the log.
     log: Option<File>,
-    /// A failed append may have left a partial line; the next one starts
-    /// on a fresh line so only the torn record is lost.
-    torn: bool,
+    /// A write failed, or the log ends in a partial line. Until the next
+    /// compaction, which alone restores what was lost, compaction is due
+    /// and every append starts on a fresh line, so only the torn record
+    /// is lost.
+    stale: bool,
     log_bytes: u64,
     snapshot_bytes: u64,
+}
+
+impl Journal {
+    /// The journal of the files `snapshot` and `log` under `root`, as they
+    /// are on disk.
+    fn open(root: &Path, snapshot: String, log: String) -> Journal {
+        let len = |name: &str| std::fs::metadata(root.join(name)).map_or(0, |m| m.len());
+        let log_bytes = len(&log);
+        let torn = log_bytes > 0 && {
+            let mut last = [0u8];
+            File::open(root.join(&log))
+                .and_then(|mut f| {
+                    f.seek(SeekFrom::End(-1))?;
+                    f.read_exact(&mut last)
+                })
+                .map_or(true, |()| last[0] != b'\n')
+        };
+        Journal {
+            snapshot_bytes: len(&snapshot),
+            snapshot,
+            log_name: log,
+            log: None,
+            stale: torn,
+            log_bytes,
+        }
+    }
+
+    /// Whether the log has outgrown the snapshot (and
+    /// [`LOG_COMPACT_FLOOR`]), so compacting now keeps the total rewrite
+    /// cost amortized O(1) per change, or a failed write left the files
+    /// short of a change.
+    fn compaction_due(&self) -> bool {
+        self.stale || self.log_bytes > self.snapshot_bytes.max(LOG_COMPACT_FLOOR)
+    }
+
+    /// Appends `line` (newline-terminated) to the log with one
+    /// `write_all`, so it reaches the OS before this returns. Returns the
+    /// bytes written, 0 when the append failed.
+    fn append(&mut self, store: &Store, mut line: String) -> u64 {
+        if self.stale {
+            line.insert(0, '\n');
+        }
+        let path = store.root.join(&self.log_name);
+        let result = match self.log.as_mut() {
+            Some(log) => log.write_all(line.as_bytes()),
+            None => std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&path)
+                .and_then(|mut log| {
+                    log.write_all(line.as_bytes())?;
+                    self.log = Some(log);
+                    Ok(())
+                }),
+        };
+        match result {
+            Ok(()) => {
+                self.log_bytes += line.len() as u64;
+                line.len() as u64
+            }
+            Err(e) => {
+                self.stale = true;
+                self.log = None;
+                store.write_error(&path, e);
+                0
+            }
+        }
+    }
+
+    /// Compaction: `text` — the whole state, which must include every
+    /// appended change — becomes the new snapshot, then the log is
+    /// deleted. Returns the bytes written, 0 when the snapshot write
+    /// failed (the log is kept then). A crash between the rename and the
+    /// deletion leaves a log the snapshot already covers.
+    fn compact(&mut self, store: &Store, text: &str) -> u64 {
+        if !store.write_text(&self.snapshot, text) {
+            self.stale = true;
+            return 0;
+        }
+        self.snapshot_bytes = text.len() as u64;
+        self.stale = false;
+        self.log = None;
+        let path = store.root.join(&self.log_name);
+        match std::fs::remove_file(&path) {
+            Ok(()) => self.log_bytes = 0,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => self.log_bytes = 0,
+            Err(e) => store.write_error(&path, e),
+        }
+        text.len() as u64
+    }
 }
 
 /// Parses UTF-8 JSON bytes, reporting either failure as a message.
@@ -104,15 +218,26 @@ fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, String> {
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
+/// One compact JSON line, newline included.
+fn json_line<T: Serialize + ?Sized>(value: &T) -> Result<String, String> {
+    serde_json::to_string(value)
+        .map(|line| line + "\n")
+        .map_err(|e| e.to_string())
+}
+
 /// A handle on one store directory.
 pub struct Store {
     root: PathBuf,
     /// Serializes read-modify-write sequences (corpus/triage/telemetry
     /// merges) against concurrent workers finishing jobs simultaneously.
     merge_lock: Mutex<()>,
-    /// Serializes log appends against compaction, so no append lands
-    /// between a compaction's snapshot rename and its log deletion.
-    jobs: Mutex<JobFiles>,
+    /// The job table's journal. Its lock serializes log appends against
+    /// compaction, so no append lands between a compaction's snapshot
+    /// rename and its log deletion.
+    jobs: Mutex<Journal>,
+    /// Each checkpointed job's journal, opened on first use, under one
+    /// lock for the same reason.
+    checkpoints: Mutex<HashMap<u64, Journal>>,
     /// Sequence number that makes every write's temp file name unique.
     tmp_seq: AtomicU64,
     /// Writes that failed (each is also reported on stderr).
@@ -127,16 +252,12 @@ impl Store {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
         std::fs::create_dir_all(root.join("checkpoints"))?;
-        let file_len = |name: &str| std::fs::metadata(root.join(name)).map_or(0, |m| m.len());
-        let jobs = JobFiles {
-            log_bytes: file_len(JOBS_LOG),
-            snapshot_bytes: file_len(JOBS_SNAPSHOT),
-            ..JobFiles::default()
-        };
+        let jobs = Journal::open(&root, JOBS_SNAPSHOT.to_string(), JOBS_LOG.to_string());
         let store = Store {
             root,
             merge_lock: Mutex::new(()),
             jobs: Mutex::new(jobs),
+            checkpoints: Mutex::new(HashMap::new()),
             tmp_seq: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
         };
@@ -249,31 +370,60 @@ impl Store {
         eprintln!("serve: cannot write {}: {e}", path.display());
     }
 
-    fn job_files(&self) -> MutexGuard<'_, JobFiles> {
+    /// A journal's snapshot and log contents (`None` for a missing file).
+    ///
+    /// Safe against a live daemon compacting meanwhile: the snapshot is
+    /// read again after the log, and a changed snapshot means the log read
+    /// may have missed changes the new snapshot holds, so the read repeats.
+    fn read_journal(&self, snapshot: &str, log: &str) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+        let mut base = self.read_bytes(snapshot);
+        let mut changes = self.read_bytes(log);
+        for _ in 0..8 {
+            let again = self.read_bytes(snapshot);
+            if again == base {
+                break;
+            }
+            (base, changes) = (again, self.read_bytes(log));
+        }
+        (base, changes)
+    }
+
+    /// The complete, non-empty lines of the log `name` holding `log`, with
+    /// their 1-based line numbers. A last line without its newline is a
+    /// torn append: reported and left out.
+    fn log_lines<'a>(&self, name: &str, log: &'a [u8]) -> impl Iterator<Item = (usize, &'a [u8])> {
+        let complete = log
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(&log[..0], |end| &log[..=end]);
+        let torn = log.len() - complete.len();
+        if torn > 0 {
+            eprintln!(
+                "serve: torn last line {} of {} ({torn} bytes); skipped",
+                complete.iter().filter(|&&b| b == b'\n').count() + 1,
+                self.root.join(name).display(),
+            );
+        }
+        complete
+            .split(|&b| b == b'\n')
+            .enumerate()
+            .filter(|(_, line)| !line.is_empty())
+            .map(|(n, line)| (n + 1, line))
+    }
+
+    fn job_journal(&self) -> MutexGuard<'_, Journal> {
         self.jobs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The persisted job table: the snapshot with the log replayed over it
     /// (empty when both are missing or corrupt).
-    ///
-    /// Safe against a live daemon compacting meanwhile: the snapshot is
-    /// read again after the log, and a changed snapshot means the log read
-    /// may have missed records the new snapshot holds, so the read repeats.
     pub fn load_jobs(&self) -> Vec<JobRecord> {
-        let mut snapshot = self.read_bytes(JOBS_SNAPSHOT);
-        let mut log = self.read_bytes(JOBS_LOG);
-        for _ in 0..8 {
-            let again = self.read_bytes(JOBS_SNAPSHOT);
-            if again == snapshot {
-                break;
-            }
-            (snapshot, log) = (again, self.read_bytes(JOBS_LOG));
-        }
+        let (snapshot, log) = self.read_journal(JOBS_SNAPSHOT, JOBS_LOG);
         let mut jobs: Vec<JobRecord> = snapshot
             .and_then(|bytes| self.parse_json(JOBS_SNAPSHOT, &bytes))
             .unwrap_or_default();
         if let Some(log) = log {
-            self.replay_log(&mut jobs, &log);
+            self.replay_jobs(&mut jobs, &log);
         }
         jobs
     }
@@ -281,25 +431,10 @@ impl Store {
     /// Applies every complete `jobs.log` line to `jobs` in order: a known
     /// id's record is replaced, a new id is appended. A corrupt line, or a
     /// last line without its newline (a torn append), is skipped.
-    fn replay_log(&self, jobs: &mut Vec<JobRecord>, log: &[u8]) {
+    fn replay_jobs(&self, jobs: &mut Vec<JobRecord>, log: &[u8]) {
         let mut index: HashMap<u64, usize> =
             jobs.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
-        let mut lines = log.split(|&b| b == b'\n').enumerate().peekable();
-        while let Some((n, line)) = lines.next() {
-            if lines.peek().is_none() {
-                if !line.is_empty() {
-                    eprintln!(
-                        "serve: torn last line {} of {} ({} bytes); skipped",
-                        n + 1,
-                        self.root.join(JOBS_LOG).display(),
-                        line.len()
-                    );
-                }
-                break;
-            }
-            if line.is_empty() {
-                continue;
-            }
+        for (n, line) in self.log_lines(JOBS_LOG, log) {
             match decode::<JobRecord>(line) {
                 Ok(record) => match index.get(&record.id) {
                     Some(&i) => jobs[i] = record,
@@ -309,69 +444,39 @@ impl Store {
                     }
                 },
                 Err(e) => eprintln!(
-                    "serve: corrupt line {} of {} ({e}); skipped",
-                    n + 1,
+                    "serve: corrupt line {n} of {} ({e}); skipped",
                     self.root.join(JOBS_LOG).display()
                 ),
             }
         }
     }
 
-    /// Appends `record`'s current state to `jobs.log` as one line, written
-    /// with one `write_all` so it reaches the OS before this returns.
+    /// Appends `record`'s current state to `jobs.log` as one line.
     /// Callers append a job's states in the order they happened.
     pub fn append_job(&self, record: &JobRecord) {
-        let mut line = match serde_json::to_string(record) {
-            Ok(line) => line,
-            Err(e) => {
-                eprintln!("serve: cannot serialize job {}: {e}", record.id);
-                return;
+        match json_line(record) {
+            Ok(line) => {
+                self.job_journal().append(self, line);
             }
-        };
-        line.push('\n');
-        let path = self.root.join(JOBS_LOG);
-        let mut files = self.job_files();
-        if std::mem::take(&mut files.torn) {
-            line.insert(0, '\n');
-        }
-        let result = match files.log.as_mut() {
-            Some(log) => log.write_all(line.as_bytes()),
-            None => std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut log| {
-                    log.write_all(line.as_bytes())?;
-                    files.log = Some(log);
-                    Ok(())
-                }),
-        };
-        match result {
-            Ok(()) => files.log_bytes += line.len() as u64,
-            Err(e) => {
-                files.torn = true;
-                files.log = None;
-                self.write_error(&path, e);
-            }
+            Err(e) => eprintln!("serve: cannot serialize job {}: {e}", record.id),
         }
     }
 
     /// Whether `jobs.log` has outgrown the snapshot (and
     /// [`LOG_COMPACT_FLOOR`]), so compacting now keeps the total rewrite
-    /// cost amortized O(1) per change.
+    /// cost amortized O(1) per change, or an append failed.
     pub fn compaction_due(&self) -> bool {
-        let files = self.job_files();
-        files.log_bytes > files.snapshot_bytes.max(LOG_COMPACT_FLOOR)
+        self.job_journal().compaction_due()
     }
 
     /// Bytes in `jobs.log` (changes since the last compaction).
     pub fn log_bytes(&self) -> u64 {
-        self.job_files().log_bytes
+        self.job_journal().log_bytes
     }
 
     /// Bytes in the `jobs.json` snapshot.
     pub fn snapshot_bytes(&self) -> u64 {
-        self.job_files().snapshot_bytes
+        self.job_journal().snapshot_bytes
     }
 
     /// Compaction: writes `jobs` — the whole table, which must include
@@ -382,26 +487,12 @@ impl Store {
     /// a finished job is its final one (a restart recomputes an unfinished
     /// job's progress from its checkpoint anyway).
     pub fn compact_jobs(&self, jobs: &[JobRecord]) {
-        let text = match serde_json::to_string(jobs) {
-            Ok(text) => text + "\n",
-            Err(e) => {
-                eprintln!("serve: cannot serialize {JOBS_SNAPSHOT}: {e}");
-                return;
+        match json_line(jobs) {
+            Ok(text) => {
+                self.job_journal().compact(self, &text);
             }
-        };
-        let mut files = self.job_files();
-        if !self.write_text(JOBS_SNAPSHOT, &text) {
-            return;
+            Err(e) => eprintln!("serve: cannot serialize {JOBS_SNAPSHOT}: {e}"),
         }
-        files.snapshot_bytes = text.len() as u64;
-        files.log = None;
-        let path = self.root.join(JOBS_LOG);
-        match std::fs::remove_file(&path) {
-            Ok(()) => files.log_bytes = 0,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => files.log_bytes = 0,
-            Err(e) => self.write_error(&path, e),
-        }
-        files.torn = false;
     }
 
     /// The persisted corpus (empty when missing or corrupt).
@@ -469,19 +560,90 @@ impl Store {
         self.write_json("telemetry.json", &snapshot);
     }
 
-    /// Persists job `id`'s campaign checkpoint.
-    pub fn save_checkpoint(&self, id: u64, checkpoint: &CampaignCheckpoint) {
-        self.write_json(&format!("checkpoints/job-{id}.json"), checkpoint);
+    /// Runs `f` on job `id`'s checkpoint journal, opening it on first use.
+    fn with_checkpoint<R>(&self, id: u64, f: impl FnOnce(&mut Journal) -> R) -> R {
+        let mut journals = self.checkpoints.lock().unwrap_or_else(|e| e.into_inner());
+        let journal = journals.entry(id).or_insert_with(|| {
+            let (base, log) = checkpoint_files(id);
+            Journal::open(&self.root, base, log)
+        });
+        f(journal)
     }
 
-    /// Reads job `id`'s campaign checkpoint (`None` when missing or corrupt).
+    /// Checkpoints job `id`'s campaign: appends what changed since its last
+    /// checkpoint to the job's log as one delta line or, when the job has no
+    /// base yet, its log has outgrown the base (and [`LOG_COMPACT_FLOOR`])
+    /// or a write failed, writes a fresh full base and deletes the log.
+    /// Returns the bytes written (0 when the write failed) and whether they
+    /// were a base.
+    pub fn checkpoint_campaign(
+        &self,
+        id: u64,
+        campaign: &mut SteppedCampaign,
+    ) -> Result<(u64, bool), String> {
+        if self.with_checkpoint(id, |j| j.snapshot_bytes == 0 || j.compaction_due()) {
+            let image = campaign.checkpoint()?;
+            Ok((self.save_checkpoint(id, &image), true))
+        } else {
+            let delta = campaign.checkpoint_delta()?;
+            Ok((self.append_checkpoint(id, &delta), false))
+        }
+    }
+
+    /// Writes `checkpoint` as job `id`'s compact base and deletes its delta
+    /// log. Returns the bytes written, 0 on failure.
+    pub fn save_checkpoint(&self, id: u64, checkpoint: &CampaignCheckpoint) -> u64 {
+        match json_line(checkpoint) {
+            Ok(text) => self.with_checkpoint(id, |j| j.compact(self, &text)),
+            Err(e) => {
+                eprintln!("serve: cannot serialize job {id}'s checkpoint: {e}");
+                0
+            }
+        }
+    }
+
+    /// Appends `delta` to job `id`'s checkpoint log as one line. Returns
+    /// the bytes written, 0 on failure (the next checkpoint is then due to
+    /// be a full image).
+    fn append_checkpoint(&self, id: u64, delta: &CheckpointDelta) -> u64 {
+        match json_line(delta) {
+            Ok(line) => self.with_checkpoint(id, |j| j.append(self, line)),
+            Err(e) => {
+                eprintln!("serve: cannot serialize job {id}'s checkpoint delta: {e}");
+                0
+            }
+        }
+    }
+
+    /// Job `id`'s campaign checkpoint: the base with every delta replayed
+    /// over it (`None` when the base is missing or corrupt). A delta line
+    /// that is torn, corrupt or does not continue the image so far is
+    /// skipped, so the result is always some checkpoint the campaign
+    /// really took.
     pub fn load_checkpoint(&self, id: u64) -> Option<CampaignCheckpoint> {
-        self.read_json(&format!("checkpoints/job-{id}.json"))
+        let (base_name, log_name) = checkpoint_files(id);
+        let (base, log) = self.read_journal(&base_name, &log_name);
+        let mut image: CampaignCheckpoint = self.parse_json(&base_name, &base?)?;
+        for (n, line) in self.log_lines(&log_name, log.as_deref().unwrap_or_default()) {
+            if let Err(e) = decode::<CheckpointDelta>(line).and_then(|d| d.apply(&mut image)) {
+                eprintln!(
+                    "serve: line {n} of {} ({e}); skipped",
+                    self.root.join(&log_name).display()
+                );
+            }
+        }
+        Some(image)
     }
 
-    /// Deletes job `id`'s checkpoint (a completed campaign needs none).
+    /// Deletes job `id`'s checkpoint base and log (an ended campaign needs
+    /// neither).
     pub fn remove_checkpoint(&self, id: u64) {
-        let _ = std::fs::remove_file(self.root.join(format!("checkpoints/job-{id}.json")));
+        let mut journals = self.checkpoints.lock().unwrap_or_else(|e| e.into_inner());
+        journals.remove(&id);
+        let (base, log) = checkpoint_files(id);
+        for name in [base, log] {
+            let _ = std::fs::remove_file(self.root.join(name));
+        }
     }
 
     /// Publishes the live daemon's coordinates.
@@ -500,9 +662,17 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{FuzzSpec, JobSpec, STATUS_DONE, STATUS_QUEUED, STATUS_RUNNING};
+    use crate::job::{
+        compile_options, FuzzSpec, JobSpec, STATUS_DONE, STATUS_QUEUED, STATUS_RUNNING,
+    };
+    use metamut_fuzzing::corpus::seed_corpus;
+    use metamut_fuzzing::mucfuzz::MuCFuzz;
+    use metamut_fuzzing::CampaignConfig;
+    use metamut_simcomp::{Compiler, Profile};
+    use metamut_telemetry::Telemetry;
     use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     static DIRS: AtomicU32 = AtomicU32::new(0);
 
@@ -792,6 +962,148 @@ mod tests {
             std::fs::read_to_string(root.join(JOBS_SNAPSHOT)).unwrap(),
             pretty,
             "opening does not rewrite the job table"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A daemon-shaped campaign: μCFuzz over the full registry on gcc-sim
+    /// -O2, logging its corpus; resumed from `image` when one is given.
+    fn campaign_from(
+        iterations: usize,
+        seed: u64,
+        image: Option<CampaignCheckpoint>,
+    ) -> SteppedCampaign {
+        let generator = Box::new(MuCFuzz::new(
+            "uCFuzz",
+            Arc::new(metamut_mutators::full_registry()),
+            seed_corpus().iter().map(|s| s.to_string()),
+        ));
+        let config = CampaignConfig {
+            iterations,
+            seed,
+            sample_every: (iterations / 10).max(1),
+            workers: 1,
+            log_corpus: true,
+            ..Default::default()
+        };
+        let compiler = Compiler::new(Profile::Gcc, compile_options(2));
+        match image {
+            Some(image) => {
+                SteppedCampaign::resume(image, generator, &compiler, &config, Telemetry::disabled())
+                    .expect("resume")
+            }
+            None => SteppedCampaign::new(generator, &compiler, &config, Telemetry::disabled()),
+        }
+    }
+
+    fn campaign(iterations: usize, seed: u64) -> SteppedCampaign {
+        campaign_from(iterations, seed, None)
+    }
+
+    #[test]
+    fn checkpoint_deltas_replay_over_the_base_skipping_bad_lines() {
+        let root = scratch("deltas");
+        let store = Store::open(&root).expect("open");
+        let mut c = campaign(400, 3);
+        // `images[k]` is the full checkpoint at the k-th store checkpoint.
+        let mut images = Vec::new();
+        for k in 0..4 {
+            c.step(64);
+            let (bytes, base) = store.checkpoint_campaign(5, &mut c).expect("checkpoint");
+            assert!(bytes > 0);
+            assert_eq!(base, k == 0, "only the first checkpoint is a base");
+            images.push(c.checkpoint().expect("image"));
+            assert_eq!(store.load_checkpoint(5).as_ref(), images.last());
+        }
+        let log_path = root.join("checkpoints/job-5.log");
+        let log = std::fs::read(&log_path).expect("log");
+        let lines: Vec<&[u8]> = log.split_inclusive(|&b| b == b'\n').collect();
+        assert_eq!(lines.len(), 3);
+
+        // A torn last delta: the image is the one before it.
+        std::fs::write(&log_path, &log[..log.len() - 10]).expect("tear");
+        assert_eq!(store.load_checkpoint(5).as_ref(), Some(&images[2]));
+        // A corrupt line and a delta that does not continue the image (a
+        // repeat) are skipped; the deltas around them still apply.
+        let mut bad = lines[0].to_vec();
+        bad.extend_from_slice(b"{\"since\": \n");
+        bad.extend_from_slice(lines[0]);
+        bad.extend_from_slice(lines[1]);
+        std::fs::write(&log_path, &bad).expect("write");
+        assert_eq!(store.load_checkpoint(5).as_ref(), Some(&images[2]));
+        // A log without its base is no checkpoint.
+        std::fs::remove_file(root.join("checkpoints/job-5.json")).expect("rm base");
+        assert_eq!(store.load_checkpoint(5), None);
+
+        // A restarted store finds a torn log and writes a fresh base next.
+        std::fs::write(
+            root.join("checkpoints/job-5.json"),
+            json_line(&images[0]).expect("base"),
+        )
+        .expect("base");
+        std::fs::write(&log_path, &log[..log.len() - 10]).expect("tear");
+        let store = Store::open(&root).expect("reopen");
+        let image = store.load_checkpoint(5).expect("image");
+        assert_eq!(image, images[2]);
+        let mut resumed = campaign_from(400, 3, Some(image));
+        resumed.step(64);
+        let (_, base) = store
+            .checkpoint_campaign(5, &mut resumed)
+            .expect("checkpoint");
+        assert!(base, "a torn log is compacted away");
+        assert!(!log_path.exists());
+        assert_eq!(
+            store.load_checkpoint(5),
+            Some(resumed.checkpoint().expect("image"))
+        );
+
+        store.remove_checkpoint(5);
+        assert_eq!(
+            std::fs::read_dir(root.join("checkpoints")).unwrap().count(),
+            0
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The `serve_mixed` tenant's shape: 6,000 iterations, a checkpoint
+    /// every 128. The log is compacted once it outgrows its base, and all
+    /// checkpoints together write less than three final images.
+    #[test]
+    fn campaign_checkpoints_compact_and_write_under_three_images() {
+        let root = scratch("bound");
+        let store = Store::open(&root).expect("open");
+        let mut c = campaign(6000, 7);
+        let (mut written, mut bases, mut full_images) = (0u64, 0, 0u64);
+        while !c.is_done() {
+            c.step(128);
+            let (log_bytes, base_bytes) =
+                store.with_checkpoint(1, |j| (j.log_bytes, j.snapshot_bytes));
+            let (bytes, base) = store.checkpoint_campaign(1, &mut c).expect("checkpoint");
+            assert!(bytes > 0);
+            written += bytes;
+            if base {
+                bases += 1;
+                assert!(
+                    bases == 1 || log_bytes > base_bytes.max(LOG_COMPACT_FLOOR),
+                    "compacted a {log_bytes}-byte log over a {base_bytes}-byte base"
+                );
+                assert!(!root.join("checkpoints/job-1.log").exists());
+            }
+            // What writing the whole image every time would cost.
+            full_images += json_line(&c.checkpoint().expect("image"))
+                .expect("json")
+                .len() as u64;
+        }
+        assert!(bases >= 2, "the log never outgrew its base");
+        let image = c.checkpoint().expect("image");
+        assert_eq!(store.load_checkpoint(1).as_ref(), Some(&image));
+        let base = std::fs::read_to_string(root.join("checkpoints/job-1.json")).expect("base");
+        assert!(!base.contains("\n "), "the base is compact JSON");
+        let image_bytes = json_line(&image).expect("json").len() as u64;
+        assert!(
+            written < 3 * image_bytes,
+            "checkpoints wrote {written} bytes for a {image_bytes}-byte image \
+             (full images would have written {full_images})"
         );
         let _ = std::fs::remove_dir_all(&root);
     }

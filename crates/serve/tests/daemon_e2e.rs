@@ -1,6 +1,7 @@
 //! End-to-end daemon tests over the JSON-line protocol: multi-tenant
 //! scheduling with a shared query database, persistent store round-trips
-//! across a restart, SIGTERM-style checkpoint/resume determinism, the
+//! across a restart, SIGTERM-style checkpoint/resume determinism, a
+//! checkpoint that cannot resume failing its job and being deleted, the
 //! job log's durability at acknowledgement and replay after a crash, a
 //! worker surviving a deeply nested program, and the request-line cap.
 
@@ -10,7 +11,7 @@ use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::{CampaignConfig, CampaignReport, CorpusEntry, SteppedCampaign};
 use metamut_serve::daemon::{Daemon, DaemonConfig, MAX_REQUEST_LINE};
 use metamut_serve::store::Store;
-use metamut_serve::{Client, JobRecord, JobSpec};
+use metamut_serve::{Client, FuzzSpec, JobRecord, JobSpec};
 use metamut_simcomp::{CompileOptions, Compiler, OptFlags, Profile};
 use metamut_telemetry::{fetch, Telemetry};
 use serde::Value;
@@ -46,9 +47,8 @@ fn connect(daemon: &Daemon) -> Client {
     Client::connect(&daemon.local_addr().to_string()).expect("connect")
 }
 
-/// The same campaign the daemon runs for a fuzz job, executed in-process
-/// without interruption: the determinism baseline.
-fn baseline_campaign(iterations: usize, seed: u64) -> (CampaignReport, Vec<CorpusEntry>) {
+/// The same campaign the daemon runs for a fuzz job, built in-process.
+fn daemon_campaign(iterations: usize, seed: u64) -> SteppedCampaign {
     let generator = Box::new(MuCFuzz::new(
         "uCFuzz",
         Arc::new(metamut_mutators::full_registry()),
@@ -73,7 +73,13 @@ fn baseline_campaign(iterations: usize, seed: u64) -> (CampaignReport, Vec<Corpu
         log_corpus: true,
         ..Default::default()
     };
-    let mut campaign = SteppedCampaign::new(generator, &compiler, &config, Telemetry::new());
+    SteppedCampaign::new(generator, &compiler, &config, Telemetry::new())
+}
+
+/// The daemon's campaign executed in-process without interruption: the
+/// determinism baseline.
+fn baseline_campaign(iterations: usize, seed: u64) -> (CampaignReport, Vec<CorpusEntry>) {
+    let mut campaign = daemon_campaign(iterations, seed);
     while !campaign.is_done() {
         campaign.step(64);
     }
@@ -253,6 +259,52 @@ fn interrupted_campaign_resumes_bit_identical_to_uninterrupted_run() {
         assert_eq!(stored.iteration, base.iteration);
         assert_eq!(stored.new_bits, base.new_bits);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_that_fails_to_resume_fails_its_job_and_is_deleted() {
+    let dir = scratch_dir("badresume");
+    {
+        // A crashed run left job 1 mid-campaign, with a base its build
+        // cannot read (a future checkpoint version) and a delta log.
+        let store = Store::open(&dir).expect("open");
+        let mut record = JobRecord::new(
+            1,
+            JobSpec::fuzz(FuzzSpec {
+                iterations: 400,
+                seed: 3,
+                ..Default::default()
+            }),
+        );
+        record.status = "running".to_string();
+        store.append_job(&record);
+        let mut campaign = daemon_campaign(400, 3);
+        campaign.step(32);
+        let mut base = campaign.checkpoint().expect("checkpoint");
+        base.version += 1;
+        assert!(store.save_checkpoint(1, &base) > 0);
+        campaign.step(32);
+        let (bytes, base) = store.checkpoint_campaign(1, &mut campaign).expect("delta");
+        assert!(bytes > 0 && !base, "a delta follows the base");
+    }
+    let checkpoints = || {
+        std::fs::read_dir(dir.join("checkpoints"))
+            .expect("ls")
+            .count()
+    };
+    assert_eq!(checkpoints(), 2);
+
+    let daemon = Daemon::start(daemon_config(&dir, 1, 16)).expect("restart");
+    let job = connect(&daemon).job(1).expect("job");
+    assert_eq!(job.get("status").and_then(|v| v.as_str()), Some("failed"));
+    let error = job
+        .get("error")
+        .and_then(|v| v.as_str())
+        .unwrap_or_default();
+    assert!(error.contains("resume failed"), "{error}");
+    assert_eq!(checkpoints(), 0, "the unusable checkpoint was left behind");
+    daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
