@@ -122,7 +122,6 @@ fn in_process_campaign(iterations: usize, seed: u64) -> (CampaignReport, Vec<Cor
         sample_every: (iterations / 10).max(1),
         workers: 1,
         query_db: Some(Arc::new(QueryDb::new())),
-        log_corpus: true,
         ..Default::default()
     };
     let mut campaign = SteppedCampaign::new(generator, &compiler, &config, Telemetry::new());

@@ -58,10 +58,6 @@ pub struct CampaignConfig {
     /// this flag is raised. The report then covers the iterations actually
     /// run. `None` (the default) means the campaign always runs to budget.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Record every pool-growing candidate in the shared corpus log (the
-    /// daemon's persistent-corpus feed). Off by default — the log clones
-    /// each interesting program once, which batch campaigns never read.
-    pub log_corpus: bool,
 }
 
 impl Default for CampaignConfig {
@@ -76,7 +72,6 @@ impl Default for CampaignConfig {
             ub_filter: true,
             query_db: None,
             stop: None,
-            log_corpus: false,
         }
     }
 }
@@ -119,7 +114,7 @@ pub struct CrashRecord {
     pub witness: String,
 }
 
-/// One corpus-log record: a candidate that grew the seed pool, with the
+/// One corpus entry: a candidate that grew the seed pool, with the
 /// coverage metadata the daemon's persistent store keeps alongside it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CorpusEntry {
@@ -271,10 +266,6 @@ pub(crate) struct CampaignShared {
     pub(crate) crashes: Mutex<(HashSet<u64>, Vec<CrashRecord>)>,
     pub(crate) series: Mutex<Vec<SamplePoint>>,
     pub(crate) next_iter: AtomicUsize,
-    /// Pool-growing candidates in discovery order, filled only when
-    /// [`CampaignConfig::log_corpus`] is on (the daemon's persistent
-    /// corpus feed).
-    pub(crate) corpus_log: Mutex<Vec<CorpusEntry>>,
     dedup: Option<DedupCache>,
     /// The UB gate, shared so parent analyses and verdicts are
     /// computed once per campaign. `None` when the filter is off — the
@@ -299,7 +290,6 @@ impl CampaignShared {
             crashes: Mutex::new((HashSet::new(), Vec::new())),
             series: Mutex::new(Vec::new()),
             next_iter: AtomicUsize::new(0),
-            corpus_log: Mutex::new(Vec::new()),
             dedup: config.dedup.then(DedupCache::new),
             ub_gate: config
                 .ub_filter
@@ -419,14 +409,14 @@ pub(crate) fn run_worker(
 /// The body of one fuzzing iteration — generate, compile, gate, account —
 /// shared verbatim by the serial loop, the parallel workers, and the
 /// daemon's stepped (checkpointable) engine, so all three produce the
-/// identical per-iteration state evolution.
+/// identical per-iteration state evolution. Returns the new branch count.
 pub(crate) fn fuzz_iteration(
     iter: usize,
     generator: &mut dyn TestGenerator,
     shared: &CampaignShared,
     rng: &mut MutRng,
     mutants: &mut MutantStats,
-) {
+) -> usize {
     let telemetry = &shared.telemetry;
     let config = &shared.config;
     let _iteration_span = telemetry.span_fast("iteration");
@@ -522,19 +512,7 @@ pub(crate) fn fuzz_iteration(
     };
     mutants.record(compiled);
     telemetry.counter_add("fuzz_execs", 1);
-    let pool_before = config.log_corpus.then(|| generator.pool_len());
     generator.feedback(&candidate, new_bits > 0, compiled);
-    // Corpus log: record the candidate iff feedback actually pooled it,
-    // so the log mirrors the pool's growth exactly.
-    if let Some(before) = pool_before {
-        if generator.pool_len() > before {
-            shared.corpus_log.lock().push(CorpusEntry {
-                program: candidate.program.clone(),
-                iteration: iter,
-                new_bits,
-            });
-        }
-    }
 
     if iter.is_multiple_of(config.sample_every) || iter + 1 == config.iterations {
         let covered = shared.coverage.count();
@@ -559,6 +537,7 @@ pub(crate) fn fuzz_iteration(
             }
         }
     }
+    new_bits
 }
 
 /// Builds one observatory time-series sample from the campaign's own

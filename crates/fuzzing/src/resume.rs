@@ -10,13 +10,14 @@
 //!
 //! [`SteppedCampaign::checkpoint`] captures the full deterministic state —
 //! RNG stream position, seed pool, coverage map, crash witnesses, sample
-//! series, iteration budget — as one serializable value;
+//! series, corpus, iteration budget — as one serializable value;
 //! [`SteppedCampaign::resume`] rebuilds a campaign from it that continues
 //! as if never interrupted. Crash records are persisted as witnesses and
 //! recompiled on resume (the compiler is a pure function of its input),
 //! which both avoids serializing `&'static` bug metadata and self-checks
 //! the checkpoint: a witness that no longer reproduces its signature is a
-//! corrupt or stale checkpoint and fails the restore loudly.
+//! corrupt or stale checkpoint and fails the restore loudly. The corpus is
+//! kept as [`PoolGrowth`] indices, so each pooled program is held once.
 //!
 //! [`SteppedCampaign::checkpoint_delta`] captures only what changed since
 //! the last checkpoint (full or delta), so a periodic checkpoint costs the
@@ -42,7 +43,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::Ordering;
 
 /// Checkpoint format version; bump on any incompatible layout change.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version 2 records the corpus as [`PoolGrowth`] indices.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A crash persisted as its witness: enough to regrow the full
 /// [`CrashRecord`] by recompiling on resume.
@@ -54,6 +56,18 @@ pub struct CrashSeed {
     pub signature: u64,
     /// Iteration of first discovery.
     pub first_iteration: usize,
+}
+
+/// A candidate that grew the seed pool, recorded by position: its program
+/// is the pool entry at `index`, so a checkpoint holds the text once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PoolGrowth {
+    /// The pool entry the candidate became.
+    pub index: usize,
+    /// Iteration at which it entered the pool.
+    pub iteration: usize,
+    /// Branches it newly covered when first compiled.
+    pub new_bits: usize,
 }
 
 /// A complete, serializable image of an in-flight `workers = 1` campaign.
@@ -83,14 +97,14 @@ pub struct CampaignCheckpoint {
     pub series: Vec<SamplePoint>,
     /// Mutant production counters.
     pub mutants: MutantStats,
-    /// Corpus log (pool-growing candidates) recorded so far.
-    pub corpus_log: Vec<CorpusEntry>,
+    /// The pool growths recorded so far, in discovery order.
+    pub corpus: Vec<PoolGrowth>,
 }
 
 /// What a campaign changed between two checkpoints: the new pool, corpus,
 /// series and crash entries, the coverage words that changed, and the
 /// replaced scalars. Every list a checkpoint holds only ever grows (the
-/// pool, corpus log, series and crash list are appended to; coverage bits
+/// pool, corpus, series and crash list are appended to; coverage bits
 /// are only ever set), so the entries past the previous checkpoint's
 /// lengths are the whole difference.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,8 +121,8 @@ pub struct CheckpointDelta {
     /// The pool entries appended since the last checkpoint (programs and
     /// foreign flags) and the pool's current export mark.
     pub pool: PoolSnapshot,
-    /// Corpus-log entries appended since the last checkpoint.
-    pub corpus_log: Vec<CorpusEntry>,
+    /// Pool growths recorded since the last checkpoint.
+    pub corpus: Vec<PoolGrowth>,
     /// Sample points appended since the last checkpoint.
     pub series: Vec<SamplePoint>,
     /// Crashes found since the last checkpoint.
@@ -136,7 +150,7 @@ impl CheckpointDelta {
         image.pool.programs.extend(self.pool.programs);
         image.pool.foreign.extend(self.pool.foreign);
         image.pool.export_mark = self.pool.export_mark;
-        image.corpus_log.extend(self.corpus_log);
+        image.corpus.extend(self.corpus);
         image.series.extend(self.series);
         image.crashes.extend(self.crashes);
         // Both lists are in word order: merge, the delta's value winning.
@@ -165,7 +179,7 @@ impl CheckpointDelta {
 struct Persisted {
     next_iteration: usize,
     pool: usize,
-    corpus_log: usize,
+    corpus: usize,
     series: usize,
     crashes: usize,
     /// The sparse coverage words as last written, in word order.
@@ -178,7 +192,7 @@ impl Persisted {
         Persisted {
             next_iteration: image.next_iteration,
             pool: image.pool.programs.len(),
-            corpus_log: image.corpus_log.len(),
+            corpus: image.corpus.len(),
             series: image.series.len(),
             crashes: image.crashes.len(),
             coverage: image.coverage.clone(),
@@ -257,6 +271,7 @@ pub struct SteppedCampaign {
     generator: Box<dyn TestGenerator>,
     rng: MutRng,
     mutants: MutantStats,
+    corpus: Vec<PoolGrowth>,
     /// What the last checkpoint (full or delta) covered: the next delta
     /// starts here.
     persisted: Persisted,
@@ -279,6 +294,7 @@ impl SteppedCampaign {
             generator,
             rng,
             mutants: MutantStats::default(),
+            corpus: Vec::new(),
             persisted: Persisted::default(),
         }
     }
@@ -298,13 +314,21 @@ impl SteppedCampaign {
             if iter >= self.shared.config.iterations {
                 break;
             }
-            fuzz_iteration(
+            let pooled = self.generator.pool_len();
+            let new_bits = fuzz_iteration(
                 iter,
                 self.generator.as_mut(),
                 &self.shared,
                 &mut self.rng,
                 &mut self.mutants,
             );
+            if self.generator.pool_len() > pooled {
+                self.corpus.push(PoolGrowth {
+                    index: pooled,
+                    iteration: iter,
+                    new_bits,
+                });
+            }
             done += 1;
         }
         done
@@ -334,17 +358,6 @@ impl SteppedCampaign {
         }
     }
 
-    /// The corpus log recorded so far (pool-growing candidates, in
-    /// discovery order; empty unless the config set `log_corpus`).
-    pub fn corpus_log(&self) -> Vec<CorpusEntry> {
-        self.shared.corpus_log.lock().clone()
-    }
-
-    /// Crashes found so far, in discovery order.
-    pub fn crashes(&self) -> Vec<CrashRecord> {
-        self.shared.crashes.lock().1.clone()
-    }
-
     /// Snapshots the campaign's full deterministic state and counts it as
     /// persisted: the next [`SteppedCampaign::checkpoint_delta`] starts
     /// from it. Fails when the generator cannot expose its pool (hidden
@@ -367,7 +380,7 @@ impl SteppedCampaign {
             crashes: crash_seeds(&self.shared.crashes.lock().1),
             series: self.shared.series.lock().clone(),
             mutants: self.mutants,
-            corpus_log: self.shared.corpus_log.lock().clone(),
+            corpus: self.corpus.clone(),
         };
         self.persisted = Persisted::of(&checkpoint);
         Ok(checkpoint)
@@ -398,12 +411,7 @@ impl SteppedCampaign {
             rng: self.rng.state().to_vec(),
             mutants: self.mutants,
             pool,
-            corpus_log: appended(
-                "corpus log",
-                &self.shared.corpus_log.lock(),
-                from.corpus_log,
-            )?
-            .to_vec(),
+            corpus: appended("corpus", &self.corpus, from.corpus)?.to_vec(),
             series: appended("series", &self.shared.series.lock(), from.series)?.to_vec(),
             crashes: crash_seeds(appended(
                 "crash list",
@@ -415,7 +423,7 @@ impl SteppedCampaign {
         self.persisted = Persisted {
             next_iteration: delta.next_iteration,
             pool: from.pool + delta.pool.programs.len(),
-            corpus_log: from.corpus_log + delta.corpus_log.len(),
+            corpus: from.corpus + delta.corpus.len(),
             series: from.series + delta.series.len(),
             crashes: from.crashes + delta.crashes.len(),
             coverage,
@@ -480,6 +488,11 @@ impl SteppedCampaign {
                 checkpoint.fuzzer
             ));
         }
+        // `finish` reads each corpus program out of the pool.
+        let pooled = generator.pool_len();
+        if let Some(g) = checkpoint.corpus.iter().find(|g| g.index >= pooled) {
+            return Err(format!("corpus names pool entry {} of {pooled}", g.index));
+        }
         let shared = CampaignShared::new_with(compiler, config, telemetry);
         shared
             .next_iter
@@ -525,27 +538,34 @@ impl SteppedCampaign {
         let persisted = Persisted {
             next_iteration: checkpoint.next_iteration,
             pool: generator.pool_len(),
-            corpus_log: checkpoint.corpus_log.len(),
+            corpus: checkpoint.corpus.len(),
             series: checkpoint.series.len(),
             crashes: shared.crashes.lock().1.len(),
             coverage: shared.coverage.snapshot().to_sparse_words(),
         };
         *shared.series.lock() = checkpoint.series;
-        *shared.corpus_log.lock() = checkpoint.corpus_log;
         Ok(SteppedCampaign {
             shared,
             generator,
             rng: MutRng::from_state(rng_state),
             mutants: checkpoint.mutants,
+            corpus: checkpoint.corpus,
             persisted,
         })
     }
 
-    /// Assembles the final report plus the corpus log. Callable at any
-    /// point; normally used once [`SteppedCampaign::is_done`].
+    /// Assembles the final report plus the corpus: every program that grew
+    /// the pool, in discovery order. Callable at any point; normally used
+    /// once [`SteppedCampaign::is_done`].
     pub fn finish(self) -> (CampaignReport, Vec<CorpusEntry>) {
         let name = self.generator.name();
-        let corpus = self.shared.corpus_log.lock().clone();
+        let program = |i| self.generator.seed_source(i).expect("the pool only grows");
+        let corpus = self.corpus.iter().map(|g| CorpusEntry {
+            program: program(g.index).to_string(),
+            iteration: g.iteration,
+            new_bits: g.new_bits,
+        });
+        let corpus = corpus.collect();
         (self.shared.into_report(name, self.mutants, 1), corpus)
     }
 }
@@ -590,7 +610,6 @@ mod tests {
             iterations,
             seed: 11,
             sample_every: 10,
-            log_corpus: true,
             ..Default::default()
         }
     }
@@ -691,6 +710,19 @@ mod tests {
         )
         .is_err());
 
+        // A corpus record naming an entry past the restored pool: `finish`
+        // would have no program to report for it.
+        let mut bad = good.clone();
+        bad.corpus.push(PoolGrowth {
+            index: bad.pool.programs.len(),
+            iteration: 19,
+            new_bits: 1,
+        });
+        let err = SteppedCampaign::resume(bad, fuzzer(), &compiler, &cfg, Telemetry::disabled())
+            .err()
+            .expect("a growth past the pool is refused");
+        assert!(err.contains("pool entry"), "{err}");
+
         // A tampered witness that does not reproduce its signature.
         let mut bad = good;
         bad.crashes.push(CrashSeed {
@@ -733,7 +765,7 @@ mod tests {
                 resume_from = Some(image.clone());
             }
         }
-        assert!(!image.crashes.is_empty() && !image.corpus_log.is_empty());
+        assert!(!image.crashes.is_empty() && !image.corpus.is_empty());
         let (want, want_corpus) = full.finish();
 
         let mut resumed = SteppedCampaign::resume(
@@ -772,7 +804,7 @@ mod tests {
         let idle = c.checkpoint_delta().expect("idle delta");
         assert_eq!(idle.since, idle.next_iteration);
         assert!(idle.pool.programs.is_empty() && idle.coverage.is_empty());
-        assert!(idle.series.is_empty() && idle.corpus_log.is_empty());
+        assert!(idle.series.is_empty() && idle.corpus.is_empty());
         assert_ne!(before, image);
     }
 

@@ -84,8 +84,6 @@ pub struct SemaResult {
     pub expr_types: FxHashMap<NodeId, QType>,
     /// Checked type of every variable/parameter declaration node.
     pub decl_types: FxHashMap<NodeId, QType>,
-    /// Scope of each variable declaration node.
-    pub var_scopes: FxHashMap<NodeId, ScopeId>,
     /// Variable declaration nodes per scope, in declaration order.
     pub scope_vars: FxHashMap<ScopeId, Vec<NodeId>>,
     /// All function signatures by name (including builtins that were used).
@@ -115,16 +113,6 @@ impl SemaResult {
             Type::Record { tag, .. } => self.records.get(tag),
             _ => None,
         }
-    }
-
-    /// Declared variables sharing a scope with declaration `id` (including
-    /// itself). Used by scope-aware mutators such as `SwitchInitExpr`.
-    pub fn scope_siblings(&self, id: NodeId) -> &[NodeId] {
-        self.var_scopes
-            .get(&id)
-            .and_then(|s| self.scope_vars.get(s))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
     }
 }
 
@@ -835,7 +823,6 @@ impl<'a> Checker<'a> {
                     },
                     p.span,
                 );
-                self.result.var_scopes.insert(p.id, scope);
                 self.result.scope_vars.entry(scope).or_default().push(p.id);
             } else {
                 self.warn(p.span, "unnamed parameter in function definition");
@@ -911,7 +898,6 @@ impl<'a> Checker<'a> {
             }
             self.result.decl_types.insert(v.id, qt.clone());
             let scope = self.current_scope_id();
-            self.result.var_scopes.insert(v.id, scope);
             self.result.scope_vars.entry(scope).or_default().push(v.id);
             self.declare(
                 &v.name,

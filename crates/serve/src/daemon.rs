@@ -477,7 +477,6 @@ fn campaign_config(
         workers: 1,
         query_db: Some(inner.query_db.clone()),
         stop: Some(cancel.clone()),
-        log_corpus: true,
         ..Default::default()
     };
     Ok((compiler, config))

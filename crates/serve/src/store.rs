@@ -15,8 +15,14 @@
 //!   deletes the log; the daemon compacts when the log outgrows the
 //!   snapshot (with a [`LOG_COMPACT_FLOOR`] floor), when a worker goes
 //!   quiet, at start-up and at graceful shutdown.
-//! - `corpus.json` — pool-growing programs with coverage metadata, tagged
-//!   by the job that found them.
+//! - `corpus.json` — the corpus snapshot: a JSON array of every
+//!   pool-growing program, with its coverage metadata and the job that
+//!   found it, as of the last compaction.
+//! - `corpus.log` — the corpus entries since that snapshot, one compact
+//!   JSON line each; a finished fuzz job appends all of its entries with
+//!   one write. [`Store::load_corpus`] reads them after the snapshot, and
+//!   the store compacts the corpus when the log outgrows the snapshot
+//!   (with the same floor).
 //! - `triage.json` / `triage.md` — the merged [`TriageReport`] across all
 //!   jobs ([`TriageReport::merge`] dedups bugs by signature).
 //! - `telemetry.json` — the merged metrics [`Snapshot`] across all jobs.
@@ -32,15 +38,15 @@
 //! - `daemon.json` — the live daemon's bound addresses and pid, so
 //!   clients and CI scripts can find an ephemeral-port daemon.
 //!
-//! The job table and every checkpoint are one journal each: a snapshot
-//! plus an append-only log. Every read of a corrupted or truncated file
-//! degrades to a warning plus the empty default — a damaged store never
-//! panics the daemon; a torn or corrupt log line is skipped. Whole-file
-//! writes go through a temp file + rename so a crash mid-write leaves the
-//! previous version intact; every write gets its own temp name, so
-//! concurrent writers of one file never share (and tear or lose) a temp
-//! file. A log append is one `write_all` of one line, so a crash can tear
-//! at most the last line.
+//! The job table, the corpus and every checkpoint are one journal each: a
+//! snapshot plus an append-only log. Every read of a corrupted or
+//! truncated file degrades to a warning plus the empty default — a damaged
+//! store never panics the daemon; a torn or corrupt log line is skipped.
+//! Whole-file writes go through a temp file + rename so a crash mid-write
+//! leaves the previous version intact; every write gets its own temp name,
+//! so concurrent writers of one file never share (and tear or lose) a temp
+//! file. A log append is one `write_all`, so a crash can tear at most the
+//! last line.
 
 use crate::job::JobRecord;
 use metamut_fuzzing::{CampaignCheckpoint, CheckpointDelta, CorpusEntry, SteppedCampaign};
@@ -57,8 +63,9 @@ use std::sync::{Mutex, MutexGuard};
 /// On-disk format version; bump on any incompatible layout change.
 /// Version 2 added `jobs.log`, which a version-1 build would ignore;
 /// version 3 added the checkpoint logs, which a version-2 build would
-/// ignore, resuming from a stale base.
-pub const STORE_VERSION: u32 = 3;
+/// ignore, resuming from a stale base; version 4 added `corpus.log`, which
+/// a version-3 build would ignore.
+pub const STORE_VERSION: u32 = 4;
 
 /// A log counts as outgrowing its snapshot only past this many bytes, so
 /// a small snapshot is not rewritten on every other change.
@@ -66,6 +73,8 @@ pub const LOG_COMPACT_FLOOR: u64 = 64 * 1024;
 
 const JOBS_SNAPSHOT: &str = "jobs.json";
 const JOBS_LOG: &str = "jobs.log";
+const CORPUS_SNAPSHOT: &str = "corpus.json";
+const CORPUS_LOG: &str = "corpus.log";
 
 /// Job `id`'s checkpoint base and delta log.
 fn checkpoint_files(id: u64) -> (String, String) {
@@ -155,9 +164,9 @@ impl Journal {
         self.stale || self.log_bytes > self.snapshot_bytes.max(LOG_COMPACT_FLOOR)
     }
 
-    /// Appends `line` (newline-terminated) to the log with one
-    /// `write_all`, so it reaches the OS before this returns. Returns the
-    /// bytes written, 0 when the append failed.
+    /// Appends `line` (newline-terminated; it may hold several lines) to
+    /// the log with one `write_all`, so it reaches the OS before this
+    /// returns. Returns the bytes written, 0 when the append failed.
     fn append(&mut self, store: &Store, mut line: String) -> u64 {
         if self.stale {
             line.insert(0, '\n');
@@ -228,13 +237,15 @@ fn json_line<T: Serialize + ?Sized>(value: &T) -> Result<String, String> {
 /// A handle on one store directory.
 pub struct Store {
     root: PathBuf,
-    /// Serializes read-modify-write sequences (corpus/triage/telemetry
+    /// Serializes read-modify-write sequences (triage and telemetry
     /// merges) against concurrent workers finishing jobs simultaneously.
     merge_lock: Mutex<()>,
     /// The job table's journal. Its lock serializes log appends against
     /// compaction, so no append lands between a compaction's snapshot
     /// rename and its log deletion.
     jobs: Mutex<Journal>,
+    /// The corpus's journal, locked the same way.
+    corpus: Mutex<Journal>,
     /// Each checkpointed job's journal, opened on first use, under one
     /// lock for the same reason.
     checkpoints: Mutex<HashMap<u64, Journal>>,
@@ -253,10 +264,12 @@ impl Store {
         let root = root.into();
         std::fs::create_dir_all(root.join("checkpoints"))?;
         let jobs = Journal::open(&root, JOBS_SNAPSHOT.to_string(), JOBS_LOG.to_string());
+        let corpus = Journal::open(&root, CORPUS_SNAPSHOT.to_string(), CORPUS_LOG.to_string());
         let store = Store {
             root,
             merge_lock: Mutex::new(()),
             jobs: Mutex::new(jobs),
+            corpus: Mutex::new(corpus),
             checkpoints: Mutex::new(HashMap::new()),
             tmp_seq: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
@@ -388,10 +401,16 @@ impl Store {
         (base, changes)
     }
 
-    /// The complete, non-empty lines of the log `name` holding `log`, with
-    /// their 1-based line numbers. A last line without its newline is a
-    /// torn append: reported and left out.
-    fn log_lines<'a>(&self, name: &str, log: &'a [u8]) -> impl Iterator<Item = (usize, &'a [u8])> {
+    /// Decodes each complete, non-empty line of the log `name` holding `log`
+    /// and hands it to `apply`, in order. A line that does not decode, or
+    /// that `apply` refuses, is reported and skipped; so is a last line
+    /// without its newline (a torn append).
+    fn replay<T: Deserialize>(
+        &self,
+        name: &str,
+        log: &[u8],
+        mut apply: impl FnMut(T) -> Result<(), String>,
+    ) {
         let complete = log
             .iter()
             .rposition(|&b| b == b'\n')
@@ -404,11 +423,16 @@ impl Store {
                 self.root.join(name).display(),
             );
         }
-        complete
-            .split(|&b| b == b'\n')
-            .enumerate()
-            .filter(|(_, line)| !line.is_empty())
-            .map(|(n, line)| (n + 1, line))
+        let lines = complete.split(|&b| b == b'\n').enumerate();
+        for (n, line) in lines.filter(|(_, line)| !line.is_empty()) {
+            if let Err(e) = decode(line).and_then(&mut apply) {
+                eprintln!(
+                    "serve: line {} of {} ({e}); skipped",
+                    n + 1,
+                    self.root.join(name).display()
+                );
+            }
+        }
     }
 
     fn job_journal(&self) -> MutexGuard<'_, Journal> {
@@ -434,21 +458,16 @@ impl Store {
     fn replay_jobs(&self, jobs: &mut Vec<JobRecord>, log: &[u8]) {
         let mut index: HashMap<u64, usize> =
             jobs.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
-        for (n, line) in self.log_lines(JOBS_LOG, log) {
-            match decode::<JobRecord>(line) {
-                Ok(record) => match index.get(&record.id) {
-                    Some(&i) => jobs[i] = record,
-                    None => {
-                        index.insert(record.id, jobs.len());
-                        jobs.push(record);
-                    }
-                },
-                Err(e) => eprintln!(
-                    "serve: corrupt line {n} of {} ({e}); skipped",
-                    self.root.join(JOBS_LOG).display()
-                ),
+        self.replay(JOBS_LOG, log, |record: JobRecord| {
+            match index.get(&record.id) {
+                Some(&i) => jobs[i] = record,
+                None => {
+                    index.insert(record.id, jobs.len());
+                    jobs.push(record);
+                }
             }
-        }
+            Ok(())
+        });
     }
 
     /// Appends `record`'s current state to `jobs.log` as one line.
@@ -495,24 +514,57 @@ impl Store {
         }
     }
 
-    /// The persisted corpus (empty when missing or corrupt).
-    pub fn load_corpus(&self) -> Vec<StoredCorpusEntry> {
-        self.read_json("corpus.json").unwrap_or_default()
+    fn corpus_journal(&self) -> MutexGuard<'_, Journal> {
+        self.corpus.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends `job`'s pool-growing entries to the persistent corpus and
-    /// returns the new total.
-    pub fn append_corpus(&self, job: u64, entries: &[CorpusEntry]) -> usize {
-        let _guard = self.merge_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let mut corpus = self.load_corpus();
-        corpus.extend(entries.iter().map(|e| StoredCorpusEntry {
-            job,
-            program: e.program.clone(),
-            iteration: e.iteration,
-            new_bits: e.new_bits,
-        }));
-        self.write_json("corpus.json", &corpus);
-        corpus.len()
+    /// The persisted corpus: the snapshot, then every complete log line in
+    /// order (empty when both are missing or corrupt). A corrupt line, or a
+    /// last line without its newline (a torn append), is skipped.
+    pub fn load_corpus(&self) -> Vec<StoredCorpusEntry> {
+        let (snapshot, log) = self.read_journal(CORPUS_SNAPSHOT, CORPUS_LOG);
+        let mut corpus: Vec<StoredCorpusEntry> = snapshot
+            .and_then(|bytes| self.parse_json(CORPUS_SNAPSHOT, &bytes))
+            .unwrap_or_default();
+        self.replay(CORPUS_LOG, log.as_deref().unwrap_or_default(), |entry| {
+            corpus.push(entry);
+            Ok(())
+        });
+        corpus
+    }
+
+    /// Appends `job`'s pool-growing entries to `corpus.log` with one write,
+    /// then compacts the corpus into `corpus.json` when the log has
+    /// outgrown it (and [`LOG_COMPACT_FLOOR`]) or an append failed.
+    pub fn append_corpus(&self, job: u64, entries: &[CorpusEntry]) {
+        let lines = entries.iter().map(|e| {
+            json_line(&StoredCorpusEntry {
+                job,
+                program: e.program.clone(),
+                iteration: e.iteration,
+                new_bits: e.new_bits,
+            })
+        });
+        let lines = match lines.collect::<Result<String, String>>() {
+            Ok(lines) if lines.is_empty() => return,
+            Ok(lines) => lines,
+            Err(e) => {
+                eprintln!("serve: cannot serialize job {job}'s corpus: {e}");
+                return;
+            }
+        };
+        let mut journal = self.corpus_journal();
+        journal.append(self, lines);
+        // The journal's lock is held, so no append lands between reading
+        // the corpus and deleting the log it was read from.
+        if journal.compaction_due() {
+            match json_line(&self.load_corpus()) {
+                Ok(text) => {
+                    journal.compact(self, &text);
+                }
+                Err(e) => eprintln!("serve: cannot serialize {CORPUS_SNAPSHOT}: {e}"),
+            }
+        }
     }
 
     /// The merged triage report (`None` when missing or corrupt).
@@ -624,14 +676,11 @@ impl Store {
         let (base_name, log_name) = checkpoint_files(id);
         let (base, log) = self.read_journal(&base_name, &log_name);
         let mut image: CampaignCheckpoint = self.parse_json(&base_name, &base?)?;
-        for (n, line) in self.log_lines(&log_name, log.as_deref().unwrap_or_default()) {
-            if let Err(e) = decode::<CheckpointDelta>(line).and_then(|d| d.apply(&mut image)) {
-                eprintln!(
-                    "serve: line {n} of {} ({e}); skipped",
-                    self.root.join(&log_name).display()
-                );
-            }
-        }
+        self.replay(
+            &log_name,
+            log.as_deref().unwrap_or_default(),
+            |d: CheckpointDelta| d.apply(&mut image),
+        );
         Some(image)
     }
 
@@ -667,6 +716,7 @@ mod tests {
     };
     use metamut_fuzzing::corpus::seed_corpus;
     use metamut_fuzzing::mucfuzz::MuCFuzz;
+    use metamut_fuzzing::resume::CrashSeed;
     use metamut_fuzzing::CampaignConfig;
     use metamut_simcomp::{Compiler, Profile};
     use metamut_telemetry::Telemetry;
@@ -694,7 +744,7 @@ mod tests {
         record.status = STATUS_DONE.to_string();
         record.result = Some(serde_json::json!({"final_coverage": 12}));
         store.append_job(&record);
-        let total = store.append_corpus(
+        store.append_corpus(
             1,
             &[CorpusEntry {
                 program: "int main(void) { return 0; }".to_string(),
@@ -702,7 +752,6 @@ mod tests {
                 new_bits: 9,
             }],
         );
-        assert_eq!(total, 1);
 
         // A fresh handle (the restarted daemon) sees identical state.
         let reopened = Store::open(&root).expect("reopen");
@@ -733,6 +782,112 @@ mod tests {
             }],
         );
         assert_eq!(Store::open(&root).expect("open").load_corpus().len(), 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Corpus entry `i` of a job, with a multi-byte character in its
+    /// program so torn lines can end inside a UTF-8 sequence.
+    fn corpus_entry(i: usize, program_bytes: usize) -> CorpusEntry {
+        CorpusEntry {
+            program: format!("int π{i}; /* {} */", "x".repeat(program_bytes)),
+            iteration: i,
+            new_bits: i + 1,
+        }
+    }
+
+    fn stored(job: u64, e: &CorpusEntry) -> StoredCorpusEntry {
+        StoredCorpusEntry {
+            job,
+            program: e.program.clone(),
+            iteration: e.iteration,
+            new_bits: e.new_bits,
+        }
+    }
+
+    /// A version-3 store's pretty `corpus.json` loads unchanged and stays
+    /// byte-identical while appends below the floor go to `corpus.log`;
+    /// a reopened store reads the snapshot and then the log.
+    #[test]
+    fn corpus_appends_go_to_the_log_and_survive_reopen() {
+        let root = scratch("corpuslog");
+        std::fs::create_dir_all(&root).expect("mkdir");
+        std::fs::write(root.join("store.json"), "{\n  \"version\": 3\n}\n").expect("meta");
+        let old = vec![stored(1, &corpus_entry(0, 8))];
+        let pretty = serde_json::to_string_pretty(&old).expect("pretty") + "\n";
+        std::fs::write(root.join(CORPUS_SNAPSHOT), &pretty).expect("corpus");
+        let store = Store::open(&root).expect("open v3");
+        assert_eq!(store.load_corpus(), old);
+
+        let job2 = [corpus_entry(3, 8), corpus_entry(9, 8)];
+        store.append_corpus(2, &job2);
+        store.append_corpus(3, &[]);
+        store.append_corpus(4, &[corpus_entry(5, 8)]);
+        assert_eq!(
+            std::fs::read_to_string(root.join(CORPUS_SNAPSHOT)).unwrap(),
+            pretty,
+            "an append below the floor does not rewrite the snapshot"
+        );
+        let log = std::fs::read_to_string(root.join(CORPUS_LOG)).expect("log");
+        assert_eq!(log.lines().count(), 3, "one line per entry");
+
+        let mut want = old;
+        want.extend(job2.iter().map(|e| stored(2, e)));
+        want.push(stored(4, &corpus_entry(5, 8)));
+        assert_eq!(Store::open(&root).expect("reopen").load_corpus(), want);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A torn last corpus line is skipped; the reopened store starts its
+    /// next append on a fresh line and compacts the torn log away.
+    #[test]
+    fn torn_last_corpus_line_is_skipped_and_compacted_away() {
+        let root = scratch("corpustorn");
+        let store = Store::open(&root).expect("open");
+        let entries = [corpus_entry(1, 8), corpus_entry(2, 8)];
+        store.append_corpus(7, &entries);
+        let log = std::fs::read(root.join(CORPUS_LOG)).expect("log");
+        std::fs::write(root.join(CORPUS_LOG), &log[..log.len() - 12]).expect("tear");
+        let kept = vec![stored(7, &entries[0])];
+        assert_eq!(store.load_corpus(), kept);
+
+        let store = Store::open(&root).expect("reopen");
+        store.append_corpus(8, &[corpus_entry(3, 8)]);
+        assert!(!root.join(CORPUS_LOG).exists(), "a torn log is compacted");
+        let mut want = kept;
+        want.push(stored(8, &corpus_entry(3, 8)));
+        assert_eq!(store.load_corpus(), want);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Once the log outgrows the snapshot and the floor, the append that
+    /// crossed it folds the whole corpus into a compact `corpus.json`.
+    #[test]
+    fn corpus_log_is_compacted_once_it_outgrows_the_floor() {
+        let root = scratch("corpuscompact");
+        let store = Store::open(&root).expect("open");
+        let mut want = Vec::new();
+        for job in 1.. {
+            let entries: Vec<_> = (0..4).map(|i| corpus_entry(i, 4096)).collect();
+            want.extend(entries.iter().map(|e| stored(job, e)));
+            let before = store.corpus_journal().log_bytes;
+            store.append_corpus(job, &entries);
+            if !root.join(CORPUS_LOG).exists() {
+                assert!(before > 0, "the first append compacted");
+                break;
+            }
+            assert!(store.corpus_journal().log_bytes <= LOG_COMPACT_FLOOR);
+        }
+        let journal = store.corpus_journal();
+        assert_eq!(journal.log_bytes, 0);
+        assert_eq!(
+            journal.snapshot_bytes,
+            std::fs::metadata(root.join(CORPUS_SNAPSHOT)).unwrap().len()
+        );
+        drop(journal);
+        let snapshot = std::fs::read_to_string(root.join(CORPUS_SNAPSHOT)).expect("snapshot");
+        assert!(!snapshot.contains("\n "), "the snapshot is compact JSON");
+        assert_eq!(store.load_corpus(), want);
+        assert_eq!(Store::open(&root).expect("reopen").load_corpus(), want);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -967,7 +1122,7 @@ mod tests {
     }
 
     /// A daemon-shaped campaign: μCFuzz over the full registry on gcc-sim
-    /// -O2, logging its corpus; resumed from `image` when one is given.
+    /// -O2; resumed from `image` when one is given.
     fn campaign_from(
         iterations: usize,
         seed: u64,
@@ -983,7 +1138,6 @@ mod tests {
             seed,
             sample_every: (iterations / 10).max(1),
             workers: 1,
-            log_corpus: true,
             ..Default::default()
         };
         let compiler = Compiler::new(Profile::Gcc, compile_options(2));
@@ -1068,6 +1222,47 @@ mod tests {
     /// The `serve_mixed` tenant's shape: 6,000 iterations, a checkpoint
     /// every 128. The log is compacted once it outgrows its base, and all
     /// checkpoints together write less than three final images.
+    /// A checkpoint writes each pooled program once: in the base's pool,
+    /// or in the pool tail of the delta line that adds it. Only another
+    /// pool entry or a crash witness with the same text may repeat it.
+    #[test]
+    fn checkpoints_write_each_pooled_program_once() {
+        let root = scratch("once");
+        let store = Store::open(&root).expect("open");
+        let mut c = campaign(1024, 7);
+        c.step(768);
+        for _ in 0..2 {
+            store.checkpoint_campaign(1, &mut c).expect("checkpoint");
+            c.step(128);
+        }
+        store.checkpoint_campaign(1, &mut c).expect("checkpoint");
+        let once = |text: &str, pool: &[String], crashes: &[CrashSeed]| {
+            for program in pool {
+                let copies = pool.iter().filter(|p| *p == program).count()
+                    + crashes.iter().filter(|c| &c.witness == program).count();
+                let quoted = serde_json::to_string(program).expect("json");
+                assert_eq!(text.matches(quoted.as_str()).count(), copies, "{program}");
+            }
+        };
+        let base = std::fs::read_to_string(root.join("checkpoints/job-1.json")).expect("base");
+        let image: CampaignCheckpoint = serde_json::from_str(&base).expect("base parses");
+        assert!(
+            image.pool.programs.len() > seed_corpus().len(),
+            "the pool grew"
+        );
+        once(&base, &image.pool.programs, &image.crashes);
+        let log = std::fs::read_to_string(root.join("checkpoints/job-1.log")).expect("log");
+        assert_eq!(log.lines().count(), 2);
+        let mut added = 0;
+        for line in log.lines() {
+            let delta: CheckpointDelta = serde_json::from_str(line).expect("delta parses");
+            added += delta.pool.programs.len();
+            once(line, &delta.pool.programs, &delta.crashes);
+        }
+        assert!(added > 0, "no delta pooled a program");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn campaign_checkpoints_compact_and_write_under_three_images() {
         let root = scratch("bound");

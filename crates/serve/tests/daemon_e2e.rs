@@ -70,7 +70,6 @@ fn daemon_campaign(iterations: usize, seed: u64) -> SteppedCampaign {
         sample_every: (iterations / 10).max(1),
         workers: 1,
         query_db: Some(Arc::new(QueryDb::new())),
-        log_corpus: true,
         ..Default::default()
     };
     SteppedCampaign::new(generator, &compiler, &config, Telemetry::new())
