@@ -253,17 +253,18 @@ impl SeedPool {
             return self.pick(rng);
         }
         assert!(!self.items.is_empty(), "seed pool must not be empty");
-        let weights: Vec<u64> = (0..self.items.len())
-            .map(|i| if self.is_linty(i) { 1 } else { 2 })
-            .collect();
-        let total: u64 = weights.iter().sum();
+        // Classifies every entry, in index order, on the first weighted
+        // draw after it joins; later walks read the cached verdicts.
+        let weight = |i: usize| if self.is_linty(i) { 1 } else { 2 };
+        let total: u64 = (0..self.items.len()).map(weight).sum();
         if total == 2 * self.items.len() as u64 {
             // All clean: same draw, same RNG consumption, as `pick`.
             let i = rng.index(self.items.len());
             return (i, &self.items[i].program);
         }
         let mut r = rng.index(total as usize) as u64;
-        for (i, &w) in weights.iter().enumerate() {
+        for i in 0..self.items.len() {
+            let w = weight(i);
             if r < w {
                 return (i, &self.items[i].program);
             }

@@ -110,7 +110,6 @@ impl TestGenerator for MuCFuzz {
         // Algorithm 1 line 4: P ← random_choice(pool), down-weighting
         // parents with static-analysis findings unless disabled.
         let (parent_idx, parent) = self.pool.pick_weighted(rng, self.lint_penalty);
-        let parent = parent.to_string();
         let parent_ast = if self.cache_parses {
             match self.pool.parsed(parent_idx) {
                 Some(p) => ParentAst::Cached(p),
@@ -136,7 +135,7 @@ impl TestGenerator for MuCFuzz {
             // hence every later decision) is independent of cache state.
             let attempt_seed = rng.next_u64();
             let outcome = match &parent_ast {
-                ParentAst::Uncached => mutate_source(m, &parent, attempt_seed),
+                ParentAst::Uncached => mutate_source(m, parent, attempt_seed),
                 ParentAst::Cached(p) => mutate_parsed(m, p, attempt_seed),
                 ParentAst::Unparseable => {
                     telemetry.counter_add("mutate_errors", 1);
@@ -158,10 +157,10 @@ impl TestGenerator for MuCFuzz {
                 }
             }
         }
-        // Nothing applied: re-emit the parent (cheap, counts as a dud).
+        // Nothing applied: re-emit the parent (counts as a dud).
         telemetry.counter_add("mutate_duds", 1);
         Candidate {
-            program: parent,
+            program: parent.to_string(),
             parent: Some(parent_idx),
         }
     }

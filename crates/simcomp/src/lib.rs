@@ -41,6 +41,7 @@ pub use passes::OptFlags;
 pub use query::QueryCache;
 
 use coverage::{feature_hash, feature_hash_display, feature_hash_str};
+use metamut_lang::fxhash::FxHashSet;
 use metamut_lang::Ast;
 
 /// Command-line-equivalent options for one compilation.
@@ -327,12 +328,15 @@ impl Compiler {
                     Stage::FrontEnd,
                     feature_hash(&[9, s.functions.len().min(64) as u64]),
                 );
-                // Type-diversity coverage.
+                // Type-diversity coverage: one feature per distinct type.
+                let mut seen = FxHashSet::default();
                 for qt in s.expr_types.values() {
-                    cov.record(
-                        Stage::FrontEnd,
-                        feature_hash_display(format_args!("ty:{qt}")),
-                    );
+                    if seen.insert(qt) {
+                        cov.record(
+                            Stage::FrontEnd,
+                            feature_hash_display(format_args!("ty:{qt}")),
+                        );
+                    }
                 }
                 s
             }

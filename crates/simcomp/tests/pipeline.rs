@@ -85,9 +85,10 @@ fn inliner_preserves_temp_ssa_discipline() {
 
 #[test]
 fn backend_emits_label_for_every_jump_target() {
-    let out = codegen(&module_for(
+    let module = module_for(
         "int f(int n) { int s = 0; while (n > 0) { s += n; n--; } switch (s & 3) { case 0: s++; break; default: s--; } return s; }",
-    ));
+    );
+    let out = codegen(&module);
     let labels: std::collections::HashSet<u32> = out
         .insts
         .iter()
