@@ -17,7 +17,7 @@
 //! parameter demands, pointee read/write effects, conditional-UB probes,
 //! return constants, observability and termination — making all six
 //! checks interprocedural without any inlining. The same walkers also
-//! *produce* summaries: run with a [`Probe`] attached and parameters
+//! *produce* summaries: run with a `Probe` attached and parameters
 //! seeded symbolic, they record which parameters are demanded, divided
 //! by, dereferenced, or used as array indices.
 

@@ -6,7 +6,7 @@
 //! adds the next question — "is the mutant a *meaningful* program?" — and
 //! answers it cheaply enough to sit in the campaign hot path:
 //!
-//! - [`cfg`] builds a statement-level control-flow graph per function,
+//! - [`mod@cfg`] builds a statement-level control-flow graph per function,
 //!   pruning edges behind syntactically-constant conditions.
 //! - [`dataflow`] is a forward worklist engine over join semilattices.
 //! - [`analyses`] implements the individual checks: definite and possible

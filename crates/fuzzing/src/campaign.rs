@@ -5,7 +5,7 @@
 //! the compilable-mutant ratio (Table 5).
 //!
 //! Serial and parallel campaigns share one worker loop over a
-//! [`CampaignShared`] state block: [`run_campaign`] runs a single inline
+//! `CampaignShared` state block: [`run_campaign`] runs a single inline
 //! worker, [`crate::parallel::run_parallel_campaign`] spawns one thread
 //! per shard. With one worker the two are bit-for-bit identical.
 

@@ -5,7 +5,7 @@
 //! the shared state block, the generator, the worker RNG — and advances it
 //! in bounded slices via [`SteppedCampaign::step`]. Each slice runs the
 //! *exact* iteration body of [`crate::campaign::run_campaign`]
-//! ([`fuzz_iteration`] is shared verbatim), so an uninterrupted stepped
+//! (`fuzz_iteration` is shared verbatim), so an uninterrupted stepped
 //! campaign is bit-for-bit the serial campaign, whatever the slice sizes.
 //!
 //! [`SteppedCampaign::checkpoint`] captures the full deterministic state —

@@ -90,22 +90,37 @@ fn build_declarator(ty: &TySyn, inner: String) -> (String, String) {
             ret,
             params,
             variadic,
-        } => {
-            let mut ps: Vec<String> = params
-                .iter()
-                .map(|p| format_as_decl(&p.ty, p.name.as_deref().unwrap_or("")))
-                .collect();
-            if *variadic {
-                ps.push("...".into());
-            }
-            let plist = if ps.is_empty() {
-                "void".to_string()
-            } else {
-                ps.join(", ")
-            };
-            build_declarator(ret, format!("{inner}({plist})"))
-        }
+        } => function_declarator(ret, params, *variadic, inner),
     }
+}
+
+fn function_declarator(
+    ret: &TySyn,
+    params: &[ParamDecl],
+    variadic: bool,
+    inner: String,
+) -> (String, String) {
+    let mut ps: Vec<String> = params
+        .iter()
+        .map(|p| format_as_decl(&p.ty, p.name.as_deref().unwrap_or("")))
+        .collect();
+    if variadic {
+        ps.push("...".into());
+    }
+    let plist = if ps.is_empty() {
+        "void".to_string()
+    } else {
+        ps.join(", ")
+    };
+    build_declarator(ret, format!("{inner}({plist})"))
+}
+
+/// Formats a function's signature as a prototype declarator, without
+/// storage class, `inline` or the trailing `;`: `int f(int a, char *b)`.
+pub fn format_function_decl(f: &FunctionDef) -> String {
+    let name = f.name.clone();
+    let (base_str, declarator) = function_declarator(&f.ret_ty, &f.params, f.variadic, name);
+    format!("{base_str} {declarator}")
 }
 
 /// Prints a struct/union declaration (without trailing `;`).
@@ -453,12 +468,7 @@ pub fn print_function(f: &FunctionDef) -> String {
     if f.is_inline {
         head.push_str("inline ");
     }
-    let fn_ty = TySyn::Function {
-        ret: Box::new(f.ret_ty.clone()),
-        params: f.params.clone(),
-        variadic: f.variadic,
-    };
-    head.push_str(&format_as_decl(&fn_ty, &f.name));
+    head.push_str(&format_function_decl(f));
     match &f.body {
         Some(body) => format!("{head}\n{}", print_stmt(body, 0)),
         None => format!("{head};\n"),

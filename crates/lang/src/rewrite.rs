@@ -45,7 +45,8 @@ impl fmt::Display for RewriteConflict {
 
 impl std::error::Error for RewriteConflict {}
 
-/// Accumulates edits against one source string and applies them in one pass.
+/// Accumulates edits against one borrowed source string and applies them in
+/// one pass.
 ///
 /// # Examples
 ///
@@ -58,23 +59,18 @@ impl std::error::Error for RewriteConflict {}
 /// assert_eq!(rw.apply().unwrap(), "int y = 1; int z;");
 /// ```
 #[derive(Debug, Clone)]
-pub struct Rewriter {
-    src: String,
+pub struct Rewriter<'a> {
+    src: &'a str,
     edits: Vec<Edit>,
 }
 
-impl Rewriter {
+impl<'a> Rewriter<'a> {
     /// Creates a rewriter over `src`.
-    pub fn new(src: impl Into<String>) -> Self {
+    pub fn new(src: &'a str) -> Self {
         Rewriter {
-            src: src.into(),
+            src,
             edits: Vec::new(),
         }
-    }
-
-    /// The original source text.
-    pub fn source(&self) -> &str {
-        &self.src
     }
 
     /// Number of queued edits.
@@ -85,20 +81,6 @@ impl Rewriter {
     /// Whether any edit has been queued.
     pub fn has_edits(&self) -> bool {
         !self.edits.is_empty()
-    }
-
-    /// The smallest span of the *original* source covering every queued
-    /// edit, or `None` when nothing has been queued. Incremental consumers
-    /// use this to locate the declaration a mutation touched.
-    pub fn edited_span(&self) -> Option<Span> {
-        let mut it = self.edits.iter();
-        let first = it.next()?;
-        let (mut lo, mut hi) = (first.span.lo, first.span.hi);
-        for e in it {
-            lo = lo.min(e.span.lo);
-            hi = hi.max(e.span.hi);
-        }
-        Some(Span::new(lo, hi))
     }
 
     /// Queues a replacement of the text at `span` with `text`.
@@ -141,7 +123,7 @@ impl Rewriter {
     ///
     /// Returns [`RewriteConflict`] when two edits overlap.
     pub fn apply(&self) -> Result<String, RewriteConflict> {
-        let mut edits = self.edits.clone();
+        let mut edits: Vec<&Edit> = self.edits.iter().collect();
         // Sort by position; at equal positions, insertions first in queue
         // order, then replacements (which consume text).
         edits.sort_by(|a, b| {
@@ -266,18 +248,6 @@ mod tests {
         rw.replace(Span::new(0, 2), "X");
         rw.replace(Span::new(2, 4), "Y");
         assert_eq!(rw.apply().unwrap(), "XY");
-    }
-
-    #[test]
-    fn edited_span_covers_all_edits() {
-        let mut rw = Rewriter::new("aaa bbb ccc");
-        assert_eq!(rw.edited_span(), None);
-        rw.replace(Span::new(4, 7), "XYZ");
-        assert_eq!(rw.edited_span(), Some(Span::new(4, 7)));
-        rw.insert_before(9, "!");
-        assert_eq!(rw.edited_span(), Some(Span::new(4, 9)));
-        rw.remove(Span::new(0, 2));
-        assert_eq!(rw.edited_span(), Some(Span::new(0, 9)));
     }
 
     #[test]

@@ -3,96 +3,100 @@
 //! The [`Visitor`] trait mirrors Clang's `RecursiveASTVisitor` shape used by
 //! the paper's mutator template (Figure 2): a mutator overrides the hooks
 //! for the node kinds it cares about and calls the `walk_*` helpers (or
-//! relies on the default methods) to recurse.
+//! relies on the default methods) to recurse. Like syn's `Visit<'ast>`, the
+//! trait carries the lifetime of the tree it walks, so a visitor may keep
+//! the `&'ast` references it is handed after the walk ends.
 
 use crate::ast::*;
 
-/// A read-only traversal over the AST.
+/// A read-only traversal over an AST that lives for `'ast`.
 ///
 /// All methods default to recursing via the corresponding `walk_*` function;
 /// override only what you need. Collection-style mutators typically override
-/// `visit_expr`/`visit_stmt` and record node clones for later rewriting.
-pub trait Visitor {
+/// `visit_expr`/`visit_stmt` and record `&'ast` borrows of the matching
+/// nodes for later rewriting. A visitor that keeps nothing can implement
+/// `Visitor<'_>` with elided-lifetime method signatures.
+pub trait Visitor<'ast> {
     /// Visits a whole translation unit.
-    fn visit_unit(&mut self, unit: &TranslationUnit) {
+    fn visit_unit(&mut self, unit: &'ast TranslationUnit) {
         walk_unit(self, unit);
     }
 
     /// Visits one external declaration.
-    fn visit_external_decl(&mut self, decl: &ExternalDecl) {
+    fn visit_external_decl(&mut self, decl: &'ast ExternalDecl) {
         walk_external_decl(self, decl);
     }
 
     /// Visits a function definition or prototype.
-    fn visit_function(&mut self, f: &FunctionDef) {
+    fn visit_function(&mut self, f: &'ast FunctionDef) {
         walk_function(self, f);
     }
 
     /// Visits a parameter declaration.
-    fn visit_param(&mut self, p: &ParamDecl) {
+    fn visit_param(&mut self, p: &'ast ParamDecl) {
         walk_param(self, p);
     }
 
     /// Visits a variable declarator.
-    fn visit_var_decl(&mut self, v: &VarDecl) {
+    fn visit_var_decl(&mut self, v: &'ast VarDecl) {
         walk_var_decl(self, v);
     }
 
     /// Visits a declaration group (local or global).
-    fn visit_decl_group(&mut self, g: &DeclGroup) {
+    fn visit_decl_group(&mut self, g: &'ast DeclGroup) {
         walk_decl_group(self, g);
     }
 
     /// Visits a struct/union declaration.
-    fn visit_record(&mut self, r: &RecordDecl) {
+    fn visit_record(&mut self, r: &'ast RecordDecl) {
         walk_record(self, r);
     }
 
     /// Visits a field declaration.
-    fn visit_field(&mut self, f: &FieldDecl) {
+    fn visit_field(&mut self, f: &'ast FieldDecl) {
         walk_field(self, f);
     }
 
     /// Visits an enum declaration.
-    fn visit_enum(&mut self, e: &EnumDecl) {
+    fn visit_enum(&mut self, e: &'ast EnumDecl) {
         walk_enum(self, e);
     }
 
     /// Visits a typedef declaration.
-    fn visit_typedef(&mut self, t: &TypedefDecl) {
+    fn visit_typedef(&mut self, t: &'ast TypedefDecl) {
         walk_typedef(self, t);
     }
 
     /// Visits a statement.
-    fn visit_stmt(&mut self, s: &Stmt) {
+    fn visit_stmt(&mut self, s: &'ast Stmt) {
         walk_stmt(self, s);
     }
 
     /// Visits an expression.
-    fn visit_expr(&mut self, e: &Expr) {
+    fn visit_expr(&mut self, e: &'ast Expr) {
         walk_expr(self, e);
     }
 
     /// Visits an initializer.
-    fn visit_initializer(&mut self, i: &Initializer) {
+    fn visit_initializer(&mut self, i: &'ast Initializer) {
         walk_initializer(self, i);
     }
 
     /// Visits a syntactic type (e.g. inline record definitions).
-    fn visit_ty(&mut self, ty: &TySyn) {
+    fn visit_ty(&mut self, ty: &'ast TySyn) {
         walk_ty(self, ty);
     }
 }
 
 /// Recurses into every declaration of `unit`.
-pub fn walk_unit<V: Visitor + ?Sized>(v: &mut V, unit: &TranslationUnit) {
+pub fn walk_unit<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, unit: &'ast TranslationUnit) {
     for d in &unit.decls {
         v.visit_external_decl(d);
     }
 }
 
 /// Recurses into one external declaration.
-pub fn walk_external_decl<V: Visitor + ?Sized>(v: &mut V, decl: &ExternalDecl) {
+pub fn walk_external_decl<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, decl: &'ast ExternalDecl) {
     match decl {
         ExternalDecl::Function(f) => v.visit_function(f),
         ExternalDecl::Vars(g) => v.visit_decl_group(g),
@@ -103,7 +107,7 @@ pub fn walk_external_decl<V: Visitor + ?Sized>(v: &mut V, decl: &ExternalDecl) {
 }
 
 /// Recurses into a function's parameters and body.
-pub fn walk_function<V: Visitor + ?Sized>(v: &mut V, f: &FunctionDef) {
+pub fn walk_function<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, f: &'ast FunctionDef) {
     v.visit_ty(&f.ret_ty);
     for p in &f.params {
         v.visit_param(p);
@@ -114,12 +118,12 @@ pub fn walk_function<V: Visitor + ?Sized>(v: &mut V, f: &FunctionDef) {
 }
 
 /// Recurses into a parameter's type.
-pub fn walk_param<V: Visitor + ?Sized>(v: &mut V, p: &ParamDecl) {
+pub fn walk_param<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, p: &'ast ParamDecl) {
     v.visit_ty(&p.ty);
 }
 
 /// Recurses into a variable declarator's type and initializer.
-pub fn walk_var_decl<V: Visitor + ?Sized>(v: &mut V, var: &VarDecl) {
+pub fn walk_var_decl<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, var: &'ast VarDecl) {
     v.visit_ty(&var.ty);
     if let Some(init) = &var.init {
         v.visit_initializer(init);
@@ -127,14 +131,14 @@ pub fn walk_var_decl<V: Visitor + ?Sized>(v: &mut V, var: &VarDecl) {
 }
 
 /// Recurses into each declarator of a group.
-pub fn walk_decl_group<V: Visitor + ?Sized>(v: &mut V, g: &DeclGroup) {
+pub fn walk_decl_group<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, g: &'ast DeclGroup) {
     for var in &g.vars {
         v.visit_var_decl(var);
     }
 }
 
 /// Recurses into a record's fields.
-pub fn walk_record<V: Visitor + ?Sized>(v: &mut V, r: &RecordDecl) {
+pub fn walk_record<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, r: &'ast RecordDecl) {
     if let Some(fields) = &r.fields {
         for f in fields {
             v.visit_field(f);
@@ -143,7 +147,7 @@ pub fn walk_record<V: Visitor + ?Sized>(v: &mut V, r: &RecordDecl) {
 }
 
 /// Recurses into a field's type and bit width.
-pub fn walk_field<V: Visitor + ?Sized>(v: &mut V, f: &FieldDecl) {
+pub fn walk_field<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, f: &'ast FieldDecl) {
     v.visit_ty(&f.ty);
     if let Some(w) = &f.bit_width {
         v.visit_expr(w);
@@ -151,7 +155,7 @@ pub fn walk_field<V: Visitor + ?Sized>(v: &mut V, f: &FieldDecl) {
 }
 
 /// Recurses into enumerator value expressions.
-pub fn walk_enum<V: Visitor + ?Sized>(v: &mut V, e: &EnumDecl) {
+pub fn walk_enum<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, e: &'ast EnumDecl) {
     if let Some(es) = &e.enumerators {
         for en in es {
             if let Some(val) = &en.value {
@@ -162,12 +166,12 @@ pub fn walk_enum<V: Visitor + ?Sized>(v: &mut V, e: &EnumDecl) {
 }
 
 /// Recurses into a typedef's aliased type.
-pub fn walk_typedef<V: Visitor + ?Sized>(v: &mut V, t: &TypedefDecl) {
+pub fn walk_typedef<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, t: &'ast TypedefDecl) {
     v.visit_ty(&t.ty);
 }
 
 /// Recurses into a statement's children.
-pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, s: &Stmt) {
+pub fn walk_stmt<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, s: &'ast Stmt) {
     match &s.kind {
         StmtKind::Compound(items) => {
             for item in items {
@@ -236,7 +240,7 @@ pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, s: &Stmt) {
 }
 
 /// Recurses into an expression's children.
-pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, e: &Expr) {
+pub fn walk_expr<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, e: &'ast Expr) {
     match &e.kind {
         ExprKind::IntLit { .. }
         | ExprKind::FloatLit { .. }
@@ -287,7 +291,7 @@ pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, e: &Expr) {
 }
 
 /// Recurses into an initializer.
-pub fn walk_initializer<V: Visitor + ?Sized>(v: &mut V, i: &Initializer) {
+pub fn walk_initializer<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, i: &'ast Initializer) {
     match i {
         Initializer::Expr(e) => v.visit_expr(e),
         Initializer::List { items, .. } => {
@@ -300,7 +304,7 @@ pub fn walk_initializer<V: Visitor + ?Sized>(v: &mut V, i: &Initializer) {
 
 /// Recurses into a syntactic type (array sizes, inline definitions,
 /// function parameter types).
-pub fn walk_ty<V: Visitor + ?Sized>(v: &mut V, ty: &TySyn) {
+pub fn walk_ty<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, ty: &'ast TySyn) {
     match ty {
         TySyn::Base { spec, .. } => match spec {
             TypeSpecifier::RecordDef(r) => v.visit_record(r),
@@ -336,7 +340,7 @@ mod tests {
         calls: usize,
     }
 
-    impl Visitor for Counter {
+    impl Visitor<'_> for Counter {
         fn visit_expr(&mut self, e: &Expr) {
             self.exprs += 1;
             if matches!(e.kind, ExprKind::Call { .. }) {
@@ -380,7 +384,7 @@ mod tests {
         .unwrap();
         #[derive(Default)]
         struct Records(usize);
-        impl Visitor for Records {
+        impl Visitor<'_> for Records {
             fn visit_record(&mut self, r: &RecordDecl) {
                 self.0 += 1;
                 walk_record(self, r);

@@ -3,24 +3,48 @@
 //! The paper's mutator template (Figure 2) has mutators first traverse the
 //! AST collecting "mutation instances" and then pick one at random. These
 //! helpers implement that collection step generically so each mutator stays
-//! a few dozen lines.
+//! a few dozen lines. Like the pointers Clang's visitors collect, every
+//! instance is a borrow of the parent's AST, which a [`crate::MutCtx`]
+//! holds for its whole lifetime: collecting copies no node.
 
 use metamut_lang::ast::*;
 use metamut_lang::visit::{self, Visitor};
 
-/// Collects clones of every expression satisfying `pred`.
-pub fn exprs_matching<F>(ast: &Ast, pred: F) -> Vec<Expr>
+/// Where a collector starts: the whole program or one function's body.
+pub trait Root<'a> {
+    /// Walks `v` over every node under this root, in source order.
+    fn walk<V: Visitor<'a>>(self, v: &mut V);
+}
+
+impl<'a> Root<'a> for &'a Ast {
+    fn walk<V: Visitor<'a>>(self, v: &mut V) {
+        v.visit_unit(&self.unit);
+    }
+}
+
+/// Only the body: a prototype has nothing to collect.
+impl<'a> Root<'a> for &'a FunctionDef {
+    fn walk<V: Visitor<'a>>(self, v: &mut V) {
+        if let Some(body) = &self.body {
+            v.visit_stmt(body);
+        }
+    }
+}
+
+/// Collects every expression under `root` satisfying `pred`, in source
+/// order.
+pub fn exprs_matching<'a, F>(root: impl Root<'a>, pred: F) -> Vec<&'a Expr>
 where
     F: Fn(&Expr) -> bool,
 {
-    struct C<F> {
+    struct C<'a, F> {
         pred: F,
-        out: Vec<Expr>,
+        out: Vec<&'a Expr>,
     }
-    impl<F: Fn(&Expr) -> bool> Visitor for C<F> {
-        fn visit_expr(&mut self, e: &Expr) {
+    impl<'a, F: Fn(&Expr) -> bool> Visitor<'a> for C<'a, F> {
+        fn visit_expr(&mut self, e: &'a Expr) {
             if (self.pred)(e) {
-                self.out.push(e.clone());
+                self.out.push(e);
             }
             visit::walk_expr(self, e);
         }
@@ -29,23 +53,24 @@ where
         pred,
         out: Vec::new(),
     };
-    c.visit_unit(&ast.unit);
+    root.walk(&mut c);
     c.out
 }
 
-/// Collects clones of every statement satisfying `pred`.
-pub fn stmts_matching<F>(ast: &Ast, pred: F) -> Vec<Stmt>
+/// Collects every statement under `root` satisfying `pred`, in source
+/// order.
+pub fn stmts_matching<'a, F>(root: impl Root<'a>, pred: F) -> Vec<&'a Stmt>
 where
     F: Fn(&Stmt) -> bool,
 {
-    struct C<F> {
+    struct C<'a, F> {
         pred: F,
-        out: Vec<Stmt>,
+        out: Vec<&'a Stmt>,
     }
-    impl<F: Fn(&Stmt) -> bool> Visitor for C<F> {
-        fn visit_stmt(&mut self, s: &Stmt) {
+    impl<'a, F: Fn(&Stmt) -> bool> Visitor<'a> for C<'a, F> {
+        fn visit_stmt(&mut self, s: &'a Stmt) {
             if (self.pred)(s) {
-                self.out.push(s.clone());
+                self.out.push(s);
             }
             visit::walk_stmt(self, s);
         }
@@ -54,53 +79,28 @@ where
         pred,
         out: Vec::new(),
     };
-    c.visit_unit(&ast.unit);
+    root.walk(&mut c);
     c.out
 }
 
-/// Collects clones of every variable declarator (globals, locals, for-init).
-pub fn all_var_decls(ast: &Ast) -> Vec<VarDecl> {
-    struct C {
-        out: Vec<VarDecl>,
+/// Collects every variable declarator (globals, locals, for-init).
+pub fn all_var_decls(ast: &Ast) -> Vec<&VarDecl> {
+    struct C<'a> {
+        out: Vec<&'a VarDecl>,
     }
-    impl Visitor for C {
-        fn visit_var_decl(&mut self, v: &VarDecl) {
-            self.out.push(v.clone());
+    impl<'a> Visitor<'a> for C<'a> {
+        fn visit_var_decl(&mut self, v: &'a VarDecl) {
+            self.out.push(v);
             visit::walk_var_decl(self, v);
         }
     }
     let mut c = C { out: Vec::new() };
-    c.visit_unit(&ast.unit);
-    c.out
-}
-
-/// Collects clones of the function definitions (with bodies).
-pub fn function_defs(ast: &Ast) -> Vec<FunctionDef> {
-    ast.function_defs().cloned().collect()
-}
-
-/// Collects the `return` statements lexically inside `f`'s body.
-pub fn returns_in(f: &FunctionDef) -> Vec<Stmt> {
-    struct C {
-        out: Vec<Stmt>,
-    }
-    impl Visitor for C {
-        fn visit_stmt(&mut self, s: &Stmt) {
-            if matches!(s.kind, StmtKind::Return(_)) {
-                self.out.push(s.clone());
-            }
-            visit::walk_stmt(self, s);
-        }
-    }
-    let mut c = C { out: Vec::new() };
-    if let Some(body) = &f.body {
-        c.visit_stmt(body);
-    }
+    ast.walk(&mut c);
     c.out
 }
 
 /// Collects every call whose callee is the plain identifier `name`.
-pub fn calls_to(ast: &Ast, name: &str) -> Vec<Expr> {
+pub fn calls_to<'a>(ast: &'a Ast, name: &str) -> Vec<&'a Expr> {
     exprs_matching(ast, |e| match &e.kind {
         ExprKind::Call { callee, .. } => {
             matches!(&callee.unparenthesized().kind, ExprKind::Ident(n) if n == name)
@@ -110,17 +110,17 @@ pub fn calls_to(ast: &Ast, name: &str) -> Vec<Expr> {
 }
 
 /// Collects every identifier expression naming `name`.
-pub fn uses_of(ast: &Ast, name: &str) -> Vec<Expr> {
+pub fn uses_of<'a>(ast: &'a Ast, name: &str) -> Vec<&'a Expr> {
     exprs_matching(ast, |e| matches!(&e.kind, ExprKind::Ident(n) if n == name))
 }
 
 /// Collects all `if` statements.
-pub fn if_stmts(ast: &Ast) -> Vec<Stmt> {
+pub fn if_stmts(ast: &Ast) -> Vec<&Stmt> {
     stmts_matching(ast, |s| matches!(s.kind, StmtKind::If { .. }))
 }
 
 /// Collects all loops (`for`, `while`, `do`).
-pub fn loops(ast: &Ast) -> Vec<Stmt> {
+pub fn loops(ast: &Ast) -> Vec<&Stmt> {
     stmts_matching(ast, |s| {
         matches!(
             s.kind,
@@ -130,12 +130,12 @@ pub fn loops(ast: &Ast) -> Vec<Stmt> {
 }
 
 /// Collects all binary expressions.
-pub fn binary_exprs(ast: &Ast) -> Vec<Expr> {
+pub fn binary_exprs(ast: &Ast) -> Vec<&Expr> {
     exprs_matching(ast, |e| matches!(e.kind, ExprKind::Binary { .. }))
 }
 
 /// Collects all compound statements (blocks).
-pub fn blocks(ast: &Ast) -> Vec<Stmt> {
+pub fn blocks(ast: &Ast) -> Vec<&Stmt> {
     stmts_matching(ast, |s| matches!(s.kind, StmtKind::Compound(_)))
 }
 
@@ -169,7 +169,6 @@ int main(void) {
         let ast = parse("t.c", SRC).unwrap();
         assert_eq!(if_stmts(&ast).len(), 1);
         assert_eq!(loops(&ast).len(), 2);
-        assert_eq!(function_defs(&ast).len(), 2);
         assert_eq!(all_var_decls(&ast).len(), 3); // g, a, i
         assert!(binary_exprs(&ast).len() >= 4);
         assert!(blocks(&ast).len() >= 3);
@@ -178,9 +177,24 @@ int main(void) {
     #[test]
     fn returns_in_function() {
         let ast = parse("t.c", SRC).unwrap();
+        let is_return = |s: &Stmt| matches!(s.kind, StmtKind::Return(_));
         let main = ast.find_function("main").unwrap();
-        assert_eq!(returns_in(main).len(), 1);
+        assert_eq!(stmts_matching(main, is_return).len(), 1);
         let helper = ast.find_function("helper").unwrap();
-        assert_eq!(returns_in(helper).len(), 1);
+        assert_eq!(stmts_matching(helper, is_return).len(), 1);
+        assert_eq!(stmts_matching(&ast, is_return).len(), 2);
+        let calls = exprs_matching(main, |e| matches!(e.kind, ExprKind::Call { .. }));
+        assert_eq!(calls.len(), 2);
+    }
+
+    #[test]
+    fn collected_nodes_borrow_the_tree() {
+        let ast = parse("t.c", SRC).unwrap();
+        let uses = uses_of(&ast, "g");
+        assert_eq!(uses.len(), 1);
+        // The same node the parser built, not a copy of it.
+        let main = ast.find_function("main").unwrap();
+        let in_main = exprs_matching(main, |e| matches!(&e.kind, ExprKind::Ident(n) if n == "g"));
+        assert!(std::ptr::eq(uses[0], in_main[0]));
     }
 }

@@ -18,7 +18,7 @@ use metamut_lang::types::{assign_compat, Compat, QType};
 pub struct MutCtx<'a> {
     ast: &'a Ast,
     sema: &'a SemaResult,
-    rewriter: Rewriter,
+    rewriter: Rewriter<'a>,
     rng: MutRng,
     name_counter: u32,
 }
@@ -29,7 +29,7 @@ impl<'a> MutCtx<'a> {
         MutCtx {
             ast,
             sema,
-            rewriter: Rewriter::new(ast.source().to_string()),
+            rewriter: Rewriter::new(ast.source()),
             rng: MutRng::new(seed),
             name_counter: 0,
         }
@@ -97,12 +97,12 @@ impl<'a> MutCtx<'a> {
     }
 
     /// The checked type of an expression, if sema recorded one.
-    pub fn type_of(&self, e: &Expr) -> Option<&QType> {
+    pub fn type_of(&self, e: &Expr) -> Option<&'a QType> {
         self.sema.expr_type(e.id)
     }
 
     /// The checked type of a declaration node (variable/parameter).
-    pub fn decl_type(&self, id: NodeId) -> Option<&QType> {
+    pub fn decl_type(&self, id: NodeId) -> Option<&'a QType> {
         self.sema.decl_type(id)
     }
 
@@ -133,14 +133,6 @@ impl<'a> MutCtx<'a> {
     /// Whether any rewrite has been queued so far.
     pub fn changed(&self) -> bool {
         self.rewriter.has_edits()
-    }
-
-    /// The smallest span of the *original* source covering every rewrite
-    /// queued so far, or `None` when nothing has been queued. Incremental
-    /// mutant compilation uses it to confirm a mutation stayed inside one
-    /// top-level declaration.
-    pub fn edited_span(&self) -> Option<Span> {
-        self.rewriter.edited_span()
     }
 
     /// Removes parameter `index` from a function's declaration, including
@@ -330,28 +322,28 @@ mod tests {
     #[test]
     fn remove_param_variants() {
         let (ast, sema) = ctx_for("int f(int a, int b, int c) { return a + b + c; }");
-        let f = ast.find_function("f").unwrap().clone();
+        let f = ast.find_function("f").unwrap();
         // Middle parameter.
         let mut cx = MutCtx::new(&ast, &sema, 0);
-        assert!(cx.remove_param_from_func_decl(&f, 1));
+        assert!(cx.remove_param_from_func_decl(f, 1));
         let out = cx.finish().unwrap();
         assert!(out.contains("f(int a, int c)"), "got {out}");
         // Last parameter.
         let mut cx = MutCtx::new(&ast, &sema, 0);
-        assert!(cx.remove_param_from_func_decl(&f, 2));
+        assert!(cx.remove_param_from_func_decl(f, 2));
         let out = cx.finish().unwrap();
         assert!(out.contains("f(int a, int b)"), "got {out}");
         // Out of range.
         let mut cx = MutCtx::new(&ast, &sema, 0);
-        assert!(!cx.remove_param_from_func_decl(&f, 3));
+        assert!(!cx.remove_param_from_func_decl(f, 3));
     }
 
     #[test]
     fn remove_only_param_becomes_void() {
         let (ast, sema) = ctx_for("int f(int a) { return 1; }");
-        let f = ast.find_function("f").unwrap().clone();
+        let f = ast.find_function("f").unwrap();
         let mut cx = MutCtx::new(&ast, &sema, 0);
-        assert!(cx.remove_param_from_func_decl(&f, 0));
+        assert!(cx.remove_param_from_func_decl(f, 0));
         let out = cx.finish().unwrap();
         assert!(out.contains("f(void)"), "got {out}");
     }
@@ -362,7 +354,7 @@ mod tests {
             ctx_for("int g(int a, int b) { return a; } int f(void) { return g(1, 2); }");
         let call = crate::collect::calls_to(&ast, "g").pop().unwrap();
         let mut cx = MutCtx::new(&ast, &sema, 0);
-        assert!(cx.remove_arg_from_call(&call, 0));
+        assert!(cx.remove_arg_from_call(call, 0));
         let out = cx.finish().unwrap();
         assert!(out.contains("g(2)"), "got {out}");
     }

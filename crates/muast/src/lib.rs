@@ -3,13 +3,15 @@
 //! The μAST API layer (Figure 6 of the MetaMut paper): a simplified,
 //! readability-first facade over the `metamut-lang` front end, the
 //! [`Mutator`] trait mutators implement, a seeded [`rng::MutRng`], node
-//! [`collect`]ors, and the [`registry::MutatorRegistry`].
+//! [`collect`]ors that borrow the mutated program's AST, and the
+//! [`registry::MutatorRegistry`].
 //!
 //! In the paper this layer wraps Clang's AST APIs so an LLM can write
 //! mutators against something tractable; here it wraps our own front end so
 //! sixty-plus mutators stay small and uniform.
 //!
 //! ```
+//! use metamut_lang::ast::{Expr, ExprKind};
 //! use metamut_muast::{Category, MutCtx, Mutator, mutate_source};
 //!
 //! struct FlipTrue;
@@ -18,8 +20,10 @@
 //!     fn description(&self) -> &str { "replace literal 1 with 0" }
 //!     fn category(&self) -> Category { Category::Expression }
 //!     fn mutate(&self, ctx: &mut MutCtx<'_>) -> bool {
-//!         let ones = metamut_muast::collect::exprs_matching(ctx.ast(), |e| {
-//!             matches!(e.kind, metamut_lang::ast::ExprKind::IntLit { value: 1, .. })
+//!         // Borrows of the program's literals, not copies. They borrow the
+//!         // program rather than `ctx`, so `ctx` stays free to rewrite.
+//!         let ones: Vec<&Expr> = metamut_muast::collect::exprs_matching(ctx.ast(), |e| {
+//!             matches!(e.kind, ExprKind::IntLit { value: 1, .. })
 //!         });
 //!         match ones.first() {
 //!             Some(one) => { ctx.replace(one.span, "0"); true }

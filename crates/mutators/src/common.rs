@@ -2,69 +2,16 @@
 
 use metamut_lang::ast::*;
 use metamut_lang::visit::{self, Visitor};
+use metamut_muast::collect::Root;
 use std::collections::HashSet;
 
-/// Collects clones of expressions inside one function's body.
-pub fn exprs_in<F>(f: &FunctionDef, pred: F) -> Vec<Expr>
-where
-    F: Fn(&Expr) -> bool,
-{
-    struct C<F> {
-        pred: F,
-        out: Vec<Expr>,
-    }
-    impl<F: Fn(&Expr) -> bool> Visitor for C<F> {
-        fn visit_expr(&mut self, e: &Expr) {
-            if (self.pred)(e) {
-                self.out.push(e.clone());
-            }
-            visit::walk_expr(self, e);
-        }
-    }
-    let mut c = C {
-        pred,
-        out: Vec::new(),
-    };
-    if let Some(body) = &f.body {
-        c.visit_stmt(body);
-    }
-    c.out
-}
-
-/// Collects clones of statements inside one function's body.
-pub fn stmts_in<F>(f: &FunctionDef, pred: F) -> Vec<Stmt>
-where
-    F: Fn(&Stmt) -> bool,
-{
-    struct C<F> {
-        pred: F,
-        out: Vec<Stmt>,
-    }
-    impl<F: Fn(&Stmt) -> bool> Visitor for C<F> {
-        fn visit_stmt(&mut self, s: &Stmt) {
-            if (self.pred)(s) {
-                self.out.push(s.clone());
-            }
-            visit::walk_stmt(self, s);
-        }
-    }
-    let mut c = C {
-        pred,
-        out: Vec::new(),
-    };
-    if let Some(body) = &f.body {
-        c.visit_stmt(body);
-    }
-    c.out
-}
-
 /// Names of all file-scope variables.
-pub fn global_var_names(ast: &Ast) -> HashSet<String> {
+pub fn global_var_names(ast: &Ast) -> HashSet<&str> {
     let mut out = HashSet::new();
     for d in &ast.unit.decls {
         if let ExternalDecl::Vars(g) = d {
             for v in &g.vars {
-                out.insert(v.name.clone());
+                out.insert(v.name.as_str());
             }
         }
     }
@@ -73,32 +20,31 @@ pub fn global_var_names(ast: &Ast) -> HashSet<String> {
 
 /// Names of all declared functions (definitions, prototypes and builtins
 /// commonly present in seeds).
-pub fn function_names(ast: &Ast) -> HashSet<String> {
-    let mut out: HashSet<String> = [
+pub fn function_names(ast: &Ast) -> HashSet<&str> {
+    let mut out: HashSet<&str> = [
         "printf", "sprintf", "snprintf", "puts", "putchar", "scanf", "memset", "memcpy", "memcmp",
         "strlen", "strcpy", "strcmp", "strcat", "abort", "exit", "malloc", "calloc", "realloc",
         "free", "abs", "labs", "rand", "srand", "fabs", "sqrt",
     ]
     .into_iter()
-    .map(String::from)
     .collect();
     for d in &ast.unit.decls {
         if let ExternalDecl::Function(f) = d {
-            out.insert(f.name.clone());
+            out.insert(f.name.as_str());
         }
     }
     out
 }
 
 /// All identifier names referenced inside a statement.
-pub fn idents_in_stmt(s: &Stmt) -> HashSet<String> {
-    struct C {
-        out: HashSet<String>,
+pub fn idents_in_stmt(s: &Stmt) -> HashSet<&str> {
+    struct C<'a> {
+        out: HashSet<&'a str>,
     }
-    impl Visitor for C {
-        fn visit_expr(&mut self, e: &Expr) {
+    impl<'a> Visitor<'a> for C<'a> {
+        fn visit_expr(&mut self, e: &'a Expr) {
             if let ExprKind::Ident(n) = &e.kind {
-                self.out.insert(n.clone());
+                self.out.insert(n.as_str());
             }
             visit::walk_expr(self, e);
         }
@@ -117,7 +63,7 @@ pub fn stmt_is_relocatable(s: &Stmt) -> bool {
     struct C {
         ok: bool,
     }
-    impl Visitor for C {
+    impl Visitor<'_> for C {
         fn visit_stmt(&mut self, s: &Stmt) {
             match &s.kind {
                 StmtKind::Return(_)
@@ -161,21 +107,19 @@ pub fn is_int_literal(e: &Expr, v: i128) -> bool {
 
 /// Collects declaration groups that appear inside function bodies (block
 /// scope), in source order.
-pub fn local_decl_groups(ast: &Ast) -> Vec<DeclGroup> {
-    struct C {
-        out: Vec<DeclGroup>,
+pub fn local_decl_groups(ast: &Ast) -> Vec<&DeclGroup> {
+    struct C<'a> {
+        out: Vec<&'a DeclGroup>,
     }
-    impl Visitor for C {
-        fn visit_decl_group(&mut self, g: &DeclGroup) {
-            self.out.push(g.clone());
+    impl<'a> Visitor<'a> for C<'a> {
+        fn visit_decl_group(&mut self, g: &'a DeclGroup) {
+            self.out.push(g);
             visit::walk_decl_group(self, g);
         }
     }
     let mut c = C { out: Vec::new() };
     for f in ast.function_defs() {
-        if let Some(body) = &f.body {
-            c.visit_stmt(body);
-        }
+        f.walk(&mut c);
     }
     c.out
 }
@@ -187,7 +131,7 @@ pub fn non_rvalue_spans(f: &FunctionDef) -> Vec<metamut_lang::source::Span> {
     struct C {
         out: Vec<metamut_lang::source::Span>,
     }
-    impl Visitor for C {
+    impl Visitor<'_> for C {
         fn visit_expr(&mut self, e: &Expr) {
             match &e.kind {
                 ExprKind::Assign { lhs, .. } => self.out.push(lhs.span),
@@ -203,9 +147,7 @@ pub fn non_rvalue_spans(f: &FunctionDef) -> Vec<metamut_lang::source::Span> {
         }
     }
     let mut c = C { out: Vec::new() };
-    if let Some(body) = &f.body {
-        c.visit_stmt(body);
-    }
+    f.walk(&mut c);
     c.out
 }
 
@@ -250,7 +192,7 @@ pub fn stmts_in_span_free_of_continue(body: &Stmt) -> bool {
     struct C {
         ok: bool,
     }
-    impl Visitor for C {
+    impl Visitor<'_> for C {
         fn visit_stmt(&mut self, s: &Stmt) {
             if matches!(s.kind, StmtKind::Continue) {
                 self.ok = false;

@@ -3,7 +3,8 @@
 use crate::common::{self, mutator};
 use metamut_lang::ast::*;
 use metamut_lang::source::Span;
-use metamut_muast::{collect, MutCtx};
+use metamut_muast::collect::{self, Root};
+use metamut_muast::MutCtx;
 
 mutator!(
     InverseUnaryOperator,
@@ -47,7 +48,7 @@ impl SwapBinaryOperands {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let spots = collect::binary_exprs(ctx.ast());
         let swappable: Vec<&Expr> = spots
-            .iter()
+            .into_iter()
             .filter(|e| {
                 let ExprKind::Binary { op, lhs, rhs } = &e.kind else {
                     return false;
@@ -92,17 +93,17 @@ impl ReplaceBinaryOperator {
         ];
         let exprs = collect::binary_exprs(ctx.ast());
         let mut spots = Vec::new();
-        for e in &exprs {
+        for e in exprs {
             let ExprKind::Binary { op, lhs, rhs } = &e.kind else {
                 continue;
             };
             for cand in all {
                 if cand != *op && ctx.check_binop(cand, lhs, rhs) {
-                    spots.push((e.clone(), cand));
+                    spots.push((e, cand));
                 }
             }
         }
-        let Some((e, cand)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(e, cand)) = ctx.rng().pick(&spots) else {
             return false;
         };
         let ExprKind::Binary { lhs, rhs, .. } = &e.kind else {
@@ -174,7 +175,7 @@ impl ModifyIntegerLiteral {
         // Skip literals inside case labels (duplicates) and array sizes
         // (negative sizes) by staying within expression statements.
         let spots = self.eligible_literals(ctx);
-        let Some((span, value)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(span, value)) = ctx.rng().pick(&spots) else {
             return false;
         };
         let choice = ctx.rng().index(5);
@@ -196,7 +197,7 @@ impl ModifyIntegerLiteral {
         let mut out = Vec::new();
         for f in ctx.ast().function_defs() {
             let forbidden = literal_forbidden_spans(f);
-            for e in common::exprs_in(f, |e| matches!(e.kind, ExprKind::IntLit { .. })) {
+            for e in collect::exprs_matching(f, |e| matches!(e.kind, ExprKind::IntLit { .. })) {
                 let ExprKind::IntLit { value, .. } = e.kind else {
                     continue;
                 };
@@ -213,7 +214,7 @@ impl ModifyIntegerLiteral {
 /// declarations, bit-field widths.
 fn literal_forbidden_spans(f: &FunctionDef) -> Vec<Span> {
     let mut out = Vec::new();
-    for s in common::stmts_in(f, |s| matches!(s.kind, StmtKind::Case { .. })) {
+    for s in collect::stmts_matching(f, |s| matches!(s.kind, StmtKind::Case { .. })) {
         if let StmtKind::Case { expr, .. } = &s.kind {
             out.push(expr.span);
         }
@@ -223,7 +224,7 @@ fn literal_forbidden_spans(f: &FunctionDef) -> Vec<Span> {
     struct C {
         out: Vec<Span>,
     }
-    impl metamut_lang::visit::Visitor for C {
+    impl metamut_lang::visit::Visitor<'_> for C {
         fn visit_var_decl(&mut self, v: &VarDecl) {
             if let TySyn::Array { .. } = &v.ty {
                 let end = match &v.init {
@@ -238,9 +239,7 @@ fn literal_forbidden_spans(f: &FunctionDef) -> Vec<Span> {
         }
     }
     let mut c = C { out: Vec::new() };
-    if let Some(body) = &f.body {
-        metamut_lang::visit::Visitor::visit_stmt(&mut c, body);
-    }
+    f.walk(&mut c);
     out.extend(c.out);
     out
 }
@@ -255,7 +254,7 @@ mutator!(
 impl ReplaceLiteralWithRandomValue {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let spots = ModifyIntegerLiteral.eligible_literals(ctx);
-        let Some((span, _)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(span, _)) = ctx.rng().pick(&spots) else {
             return false;
         };
         let v = ctx.rng().int_in(-32768, 32767);
@@ -276,7 +275,7 @@ impl CopyExpr {
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
-            let exprs = common::exprs_in(f, |e| {
+            let exprs = collect::exprs_matching(f, |e| {
                 matches!(
                     e.kind,
                     ExprKind::Ident(_)
@@ -401,10 +400,10 @@ impl WrapExprInTernary {
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
-            for e in common::exprs_in(f, |e| {
+            for e in collect::exprs_matching(f, |e| {
                 matches!(e.kind, ExprKind::Ident(_) | ExprKind::IntLit { .. })
             }) {
-                if let Some(t) = ctx.type_of(&e) {
+                if let Some(t) = ctx.type_of(e) {
                     if t.ty.decayed().is_arithmetic() && !common::span_excluded(e.span, &excluded) {
                         spots.push(e.span);
                     }
@@ -456,10 +455,10 @@ impl ApplyBitwiseNotTwice {
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
-            for e in common::exprs_in(f, |e| {
+            for e in collect::exprs_matching(f, |e| {
                 matches!(e.kind, ExprKind::Ident(_) | ExprKind::IntLit { .. })
             }) {
-                if let Some(t) = ctx.type_of(&e) {
+                if let Some(t) = ctx.type_of(e) {
                     if t.ty.decayed().is_integer() && !common::span_excluded(e.span, &excluded) {
                         spots.push(e.span);
                     }
@@ -488,21 +487,22 @@ impl ReplaceExprWithDefaultValue {
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
             let forbidden = literal_forbidden_spans(f);
-            for e in common::exprs_in(f, |e| {
+            for e in collect::exprs_matching(f, |e| {
                 matches!(e.kind, ExprKind::Ident(_) | ExprKind::Binary { .. })
             }) {
-                let Some(t) = ctx.type_of(&e) else { continue };
+                let Some(t) = ctx.type_of(e) else { continue };
                 if t.ty.decayed().is_arithmetic()
                     && !common::span_excluded(e.span, &excluded)
                     && !common::span_excluded(e.span, &forbidden)
                 {
-                    spots.push((e.span, ctx.default_value_for(t)));
+                    spots.push((e.span, t));
                 }
             }
         }
-        let Some((span, val)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(span, t)) = ctx.rng().pick(&spots) else {
             return false;
         };
+        let val = ctx.default_value_for(t);
         ctx.replace(span, val);
         true
     }
@@ -560,13 +560,13 @@ impl InsertArithmeticIdentity {
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
             let forbidden = literal_forbidden_spans(f);
-            for e in common::exprs_in(f, |e| {
+            for e in collect::exprs_matching(f, |e| {
                 matches!(
                     e.kind,
                     ExprKind::Ident(_) | ExprKind::IntLit { .. } | ExprKind::Binary { .. }
                 )
             }) {
-                let Some(t) = ctx.type_of(&e) else { continue };
+                let Some(t) = ctx.type_of(e) else { continue };
                 if t.ty.decayed().is_arithmetic()
                     && !common::span_excluded(e.span, &excluded)
                     && !common::span_excluded(e.span, &forbidden)
@@ -722,10 +722,10 @@ impl CastExprToOwnType {
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
             let forbidden = literal_forbidden_spans(f);
-            for e in common::exprs_in(f, |e| {
+            for e in collect::exprs_matching(f, |e| {
                 matches!(e.kind, ExprKind::Ident(_) | ExprKind::IntLit { .. })
             }) {
-                let Some(t) = ctx.type_of(&e) else { continue };
+                let Some(t) = ctx.type_of(e) else { continue };
                 let d = t.ty.decayed();
                 if (d.is_integer() || d.is_floating())
                     && !d.is_complex()
@@ -733,11 +733,11 @@ impl CastExprToOwnType {
                     && !common::span_excluded(e.span, &excluded)
                     && !common::span_excluded(e.span, &forbidden)
                 {
-                    spots.push((e.span, d.to_string()));
+                    spots.push((e.span, d));
                 }
             }
         }
-        let Some((span, ty)) = ctx.rng().pick(&spots).cloned() else {
+        let Some((span, ty)) = ctx.rng().take(&mut spots) else {
             return false;
         };
         let text = ctx.source_text(span).to_string();
@@ -783,10 +783,10 @@ impl IntroduceCommaExpr {
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
             let forbidden = literal_forbidden_spans(f);
-            for e in common::exprs_in(f, |e| {
+            for e in collect::exprs_matching(f, |e| {
                 matches!(e.kind, ExprKind::Ident(_) | ExprKind::IntLit { .. })
             }) {
-                let Some(t) = ctx.type_of(&e) else { continue };
+                let Some(t) = ctx.type_of(e) else { continue };
                 if t.ty.decayed().is_scalar()
                     && !common::span_excluded(e.span, &excluded)
                     && !common::span_excluded(e.span, &forbidden)
@@ -852,8 +852,8 @@ impl OrExprWithSelf {
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
             let forbidden = literal_forbidden_spans(f);
-            for e in common::exprs_in(f, |e| matches!(e.kind, ExprKind::Ident(_))) {
-                let Some(t) = ctx.type_of(&e) else { continue };
+            for e in collect::exprs_matching(f, |e| matches!(e.kind, ExprKind::Ident(_))) {
+                let Some(t) = ctx.type_of(e) else { continue };
                 if t.ty.decayed().is_integer()
                     && !common::span_excluded(e.span, &excluded)
                     && !common::span_excluded(e.span, &forbidden)
@@ -1246,7 +1246,7 @@ impl ExtendStringLiteral {
         // inside function bodies.
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
-            for e in common::exprs_in(f, |e| matches!(e.kind, ExprKind::StrLit { .. })) {
+            for e in collect::exprs_matching(f, |e| matches!(e.kind, ExprKind::StrLit { .. })) {
                 spots.push(e.span);
             }
         }

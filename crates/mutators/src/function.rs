@@ -4,22 +4,22 @@
 
 use crate::common::{self, mutator};
 use metamut_lang::ast::*;
+use metamut_lang::printer;
 use metamut_lang::source::Span;
 use metamut_muast::{collect, MutCtx};
 
 /// Function definitions eligible for signature surgery: defined, named
 /// something other than `main`, non-variadic, and declared exactly once
 /// (no separate prototypes to keep in sync).
-fn surgery_candidates(ast: &Ast) -> Vec<FunctionDef> {
+fn surgery_candidates(ast: &Ast) -> Vec<&FunctionDef> {
     let mut decl_count = std::collections::HashMap::new();
     for d in &ast.unit.decls {
         if let ExternalDecl::Function(f) = d {
-            *decl_count.entry(f.name.clone()).or_insert(0usize) += 1;
+            *decl_count.entry(f.name.as_str()).or_insert(0usize) += 1;
         }
     }
     ast.function_defs()
-        .filter(|f| f.name != "main" && !f.variadic && decl_count[&f.name] == 1)
-        .cloned()
+        .filter(|f| f.name != "main" && !f.variadic && decl_count[f.name.as_str()] == 1)
         .collect()
 }
 
@@ -32,7 +32,7 @@ mutator!(
 
 impl ModifyFunctionReturnTypeToVoid {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
-        let candidates: Vec<FunctionDef> = surgery_candidates(ctx.ast())
+        let candidates: Vec<&FunctionDef> = surgery_candidates(ctx.ast())
             .into_iter()
             .filter(|f| {
                 // Plain (non-void, non-derived) return type written without
@@ -45,7 +45,7 @@ impl ModifyFunctionReturnTypeToVoid {
                     && !f.is_inline
             })
             .collect();
-        let Some(func) = ctx.rng().pick(&candidates).cloned() else {
+        let Some(func) = ctx.rng().pick(&candidates).copied() else {
             return false;
         };
 
@@ -54,7 +54,7 @@ impl ModifyFunctionReturnTypeToVoid {
 
         // Step 2: remove all return statements (GPT-4's fixed version keeps
         // them per-function, Figure 4 line 24).
-        for ret in collect::returns_in(&func) {
+        for ret in collect::stmts_matching(func, |s| matches!(s.kind, StmtKind::Return(_))) {
             ctx.replace(ret.span, ";");
         }
 
@@ -109,25 +109,25 @@ impl ChangeParamScope {
                     matches!(&c.kind, ExprKind::Call { args, .. } if args.len() == f.params.len())
                 });
                 if all_exact {
-                    spots.push((f.clone(), i));
+                    spots.push((f, i));
                 }
             }
         }
-        let Some((f, i)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(f, i)) = ctx.rng().pick(&spots) else {
             return false;
         };
         let p = &f.params[i];
-        let name = p.name.clone().expect("named param");
-        if !ctx.remove_param_from_func_decl(&f, i) {
+        let name = p.name.as_deref().expect("named param");
+        if !ctx.remove_param_from_func_decl(f, i) {
             return false;
         }
-        let Some(entry) = common::body_entry_offset(ctx.ast(), &f) else {
+        let Some(entry) = common::body_entry_offset(ctx.ast(), f) else {
             return false;
         };
-        let decl = ctx.format_as_decl(&p.ty, &name);
+        let decl = ctx.format_as_decl(&p.ty, name);
         ctx.insert_after(entry, format!(" {decl} = 0;"));
         for call in collect::calls_to(ctx.ast(), &f.name) {
-            ctx.remove_arg_from_call(&call, i);
+            ctx.remove_arg_from_call(call, i);
         }
         true
     }
@@ -146,11 +146,11 @@ impl SimpleUninliner {
         let funcs = common::function_names(ctx.ast());
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
-            for s in common::stmts_in(f, |s| matches!(s.kind, StmtKind::Expr(_))) {
-                if !common::stmt_is_relocatable(&s) {
+            for s in collect::stmts_matching(f, |s| matches!(s.kind, StmtKind::Expr(_))) {
+                if !common::stmt_is_relocatable(s) {
                     continue;
                 }
-                let idents = common::idents_in_stmt(&s);
+                let idents = common::idents_in_stmt(s);
                 if idents
                     .iter()
                     .all(|n| globals.contains(n) || funcs.contains(n))
@@ -234,7 +234,7 @@ mutator!(
 impl AddFunctionParameter {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let candidates = surgery_candidates(ctx.ast());
-        let Some(f) = ctx.rng().pick(&candidates).cloned() else {
+        let Some(f) = ctx.rng().pick(&candidates).copied() else {
             return false;
         };
         let fresh = ctx.generate_unique_name("extra");
@@ -287,18 +287,18 @@ impl RemoveUnusedParameter {
                     matches!(&c.kind, ExprKind::Call { args, .. } if args.len() == f.params.len())
                 });
                 if all_exact {
-                    spots.push((f.clone(), i));
+                    spots.push((f, i));
                 }
             }
         }
-        let Some((f, i)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(f, i)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        if !ctx.remove_param_from_func_decl(&f, i) {
+        if !ctx.remove_param_from_func_decl(f, i) {
             return false;
         }
         for call in collect::calls_to(ctx.ast(), &f.name) {
-            ctx.remove_arg_from_call(&call, i);
+            ctx.remove_arg_from_call(call, i);
         }
         true
     }
@@ -313,8 +313,8 @@ mutator!(
 
 impl DuplicateFunction {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
-        let defs: Vec<FunctionDef> = ctx.ast().function_defs().cloned().collect();
-        let Some(f) = ctx.rng().pick(&defs).cloned() else {
+        let defs: Vec<&FunctionDef> = ctx.ast().function_defs().collect();
+        let Some(f) = ctx.rng().pick(&defs).copied() else {
             return false;
         };
         let fresh = ctx.generate_unique_name(&f.name);
@@ -394,13 +394,12 @@ mutator!(
 
 impl ToggleInlineSpecifier {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
-        let defs: Vec<FunctionDef> = ctx
+        let defs: Vec<&FunctionDef> = ctx
             .ast()
             .function_defs()
             .filter(|f| f.name != "main")
-            .cloned()
             .collect();
-        let Some(f) = ctx.rng().pick(&defs).cloned() else {
+        let Some(f) = ctx.rng().pick(&defs).copied() else {
             return false;
         };
         if f.is_inline {
@@ -648,9 +647,8 @@ mutator!(
 impl ReturnViaTemporary {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let mut spots = Vec::new();
-        for s in metamut_muast::collect::stmts_matching(ctx.ast(), |s| {
-            matches!(s.kind, StmtKind::Return(Some(_)))
-        }) {
+        for s in collect::stmts_matching(ctx.ast(), |s| matches!(s.kind, StmtKind::Return(Some(_))))
+        {
             let StmtKind::Return(Some(e)) = &s.kind else {
                 continue;
             };
@@ -663,7 +661,7 @@ impl ReturnViaTemporary {
                 spots.push((s.span, e.span, d.to_string()));
             }
         }
-        let Some((span, expr, ty)) = ctx.rng().pick(&spots).cloned() else {
+        let Some((span, expr, ty)) = ctx.rng().take(&mut spots) else {
             return false;
         };
         let tmp = ctx.generate_unique_name("ret_tmp");
@@ -688,12 +686,12 @@ impl AddFunctionPrototype {
         let mut decl_count = std::collections::HashMap::new();
         for d in &ctx.ast().unit.decls {
             if let ExternalDecl::Function(f) = d {
-                *decl_count.entry(f.name.clone()).or_insert(0usize) += 1;
+                *decl_count.entry(f.name.as_str()).or_insert(0usize) += 1;
             }
         }
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
-            if f.name == "main" || decl_count[&f.name] != 1 || f.storage != Storage::None {
+            if f.name == "main" || decl_count[f.name.as_str()] != 1 || f.storage != Storage::None {
                 continue;
             }
             // Only prototype signatures whose types print cleanly (base
@@ -707,17 +705,12 @@ impl AddFunctionPrototype {
             if !clean(&f.ret_ty) || !f.params.iter().all(|p| clean(&p.ty)) {
                 continue;
             }
-            let fn_ty = TySyn::Function {
-                ret: Box::new(f.ret_ty.clone()),
-                params: f.params.clone(),
-                variadic: f.variadic,
-            };
-            spots.push(format!("{};\n", ctx.format_as_decl(&fn_ty, &f.name)));
+            spots.push(f);
         }
-        let Some(proto) = ctx.rng().pick(&spots).cloned() else {
+        let Some(f) = ctx.rng().pick(&spots).copied() else {
             return false;
         };
-        ctx.insert_before(0, proto);
+        ctx.insert_before(0, format!("{};\n", printer::format_function_decl(f)));
         true
     }
 }

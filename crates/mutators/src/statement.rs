@@ -58,7 +58,7 @@ impl TransformSwitchToIfElse {
                 spots.push((s.span, plan));
             }
         }
-        let Some((span, plan)) = ctx.rng().pick(&spots).cloned() else {
+        let Some((span, plan)) = ctx.rng().take(&mut spots) else {
             return false;
         };
         ctx.replace(span, plan);
@@ -222,7 +222,7 @@ impl DuplicateStatement {
 /// Expression statements that appear directly as block items, so inserting
 /// a sibling right after them stays inside the same scope (duplicating the
 /// lone body of a `for (int i = ...)` would escape `i`'s scope).
-fn block_expr_stmts(ast: &metamut_lang::ast::Ast) -> Vec<Stmt> {
+fn block_expr_stmts(ast: &Ast) -> Vec<&Stmt> {
     let mut out = Vec::new();
     for b in collect::blocks(ast) {
         let StmtKind::Compound(items) = &b.kind else {
@@ -231,7 +231,7 @@ fn block_expr_stmts(ast: &metamut_lang::ast::Ast) -> Vec<Stmt> {
         for item in items {
             if let BlockItem::Stmt(s) = item {
                 if matches!(s.kind, StmtKind::Expr(_)) {
-                    out.push(s.clone());
+                    out.push(s);
                 }
             }
         }
@@ -291,7 +291,7 @@ impl WrapStatementInDoWhile {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let stmts = collect::stmts_matching(ctx.ast(), |s| matches!(s.kind, StmtKind::Expr(_)));
         let eligible: Vec<&Stmt> = stmts
-            .iter()
+            .into_iter()
             .filter(|s| common::stmt_is_relocatable(s))
             .collect();
         let Some(s) = ctx.rng().pick(&eligible).copied() else {
@@ -421,7 +421,7 @@ impl ConvertForToWhile {
             let new = format!("{{ {init_text} while ({cond_text}) {{ {inner} {step_text} }} }}");
             spots.push((s.span, new));
         }
-        let Some((span, new)) = ctx.rng().pick(&spots).cloned() else {
+        let Some((span, new)) = ctx.rng().take(&mut spots) else {
             return false;
         };
         ctx.replace(span, new);
@@ -440,7 +440,7 @@ impl InsertDeadBranch {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let stmts = block_expr_stmts(ctx.ast());
         let eligible: Vec<&Stmt> = stmts
-            .iter()
+            .into_iter()
             .filter(|s| common::stmt_is_relocatable(s))
             .collect();
         let Some(s) = ctx.rng().pick(&eligible).copied() else {
@@ -902,11 +902,11 @@ impl ShiftCaseValues {
                 spots.push(labels);
             }
         }
-        let Some(labels) = ctx.rng().pick(&spots).cloned() else {
+        let Some(labels) = ctx.rng().pick(&spots) else {
             return false;
         };
         let offset = 1000;
-        for (span, value) in labels {
+        for &(span, value) in labels {
             ctx.replace(span, (value + offset).to_string());
         }
         true
@@ -972,9 +972,9 @@ impl SplitDeclGroup {
             }) {
                 continue;
             }
-            spots.push(g.clone());
+            spots.push(g);
         }
-        let Some(g) = ctx.rng().pick(&spots).cloned() else {
+        let Some(g) = ctx.rng().pick(&spots).copied() else {
             return false;
         };
         let mut out = String::new();

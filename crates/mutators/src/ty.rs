@@ -18,21 +18,21 @@ mutator!(
 impl StructToInt {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         // Tags actually written as `struct <tag>` in the source.
-        let tags: Vec<String> = {
+        let tags: Vec<&str> = {
             let mut seen = HashSet::new();
             let mut out = Vec::new();
             for tag in ctx.sema().records.keys() {
                 if !tag.starts_with("__anon")
                     && ctx.find_str_from(0, &format!("struct {tag}")).is_some()
-                    && seen.insert(tag.clone())
+                    && seen.insert(tag.as_str())
                 {
-                    out.push(tag.clone());
+                    out.push(tag.as_str());
                 }
             }
             out.sort();
             out
         };
-        let Some(tag) = ctx.rng().pick(&tags).cloned() else {
+        let Some(tag) = ctx.rng().pick(&tags).copied() else {
             return false;
         };
         let needle = format!("struct {tag}");
@@ -94,18 +94,18 @@ impl ReduceArrayDimension {
             if v.init.is_some() {
                 continue;
             }
-            spots.push((v.name.clone(), Span::new(open, close + 1)));
+            spots.push((v.name.as_str(), Span::new(open, close + 1)));
         }
-        let Some((name, bracket)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(name, bracket)) = ctx.rng().pick(&spots) else {
             return false;
         };
         ctx.remove(bracket);
         // Rewrite every subscript of this variable: `r[i]` → `r`.
         for e in collect::exprs_matching(ctx.ast(), |e| {
             matches!(&e.kind, ExprKind::Index { base, .. }
-                if matches!(&base.unparenthesized().kind, ExprKind::Ident(n) if *n == name))
+                if matches!(&base.unparenthesized().kind, ExprKind::Ident(n) if n == name))
         }) {
-            ctx.replace(e.span, name.clone());
+            ctx.replace(e.span, name);
         }
         // Bare uses (e.g. `sizeof r`, passing `r` to functions) keep working
         // as scalars in our checker; nothing else to rewrite.
@@ -193,7 +193,7 @@ impl ChangeSignedness {
                 _ => {}
             }
         }
-        let Some((span, new)) = ctx.rng().pick(&spots).cloned() else {
+        let Some((span, new)) = ctx.rng().take(&mut spots) else {
             return false;
         };
         ctx.replace(span, new);
@@ -272,9 +272,9 @@ impl DecaySmallStruct {
                     continue;
                 }
             }
-            spots.push((g.span, v.clone()));
+            spots.push((g.span, v));
         }
-        let Some((decl_span, v)) = ctx.rng().pick(&spots).cloned() else {
+        let Some(&(decl_span, v)) = ctx.rng().pick(&spots) else {
             return false;
         };
         let combined = ctx.generate_unique_name("combinedVar");

@@ -23,7 +23,7 @@ mutator!(
 
 impl SwitchInitExpr {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
-        let decls: HashMap<NodeId, VarDecl> = collect::all_var_decls(ctx.ast())
+        let decls: HashMap<NodeId, &VarDecl> = collect::all_var_decls(ctx.ast())
             .into_iter()
             .map(|v| (v.id, v))
             .collect();
@@ -73,7 +73,10 @@ mutator!(
 impl ChangeVarDeclQualifier {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let vars = collect::all_var_decls(ctx.ast());
-        let candidates: Vec<&VarDecl> = vars.iter().filter(|v| !v.specs_span.is_empty()).collect();
+        let candidates: Vec<&VarDecl> = vars
+            .into_iter()
+            .filter(|v| !v.specs_span.is_empty())
+            .collect();
         let Some(v) = ctx.rng().pick(&candidates).copied() else {
             return false;
         };
@@ -211,13 +214,13 @@ impl PromoteLocalToGlobal {
             if simple_init
                 && simple_ty
                 && v.storage == Storage::None
-                && !globals.contains(&v.name)
-                && !funcs.contains(&v.name)
+                && !globals.contains(v.name.as_str())
+                && !funcs.contains(v.name.as_str())
             {
-                spots.push(g.clone());
+                spots.push(g);
             }
         }
-        let Some(g) = ctx.rng().pick(&spots).cloned() else {
+        let Some(g) = ctx.rng().pick(&spots).copied() else {
             return false;
         };
         let text = ctx.source_text(g.span).to_string();
@@ -247,10 +250,10 @@ impl DuplicateVarDecl {
                 Some(TypeSpecifier::RecordDef(_)) | Some(TypeSpecifier::EnumDef(_))
             );
             if !inline_def {
-                spots.push(g.clone());
+                spots.push(g);
             }
         }
-        let Some(g) = ctx.rng().pick(&spots).cloned() else {
+        let Some(g) = ctx.rng().pick(&spots).copied() else {
             return false;
         };
         let v = &g.vars[0];
@@ -294,7 +297,7 @@ impl InlineVarInit {
                     ) {
                         continue;
                     }
-                    for u in common::exprs_in(
+                    for u in collect::exprs_matching(
                         f,
                         |e| matches!(&e.kind, ExprKind::Ident(n) if *n == v.name),
                     ) {
@@ -326,9 +329,9 @@ impl SwapVarUses {
         let mut spots: Vec<(Span, Span)> = Vec::new();
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(f);
-            let uses = common::exprs_in(f, |e| matches!(e.kind, ExprKind::Ident(_)));
+            let uses = collect::exprs_matching(f, |e| matches!(e.kind, ExprKind::Ident(_)));
             let usable: Vec<&Expr> = uses
-                .iter()
+                .into_iter()
                 .filter(|u| !common::span_excluded(u.span, &excluded))
                 .collect();
             for (i, a) in usable.iter().enumerate() {
@@ -367,9 +370,9 @@ impl AggregateMemberToScalarVariable {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         // Find `name[K]` with integer literal K on an array variable whose
         // element type is a plain base type.
-        let vars: HashMap<String, VarDecl> = collect::all_var_decls(ctx.ast())
+        let vars: HashMap<&str, &VarDecl> = collect::all_var_decls(ctx.ast())
             .into_iter()
-            .map(|v| (v.name.clone(), v))
+            .map(|v| (v.name.as_str(), v))
             .collect();
         let subs = collect::exprs_matching(ctx.ast(), |e| {
             let ExprKind::Index { base, index } = &e.kind else {
@@ -389,17 +392,19 @@ impl AggregateMemberToScalarVariable {
             let ExprKind::IntLit { value, .. } = &index.unparenthesized().kind else {
                 continue;
             };
-            let Some(v) = vars.get(name) else { continue };
+            let Some(v) = vars.get(name.as_str()) else {
+                continue;
+            };
             let TySyn::Array { elem, .. } = &v.ty else {
                 continue;
             };
             if matches!(**elem, TySyn::Base { .. }) {
-                candidates.push((name.clone(), *value, (**elem).clone()));
+                candidates.push((name.as_str(), *value, &**elem));
             }
         }
-        candidates.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+        candidates.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         candidates.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-        let Some((name, value, elem)) = ctx.rng().pick(&candidates).cloned() else {
+        let Some(&(name, value, elem)) = ctx.rng().pick(&candidates) else {
             return false;
         };
         let fresh = ctx.generate_unique_name(&format!("{name}_{value}"));
@@ -408,13 +413,13 @@ impl AggregateMemberToScalarVariable {
             let ExprKind::Index { base, index } = &s.kind else {
                 continue;
             };
-            let matches_target = matches!(&base.unparenthesized().kind, ExprKind::Ident(n) if *n == name)
+            let matches_target = matches!(&base.unparenthesized().kind, ExprKind::Ident(n) if n == name)
                 && matches!(index.unparenthesized().kind, ExprKind::IntLit { value: v2, .. } if v2 == value);
             if matches_target {
                 ctx.replace(s.span, fresh.clone());
             }
         }
-        let decl = ctx.format_as_decl(&elem, &fresh);
+        let decl = ctx.format_as_decl(elem, &fresh);
         ctx.insert_before(0, format!("{decl};\n"));
         true
     }
@@ -445,8 +450,8 @@ impl RenameVariable {
         }
         let funcs = common::function_names(ctx.ast());
         let candidates: Vec<&VarDecl> = all
-            .iter()
-            .filter(|v| count[v.name.as_str()] == 1 && !funcs.contains(&v.name))
+            .into_iter()
+            .filter(|v| count[v.name.as_str()] == 1 && !funcs.contains(v.name.as_str()))
             .collect();
         let Some(v) = ctx.rng().pick(&candidates).copied() else {
             return false;
@@ -471,7 +476,7 @@ impl AddVolatileQualifier {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let vars = collect::all_var_decls(ctx.ast());
         let spots: Vec<&VarDecl> = vars
-            .iter()
+            .into_iter()
             .filter(|v| !ctx.source_text(v.specs_span).contains("volatile"))
             .collect();
         let Some(v) = ctx.rng().pick(&spots).copied() else {
@@ -690,30 +695,30 @@ impl RenameParameter {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         // Same uniqueness discipline as RenameVariable: the name must be
         // declared exactly once program-wide.
-        let mut count: HashMap<String, usize> = HashMap::new();
+        let mut count: HashMap<&str, usize> = HashMap::new();
         for v in collect::all_var_decls(ctx.ast()) {
-            *count.entry(v.name).or_default() += 1;
+            *count.entry(v.name.as_str()).or_default() += 1;
         }
         let mut params = Vec::new();
         for f in ctx.ast().function_defs() {
             for p in &f.params {
                 if let Some(n) = &p.name {
-                    *count.entry(n.clone()).or_default() += 1;
-                    params.push((n.clone(), p.name_span));
+                    *count.entry(n.as_str()).or_default() += 1;
+                    params.push((n.as_str(), p.name_span));
                 }
             }
         }
         let funcs = common::function_names(ctx.ast());
-        let candidates: Vec<&(String, Span)> = params
-            .iter()
+        let candidates: Vec<(&str, Span)> = params
+            .into_iter()
             .filter(|(n, _)| count[n] == 1 && !funcs.contains(n))
             .collect();
-        let Some((name, name_span)) = ctx.rng().pick(&candidates).copied().cloned() else {
+        let Some(&(name, name_span)) = ctx.rng().pick(&candidates) else {
             return false;
         };
-        let fresh = ctx.generate_unique_name(&name);
+        let fresh = ctx.generate_unique_name(name);
         ctx.replace(name_span, fresh.clone());
-        for u in collect::uses_of(ctx.ast(), &name) {
+        for u in collect::uses_of(ctx.ast(), name) {
             ctx.replace(u.span, fresh.clone());
         }
         true

@@ -55,7 +55,7 @@ pub fn block_item_spans_by_depth(ast: &Ast) -> Vec<Vec<Span>> {
         depth: usize,
         levels: Vec<Vec<Span>>,
     }
-    impl Visitor for Collector {
+    impl Visitor<'_> for Collector {
         fn visit_stmt(&mut self, s: &Stmt) {
             if let StmtKind::Compound(items) = &s.kind {
                 if self.levels.len() <= self.depth {
@@ -89,7 +89,7 @@ fn used_names(ast: &Ast) -> HashMap<String, Vec<Span>> {
             self.0.entry(name.to_string()).or_default().push(span);
         }
     }
-    impl Visitor for Uses {
+    impl Visitor<'_> for Uses {
         fn visit_expr(&mut self, e: &Expr) {
             if let ExprKind::Ident(n) = &e.kind {
                 self.add(n, e.span);
@@ -172,7 +172,7 @@ pub fn array_shrink_edits(ast: &Ast) -> Vec<(Span, String)> {
             }
         }
     }
-    impl Visitor for Shrinks<'_> {
+    impl Visitor<'_> for Shrinks<'_> {
         fn visit_ty(&mut self, ty: &TySyn) {
             self.shrink_ty(ty);
             visit::walk_ty(self, ty);
@@ -240,7 +240,7 @@ pub fn trivial_call_edits(ast: &Ast) -> Vec<Vec<(Span, String)>> {
         trivial: &'a HashMap<String, Option<String>>,
         sites: HashMap<String, Vec<Span>>,
     }
-    impl Visitor for Calls<'_> {
+    impl Visitor<'_> for Calls<'_> {
         fn visit_expr(&mut self, e: &Expr) {
             if let ExprKind::Call { callee, .. } = &e.kind {
                 if let ExprKind::Ident(n) = &callee.unparenthesized().kind {
@@ -281,7 +281,7 @@ pub fn expr_simplify_spans(ast: &Ast, min_len: usize, limit: usize) -> Vec<Span>
         spans: Vec<Span>,
         min_len: usize,
     }
-    impl Visitor for Exprs {
+    impl Visitor<'_> for Exprs {
         fn visit_expr(&mut self, e: &Expr) {
             let interesting = !e.is_literal()
                 && !matches!(e.kind, ExprKind::Ident(_))

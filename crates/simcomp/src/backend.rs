@@ -60,7 +60,7 @@ pub const NUM_REGS: usize = 8;
 
 /// Runs instruction selection and register allocation over a module.
 /// Codegen state (registers, spill slots, liveness) is function-local; one
-/// [`RegAlloc`] is reset per function so its tables are allocated once.
+/// `RegAlloc` is reset per function so its tables are allocated once.
 pub fn codegen(module: &Module) -> AsmOutput<'_> {
     let mut out = AsmOutput::default();
     let mut regs = RegAlloc::default();

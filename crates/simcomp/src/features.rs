@@ -216,7 +216,7 @@ struct FeatureVisitor {
     volatile_names: FxHashSet<String>,
 }
 
-impl Visitor for FeatureVisitor {
+impl Visitor<'_> for FeatureVisitor {
     fn visit_function(&mut self, f: &c::FunctionDef) {
         self.out.param_max = self.out.param_max.max(f.params.len());
         if f.is_definition() {
@@ -453,7 +453,7 @@ fn contains_cast(e: &c::Expr) -> bool {
 
 fn count_switch_labels(s: &c::Stmt) -> usize {
     struct C(usize);
-    impl Visitor for C {
+    impl Visitor<'_> for C {
         fn visit_stmt(&mut self, s: &c::Stmt) {
             if matches!(
                 s.kind,

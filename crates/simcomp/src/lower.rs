@@ -253,7 +253,7 @@ impl FnLowering<'_> {
         struct V<'a, 'b> {
             fx: &'a mut FnLowering<'b>,
         }
-        impl metamut_lang::visit::Visitor for V<'_, '_> {
+        impl metamut_lang::visit::Visitor<'_> for V<'_, '_> {
             fn visit_stmt(&mut self, s: &c::Stmt) {
                 if let c::StmtKind::Label { name, .. } = &s.kind {
                     let bb = self.fx.new_block();

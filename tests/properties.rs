@@ -92,7 +92,7 @@ proptest! {
         cuts in proptest::collection::btree_set(0usize..10, 1..4),
     ) {
         // Build disjoint spans [2i, 2i+1) over the first 20 chars.
-        let mut rw = metamut_lang::Rewriter::new(src.clone());
+        let mut rw = metamut_lang::Rewriter::new(&src);
         let mut expected: Vec<u8> = src.clone().into_bytes();
         for &i in cuts.iter().rev() {
             let lo = (2 * i) as u32;
