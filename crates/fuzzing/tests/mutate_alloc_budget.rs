@@ -65,8 +65,8 @@ const SEEDS: u64 = 4;
 /// unoptimized test builds: 234 when the collectors deep-cloned every
 /// instance they matched, mutators cloned whole function definitions and
 /// declaration groups, the name sets owned a `String` per name and every
-/// attempt copied the parent's source; 14 once all of them borrow the
-/// parent's AST and source. The budget leaves ~15% headroom over 14.
+/// attempt copied the parent's source; 13.6 once all of them borrow the
+/// parent's AST and source. The budget leaves ~15% headroom over 13.6.
 const BUDGET: u64 = 16;
 
 #[test]

@@ -55,7 +55,7 @@ impl<'a> MutCtx<'a> {
     // ------------------------------------------------------------------
 
     /// Extracts the source text of a node span (μAST `getSourceText`).
-    pub fn source_text(&self, span: Span) -> &str {
+    pub fn source_text(&self, span: Span) -> &'a str {
         self.ast.snippet(span)
     }
 

@@ -30,7 +30,7 @@ impl InverseUnaryOperator {
         let ExprKind::Unary { op, .. } = &e.kind else {
             unreachable!()
         };
-        let text = ctx.source_text(e.span).to_string();
+        let text = ctx.source_text(e.span);
         let new = format!("{}({})", op.spelling(), text);
         ctx.replace(e.span, new);
         true
@@ -157,7 +157,7 @@ impl NegateCondition {
         let Some(&span) = ctx.rng().pick(&conds) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         ctx.replace(span, format!("!({text})"));
         true
     }
@@ -306,7 +306,7 @@ impl CopyExpr {
         let Some(&(dst, src)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(src).to_string();
+        let text = ctx.source_text(src);
         ctx.replace(dst, text);
         true
     }
@@ -335,8 +335,8 @@ impl ExpandCompoundAssignment {
         else {
             unreachable!()
         };
-        let l = ctx.source_text(lhs.span).to_string();
-        let r = ctx.source_text(rhs.span).to_string();
+        let l = ctx.source_text(lhs.span);
+        let r = ctx.source_text(rhs.span);
         ctx.replace(e.span, format!("{l} = {l} {} ({r})", op.spelling()));
         true
     }
@@ -413,7 +413,7 @@ impl WrapExprInTernary {
         let Some(&span) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         ctx.replace(span, format!("(1 ? {text} : {text})"));
         true
     }
@@ -434,7 +434,7 @@ impl AddParenthesesLayers {
         let Some(e) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(e.span).to_string();
+        let text = ctx.source_text(e.span);
         let depth = ctx.rng().int_in(2, 5);
         let open = "(".repeat(depth as usize);
         let close = ")".repeat(depth as usize);
@@ -468,7 +468,7 @@ impl ApplyBitwiseNotTwice {
         let Some(&span) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         ctx.replace(span, format!("~~({text})"));
         true
     }
@@ -578,7 +578,7 @@ impl InsertArithmeticIdentity {
         let Some(&span) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         let form = ctx.rng().index(4);
         let new = match form {
             0 => format!("(({text}) + 0)"),
@@ -627,11 +627,7 @@ impl DistributeMultiplication {
         let Some(&(span, a, b, c, op)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let (ta, tb, tc) = (
-            ctx.source_text(a).to_string(),
-            ctx.source_text(b).to_string(),
-            ctx.source_text(c).to_string(),
-        );
+        let (ta, tb, tc) = (ctx.source_text(a), ctx.source_text(b), ctx.source_text(c));
         ctx.replace(
             span,
             format!("(({ta}) * ({tb}) {} ({ta}) * ({tc}))", op.spelling()),
@@ -740,7 +736,7 @@ impl CastExprToOwnType {
         let Some((span, ty)) = ctx.rng().take(&mut spots) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         ctx.replace(span, format!("(({ty})({text}))"));
         true
     }
@@ -798,7 +794,7 @@ impl IntroduceCommaExpr {
         let Some(&span) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         ctx.replace(span, format!("(0, {text})"));
         true
     }
@@ -865,7 +861,7 @@ impl OrExprWithSelf {
         let Some(&span) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         ctx.replace(span, format!("({text} | {text})"));
         true
     }
@@ -1187,7 +1183,7 @@ impl NegateReturnValue {
         let Some(&span) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let text = ctx.source_text(span).to_string();
+        let text = ctx.source_text(span);
         ctx.replace(span, format!("-({text})"));
         true
     }
@@ -1224,8 +1220,8 @@ impl SwapCallArguments {
         let Some(&(a, b)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let ta = ctx.source_text(a).to_string();
-        let tb = ctx.source_text(b).to_string();
+        let ta = ctx.source_text(a);
+        let tb = ctx.source_text(b);
         ctx.replace(a, tb);
         ctx.replace(b, ta);
         true

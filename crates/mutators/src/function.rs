@@ -163,7 +163,7 @@ impl SimpleUninliner {
             return false;
         };
         let fresh = ctx.generate_unique_name("extracted");
-        let body = ctx.source_text(stmt_span).to_string();
+        let body = ctx.source_text(stmt_span);
         ctx.insert_before(
             fn_span.lo,
             format!("static void {fresh}(void) {{ {body} }}\n"),
@@ -318,7 +318,7 @@ impl DuplicateFunction {
             return false;
         };
         let fresh = ctx.generate_unique_name(&f.name);
-        let text = ctx.source_text(f.span).to_string();
+        let text = ctx.source_text(f.span);
         let rel_lo = (f.name_span.lo - f.span.lo) as usize;
         let rel_hi = (f.name_span.hi - f.span.lo) as usize;
         let mut copy = String::with_capacity(text.len() + 8);
@@ -451,8 +451,8 @@ impl ReorderFunctionParameters {
         let Some(&(sa, sb)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let ta = ctx.source_text(sa).to_string();
-        let tb = ctx.source_text(sb).to_string();
+        let ta = ctx.source_text(sa);
+        let tb = ctx.source_text(sb);
         ctx.replace(sa, tb);
         ctx.replace(sb, ta);
         true

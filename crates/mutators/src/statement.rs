@@ -31,10 +31,10 @@ impl DuplicateBranch {
             return false;
         };
         if ctx.rng().chance(0.5) {
-            let text = ctx.source_text(then_span).to_string();
+            let text = ctx.source_text(then_span);
             ctx.replace(else_span, text);
         } else {
-            let text = ctx.source_text(else_span).to_string();
+            let text = ctx.source_text(else_span);
             ctx.replace(then_span, text);
         }
         true
@@ -193,8 +193,8 @@ impl UnrollLoopOnce {
         let Some(&(loop_span, cond_span, body_span)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let cond = ctx.source_text(cond_span).to_string();
-        let body = ctx.source_text(body_span).to_string();
+        let cond = ctx.source_text(cond_span);
+        let body = ctx.source_text(body_span);
         ctx.insert_before(loop_span.lo, format!("if ({cond}) {body} "));
         true
     }
@@ -213,7 +213,7 @@ impl DuplicateStatement {
         let Some(s) = ctx.rng().pick(&stmts) else {
             return false;
         };
-        let text = ctx.source_text(s.span).to_string();
+        let text = ctx.source_text(s.span);
         ctx.insert_after(s.span.hi, format!(" {text}"));
         true
     }
@@ -274,7 +274,7 @@ impl WrapStatementInIf {
         let Some(s) = ctx.rng().pick(&stmts) else {
             return false;
         };
-        let text = ctx.source_text(s.span).to_string();
+        let text = ctx.source_text(s.span);
         ctx.replace(s.span, format!("if (1) {{ {text} }}"));
         true
     }
@@ -297,7 +297,7 @@ impl WrapStatementInDoWhile {
         let Some(s) = ctx.rng().pick(&eligible).copied() else {
             return false;
         };
-        let text = ctx.source_text(s.span).to_string();
+        let text = ctx.source_text(s.span);
         ctx.replace(s.span, format!("do {{ {text} }} while (0);"));
         true
     }
@@ -331,9 +331,9 @@ impl InverseIfBranches {
         let Some(&(cond, then_s, else_s)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let c = ctx.source_text(cond).to_string();
-        let t = ctx.source_text(then_s).to_string();
-        let e = ctx.source_text(else_s).to_string();
+        let c = ctx.source_text(cond);
+        let t = ctx.source_text(then_s);
+        let e = ctx.source_text(else_s);
         ctx.replace(cond, format!("!({c})"));
         ctx.replace(then_s, e);
         ctx.replace(else_s, t);
@@ -415,7 +415,7 @@ impl ConvertForToWhile {
                 .as_ref()
                 .map(|st| format!("{};", ctx.source_text(st.span)))
                 .unwrap_or_default();
-            let body_text = ctx.source_text(body.span).to_string();
+            let body_text = ctx.source_text(body.span);
             // Inject the step before the body's closing brace.
             let inner = &body_text[1..body_text.len() - 1];
             let new = format!("{{ {init_text} while ({cond_text}) {{ {inner} {step_text} }} }}");
@@ -446,7 +446,7 @@ impl InsertDeadBranch {
         let Some(s) = ctx.rng().pick(&eligible).copied() else {
             return false;
         };
-        let text = ctx.source_text(s.span).to_string();
+        let text = ctx.source_text(s.span);
         ctx.insert_after(s.span.hi, format!(" if (0) {{ {text} }}"));
         true
     }
@@ -509,8 +509,8 @@ impl SwapAdjacentStatements {
         let Some(&(sa, sb)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let ta = ctx.source_text(sa).to_string();
-        let tb = ctx.source_text(sb).to_string();
+        let ta = ctx.source_text(sa);
+        let tb = ctx.source_text(sb);
         ctx.replace(sa, tb);
         ctx.replace(sb, ta);
         true
@@ -938,8 +938,8 @@ impl ConvertWhileToGotoLoop {
             return false;
         };
         let label = ctx.generate_unique_name("loop_head");
-        let cond_text = ctx.source_text(cond).to_string();
-        let body_text = ctx.source_text(body).to_string();
+        let cond_text = ctx.source_text(cond);
+        let body_text = ctx.source_text(body);
         let inner = &body_text[1..body_text.len() - 1];
         ctx.replace(
             span,

@@ -179,8 +179,8 @@ impl ChangeSignedness {
         let vars = collect::all_var_decls(ctx.ast());
         let mut spots = Vec::new();
         for v in &vars {
-            let text = ctx.source_text(v.specs_span).trim().to_string();
-            match text.as_str() {
+            let text = ctx.source_text(v.specs_span).trim();
+            match text {
                 "int" | "long" | "short" | "char" => {
                     spots.push((v.specs_span, format!("unsigned {text}")));
                 }

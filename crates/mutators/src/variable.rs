@@ -55,8 +55,8 @@ impl SwitchInitExpr {
         let Some(&(sa, sb)) = ctx.rng().pick(&pairs) else {
             return false;
         };
-        let ta = ctx.source_text(sa).to_string();
-        let tb = ctx.source_text(sb).to_string();
+        let ta = ctx.source_text(sa);
+        let tb = ctx.source_text(sb);
         ctx.replace(sa, tb);
         ctx.replace(sb, ta);
         true
@@ -80,7 +80,7 @@ impl ChangeVarDeclQualifier {
         let Some(v) = ctx.rng().pick(&candidates).copied() else {
             return false;
         };
-        let specs = ctx.source_text(v.specs_span).to_string();
+        let specs = ctx.source_text(v.specs_span);
         if let Some(pos) = specs.find("const") {
             let lo = v.specs_span.lo + pos as u32;
             let mut hi = lo + 5;
@@ -117,7 +117,7 @@ impl ModifyVarInitialValue {
         let Some(&span) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let current = ctx.source_text(span).to_string();
+        let current = ctx.source_text(span);
         let boundary: Vec<&str> = [
             "0",
             "1",
@@ -223,7 +223,7 @@ impl PromoteLocalToGlobal {
         let Some(g) = ctx.rng().pick(&spots).copied() else {
             return false;
         };
-        let text = ctx.source_text(g.span).to_string();
+        let text = ctx.source_text(g.span);
         ctx.remove(g.span);
         ctx.insert_before(0, format!("{text}\n"));
         true
@@ -351,8 +351,8 @@ impl SwapVarUses {
         let Some(&(sa, sb)) = ctx.rng().pick(&spots) else {
             return false;
         };
-        let ta = ctx.source_text(sa).to_string();
-        let tb = ctx.source_text(sb).to_string();
+        let ta = ctx.source_text(sa);
+        let tb = ctx.source_text(sb);
         ctx.replace(sa, tb);
         ctx.replace(sb, ta);
         true
