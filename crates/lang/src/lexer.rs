@@ -47,7 +47,9 @@ impl<'s> Lexer<'s> {
         Lexer {
             src: src.as_bytes(),
             pos: 0,
-            tokens: Vec::new(),
+            // C averages one token per 2.5 bytes or more, so this one
+            // allocation holds the whole stream.
+            tokens: Vec::with_capacity(src.len() / 2 + 1),
             diags: Diagnostics::new(),
         }
     }
