@@ -1,6 +1,7 @@
 //! Semantic (checked) types, as opposed to the syntactic [`crate::ast::TySyn`].
 
 use crate::ast::Quals;
+use crate::name::Name;
 use std::fmt;
 
 /// Width of an integer type.
@@ -99,14 +100,14 @@ pub enum Type {
     /// Struct or union named by resolved tag.
     Record {
         /// Resolved tag (anonymous records get synthesized tags).
-        tag: String,
+        tag: Name,
         /// `true` for unions.
         is_union: bool,
     },
     /// Enum named by resolved tag; represented as `int`.
     Enum {
         /// Resolved tag.
-        tag: String,
+        tag: Name,
     },
 }
 
