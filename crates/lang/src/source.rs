@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A half-open byte range `[lo, hi)` into a source file.
 ///
@@ -102,29 +103,44 @@ impl fmt::Display for LineCol {
     }
 }
 
-/// An owned source file with a line-start index for fast position lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An owned source file with a line-start index for position lookup.
+///
+/// The index is built on the first line/column lookup: only diagnostics
+/// ask for one, and most parses never do.
+#[derive(Debug, Clone)]
 pub struct SourceFile {
     name: String,
     text: String,
-    line_starts: Vec<u32>,
+    line_starts: OnceLock<Vec<u32>>,
 }
+
+/// Compares name and text; the line index is a function of the text.
+impl PartialEq for SourceFile {
+    fn eq(&self, other: &SourceFile) -> bool {
+        self.name == other.name && self.text == other.text
+    }
+}
+
+impl Eq for SourceFile {}
 
 impl SourceFile {
     /// Wraps `text` under the given display `name`.
     pub fn new(name: impl Into<String>, text: impl Into<String>) -> Self {
-        let text = text.into();
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
         SourceFile {
             name: name.into(),
-            text,
-            line_starts,
+            text: text.into(),
+            line_starts: OnceLock::new(),
         }
+    }
+
+    /// Byte offsets at which each line starts.
+    fn line_starts(&self) -> &[u32] {
+        self.line_starts.get_or_init(|| {
+            let newlines = self.text.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+            std::iter::once(0)
+                .chain(newlines.map(|(i, _)| i as u32 + 1))
+                .collect()
+        })
     }
 
     /// The display name of the file (not necessarily a filesystem path).
@@ -158,22 +174,23 @@ impl SourceFile {
 
     /// Converts a byte offset to a 1-based line/column pair.
     pub fn line_col(&self, offset: u32) -> LineCol {
-        let line_idx = match self.line_starts.binary_search(&offset) {
+        let line_starts = self.line_starts();
+        let line_idx = match line_starts.binary_search(&offset) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
         LineCol {
             line: line_idx as u32 + 1,
-            col: offset - self.line_starts[line_idx] + 1,
+            col: offset - line_starts[line_idx] + 1,
         }
     }
 
     /// The full span of line `line` (1-based), excluding the newline.
     pub fn line_span(&self, line: u32) -> Option<Span> {
         let idx = line.checked_sub(1)? as usize;
-        let lo = *self.line_starts.get(idx)?;
-        let hi = self
-            .line_starts
+        let line_starts = self.line_starts();
+        let lo = *line_starts.get(idx)?;
+        let hi = line_starts
             .get(idx + 1)
             .map(|next| next.saturating_sub(1))
             .unwrap_or(self.text.len() as u32);
@@ -182,7 +199,7 @@ impl SourceFile {
 
     /// Number of lines in the file (at least 1).
     pub fn line_count(&self) -> usize {
-        self.line_starts.len()
+        self.line_starts().len()
     }
 }
 
@@ -229,6 +246,16 @@ mod tests {
         assert_eq!(f.line_col(7), LineCol { line: 2, col: 1 });
         assert_eq!(f.line_col(16), LineCol { line: 3, col: 3 });
         assert_eq!(f.line_count(), 3);
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_index_was_built() {
+        let a = SourceFile::new("t.c", "int x;\nint y;");
+        let b = a.clone();
+        assert_eq!(a.line_count(), 2);
+        assert_eq!(a, b);
+        assert_eq!(b.clone(), a);
+        assert_ne!(a, SourceFile::new("t.c", "int x;"));
     }
 
     #[test]
