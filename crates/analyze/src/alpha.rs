@@ -25,7 +25,7 @@ type CanonTok = (TokenKind, String);
 
 fn canonical_tokens(src: &str) -> Option<Vec<CanonTok>> {
     let ast = parse("<alpha>", src).ok()?;
-    let printed = print_unit(&ast.unit);
+    let printed = print_unit(&ast);
     let tokens = lex(&printed).ok()?;
     let mut rename: FxHashMap<String, String> = FxHashMap::default();
     let mut out = Vec::with_capacity(tokens.len());

@@ -59,7 +59,7 @@ use metamut_lang::{parse, Diagnostics};
 /// does not parse (analysis is then meaningless).
 pub fn analyze_source(src: &str) -> Result<Vec<Finding>, Diagnostics> {
     let ast = parse("<analyze>", src)?;
-    Ok(analyze_unit(&ast.unit))
+    Ok(analyze_unit(&ast))
 }
 
 /// The first `Ub` finding in `mutant` that its `parent` does not share

@@ -14,7 +14,7 @@ use proptest::{prop_assert_eq, proptest};
 /// callee unknown.
 fn analyze_intraproc(src: &str) -> Vec<Finding> {
     let ast = parse("<intra>", src).expect("fixture parses");
-    analyze_unit_with(&ast.unit, &Summaries::default())
+    analyze_unit_with(&ast, &Summaries::default())
 }
 
 #[test]

@@ -110,7 +110,7 @@ proptest! {
             return Ok(());
         };
         let ast = parse("<prop>", &program).expect("analyze_source parsed it");
-        let reprinted = print_unit(&ast.unit);
+        let reprinted = print_unit(&ast);
         let refindings = analyze_source(&reprinted)
             .expect("a reprint of a parseable program must parse");
         assert_eq!(

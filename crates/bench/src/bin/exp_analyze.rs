@@ -179,7 +179,7 @@ fn main() {
         .iter()
         .filter(|(_, _, src)| {
             let ast = parse("<intra>", src).expect("fixture parses");
-            analyze_unit_with(&ast.unit, &Summaries::default())
+            analyze_unit_with(&ast, &Summaries::default())
                 .iter()
                 .any(|f| f.is_ub())
         })

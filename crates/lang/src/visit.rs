@@ -5,7 +5,9 @@
 //! for the node kinds it cares about and calls the `walk_*` helpers (or
 //! relies on the default methods) to recurse. Like syn's `Visit<'ast>`, the
 //! trait carries the lifetime of the tree it walks, so a visitor may keep
-//! the `&'ast` references it is handed after the walk ends.
+//! the `&'ast` references it is handed after the walk ends. The walk
+//! reaches sub-expressions through the arena of the [`Ast`] the visitor
+//! names in [`Visitor::ast`].
 
 use crate::ast::*;
 
@@ -17,6 +19,10 @@ use crate::ast::*;
 /// nodes for later rewriting. A visitor that keeps nothing can implement
 /// `Visitor<'_>` with elided-lifetime method signatures.
 pub trait Visitor<'ast> {
+    /// The tree being walked: its arena holds every expression the walk
+    /// reaches.
+    fn ast(&self) -> &'ast Ast;
+
     /// Visits a whole translation unit.
     fn visit_unit(&mut self, unit: &'ast TranslationUnit) {
         walk_unit(self, unit);
@@ -149,8 +155,8 @@ pub fn walk_record<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, r: &'ast RecordDe
 /// Recurses into a field's type and bit width.
 pub fn walk_field<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, f: &'ast FieldDecl) {
     v.visit_ty(&f.ty);
-    if let Some(w) = &f.bit_width {
-        v.visit_expr(w);
+    if let Some(w) = f.bit_width {
+        visit_id(v, w);
     }
 }
 
@@ -158,8 +164,8 @@ pub fn walk_field<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, f: &'ast FieldDecl
 pub fn walk_enum<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, e: &'ast EnumDecl) {
     if let Some(es) = &e.enumerators {
         for en in es {
-            if let Some(val) = &en.value {
-                v.visit_expr(val);
+            if let Some(val) = en.value {
+                visit_id(v, val);
             }
         }
     }
@@ -168,6 +174,12 @@ pub fn walk_enum<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, e: &'ast EnumDecl) 
 /// Recurses into a typedef's aliased type.
 pub fn walk_typedef<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, t: &'ast TypedefDecl) {
     v.visit_ty(&t.ty);
+}
+
+/// Visits the expression `id` names in `v`'s tree.
+fn visit_id<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, id: ExprId) {
+    let ast = v.ast();
+    v.visit_expr(&ast[id]);
 }
 
 /// Recurses into a statement's children.
@@ -181,26 +193,26 @@ pub fn walk_stmt<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, s: &'ast Stmt) {
                 }
             }
         }
-        StmtKind::Expr(e) => v.visit_expr(e),
+        StmtKind::Expr(e) => visit_id(v, *e),
         StmtKind::Null | StmtKind::Break | StmtKind::Continue | StmtKind::Goto { .. } => {}
         StmtKind::If {
             cond,
             then_stmt,
             else_stmt,
         } => {
-            v.visit_expr(cond);
+            visit_id(v, *cond);
             v.visit_stmt(then_stmt);
             if let Some(e) = else_stmt {
                 v.visit_stmt(e);
             }
         }
         StmtKind::While { cond, body } => {
-            v.visit_expr(cond);
+            visit_id(v, *cond);
             v.visit_stmt(body);
         }
         StmtKind::DoWhile { body, cond } => {
             v.visit_stmt(body);
-            v.visit_expr(cond);
+            visit_id(v, *cond);
         }
         StmtKind::For {
             init,
@@ -211,29 +223,29 @@ pub fn walk_stmt<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, s: &'ast Stmt) {
             if let Some(init) = init {
                 match init.as_ref() {
                     ForInit::Decl(g) => v.visit_decl_group(g),
-                    ForInit::Expr(e) => v.visit_expr(e),
+                    ForInit::Expr(e) => visit_id(v, *e),
                 }
             }
             if let Some(c) = cond {
-                v.visit_expr(c);
+                visit_id(v, *c);
             }
             if let Some(st) = step {
-                v.visit_expr(st);
+                visit_id(v, *st);
             }
             v.visit_stmt(body);
         }
         StmtKind::Switch { cond, body } => {
-            v.visit_expr(cond);
+            visit_id(v, *cond);
             v.visit_stmt(body);
         }
         StmtKind::Case { expr, stmt } => {
-            v.visit_expr(expr);
+            visit_id(v, *expr);
             v.visit_stmt(stmt);
         }
         StmtKind::Default { stmt } | StmtKind::Label { stmt, .. } => v.visit_stmt(stmt),
         StmtKind::Return(value) => {
             if let Some(e) = value {
-                v.visit_expr(e);
+                visit_id(v, *e);
             }
         }
     }
@@ -247,53 +259,53 @@ pub fn walk_expr<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, e: &'ast Expr) {
         | ExprKind::CharLit { .. }
         | ExprKind::StrLit { .. }
         | ExprKind::Ident(_) => {}
-        ExprKind::Unary { operand, .. } => v.visit_expr(operand),
+        ExprKind::Unary { operand, .. } => visit_id(v, *operand),
         ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            v.visit_expr(lhs);
-            v.visit_expr(rhs);
+            visit_id(v, *lhs);
+            visit_id(v, *rhs);
         }
         ExprKind::Cond {
             cond,
             then_expr,
             else_expr,
         } => {
-            v.visit_expr(cond);
-            v.visit_expr(then_expr);
-            v.visit_expr(else_expr);
+            visit_id(v, *cond);
+            visit_id(v, *then_expr);
+            visit_id(v, *else_expr);
         }
         ExprKind::Call { callee, args } => {
-            v.visit_expr(callee);
-            for a in args {
-                v.visit_expr(a);
+            visit_id(v, *callee);
+            for &a in args {
+                visit_id(v, a);
             }
         }
         ExprKind::Index { base, index } => {
-            v.visit_expr(base);
-            v.visit_expr(index);
+            visit_id(v, *base);
+            visit_id(v, *index);
         }
-        ExprKind::Member { base, .. } => v.visit_expr(base),
+        ExprKind::Member { base, .. } => visit_id(v, *base),
         ExprKind::Cast { ty, expr } => {
             v.visit_ty(&ty.ty);
-            v.visit_expr(expr);
+            visit_id(v, *expr);
         }
         ExprKind::CompoundLit { ty, init } => {
             v.visit_ty(&ty.ty);
             v.visit_initializer(init);
         }
-        ExprKind::SizeofExpr(inner) => v.visit_expr(inner),
+        ExprKind::SizeofExpr(inner) => visit_id(v, *inner),
         ExprKind::SizeofType(ty) => v.visit_ty(&ty.ty),
         ExprKind::Comma { lhs, rhs } => {
-            v.visit_expr(lhs);
-            v.visit_expr(rhs);
+            visit_id(v, *lhs);
+            visit_id(v, *rhs);
         }
-        ExprKind::Paren(inner) => v.visit_expr(inner),
+        ExprKind::Paren(inner) => visit_id(v, *inner),
     }
 }
 
 /// Recurses into an initializer.
 pub fn walk_initializer<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, i: &'ast Initializer) {
     match i {
-        Initializer::Expr(e) => v.visit_expr(e),
+        Initializer::Expr(e) => visit_id(v, *e),
         Initializer::List { items, .. } => {
             for item in items {
                 v.visit_initializer(item);
@@ -315,7 +327,7 @@ pub fn walk_ty<'ast, V: Visitor<'ast> + ?Sized>(v: &mut V, ty: &'ast TySyn) {
         TySyn::Array { elem, size } => {
             v.visit_ty(elem);
             if let Some(sz) = size {
-                v.visit_expr(sz);
+                visit_id(v, *sz);
             }
         }
         TySyn::Function { ret, params, .. } => {
@@ -332,16 +344,32 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    #[derive(Default)]
-    struct Counter {
+    struct Counter<'a> {
+        ast: &'a Ast,
         exprs: usize,
         stmts: usize,
         vars: usize,
         calls: usize,
     }
 
-    impl Visitor<'_> for Counter {
-        fn visit_expr(&mut self, e: &Expr) {
+    impl<'a> Counter<'a> {
+        fn new(ast: &'a Ast) -> Self {
+            Counter {
+                ast,
+                exprs: 0,
+                stmts: 0,
+                vars: 0,
+                calls: 0,
+            }
+        }
+    }
+
+    impl<'a> Visitor<'a> for Counter<'a> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
+        fn visit_expr(&mut self, e: &'a Expr) {
             self.exprs += 1;
             if matches!(e.kind, ExprKind::Call { .. }) {
                 self.calls += 1;
@@ -349,12 +377,12 @@ mod tests {
             walk_expr(self, e);
         }
 
-        fn visit_stmt(&mut self, s: &Stmt) {
+        fn visit_stmt(&mut self, s: &'a Stmt) {
             self.stmts += 1;
             walk_stmt(self, s);
         }
 
-        fn visit_var_decl(&mut self, v: &VarDecl) {
+        fn visit_var_decl(&mut self, v: &'a VarDecl) {
             self.vars += 1;
             walk_var_decl(self, v);
         }
@@ -367,7 +395,7 @@ mod tests {
             "int f(int a) { int x = a + 1; if (x) { f(x - 1); } return x; }",
         )
         .unwrap();
-        let mut c = Counter::default();
+        let mut c = Counter::new(&ast);
         c.visit_unit(&ast.unit);
         assert_eq!(c.vars, 1);
         assert_eq!(c.calls, 1);
@@ -382,23 +410,26 @@ mod tests {
             "struct S { int a; } s; void f(void) { s.a = sizeof(struct S); }",
         )
         .unwrap();
-        #[derive(Default)]
-        struct Records(usize);
-        impl Visitor<'_> for Records {
-            fn visit_record(&mut self, r: &RecordDecl) {
-                self.0 += 1;
+        struct Records<'a>(&'a Ast, usize);
+        impl<'a> Visitor<'a> for Records<'a> {
+            fn ast(&self) -> &'a Ast {
+                self.0
+            }
+
+            fn visit_record(&mut self, r: &'a RecordDecl) {
+                self.1 += 1;
                 walk_record(self, r);
             }
         }
-        let mut r = Records::default();
+        let mut r = Records(&ast, 0);
         r.visit_unit(&ast.unit);
-        assert_eq!(r.0, 1);
+        assert_eq!(r.1, 1);
     }
 
     #[test]
     fn visits_for_loops_fully() {
         let ast = parse("t.c", "void f(void) { for (int i = 0; i < 4; i++) f(); }").unwrap();
-        let mut c = Counter::default();
+        let mut c = Counter::new(&ast);
         c.visit_unit(&ast.unit);
         assert_eq!(c.vars, 1); // loop variable
         assert_eq!(c.calls, 1);

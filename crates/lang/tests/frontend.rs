@@ -51,14 +51,14 @@ fn operator_precedence_full_ladder() {
     )
     .unwrap();
     // Re-print and re-check: the tree must encode the standard precedence.
-    let printed = metamut_lang::printer::print_unit(&ast.unit);
+    let printed = metamut_lang::printer::print_unit(&ast);
     compile_check(&printed).unwrap();
 }
 
 #[test]
 fn adjacent_string_literal_concatenation() {
     let (ast, _) = compile(r#"char *s = "a" "b" "c";"#).unwrap();
-    let src = metamut_lang::printer::print_unit(&ast.unit);
+    let src = metamut_lang::printer::print_unit(&ast);
     assert!(src.contains("\"abc\""), "{src}");
 }
 

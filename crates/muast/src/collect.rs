@@ -10,22 +10,34 @@
 use metamut_lang::ast::*;
 use metamut_lang::visit::{self, Visitor};
 
-/// Where a collector starts: the whole program or one function's body.
+/// Where a collector starts: the whole program (`&Ast`) or one function's
+/// body (`(&Ast, &FunctionDef)`).
 pub trait Root<'a> {
+    /// The tree the root belongs to.
+    fn ast(&self) -> &'a Ast;
+
     /// Walks `v` over every node under this root, in source order.
     fn walk<V: Visitor<'a>>(self, v: &mut V);
 }
 
 impl<'a> Root<'a> for &'a Ast {
+    fn ast(&self) -> &'a Ast {
+        self
+    }
+
     fn walk<V: Visitor<'a>>(self, v: &mut V) {
         v.visit_unit(&self.unit);
     }
 }
 
 /// Only the body: a prototype has nothing to collect.
-impl<'a> Root<'a> for &'a FunctionDef {
+impl<'a> Root<'a> for (&'a Ast, &'a FunctionDef) {
+    fn ast(&self) -> &'a Ast {
+        self.0
+    }
+
     fn walk<V: Visitor<'a>>(self, v: &mut V) {
-        if let Some(body) = &self.body {
+        if let Some(body) = &self.1.body {
             v.visit_stmt(body);
         }
     }
@@ -38,10 +50,15 @@ where
     F: Fn(&Expr) -> bool,
 {
     struct C<'a, F> {
+        ast: &'a Ast,
         pred: F,
         out: Vec<&'a Expr>,
     }
     impl<'a, F: Fn(&Expr) -> bool> Visitor<'a> for C<'a, F> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
         fn visit_expr(&mut self, e: &'a Expr) {
             if (self.pred)(e) {
                 self.out.push(e);
@@ -50,6 +67,7 @@ where
         }
     }
     let mut c = C {
+        ast: root.ast(),
         pred,
         out: Vec::new(),
     };
@@ -64,10 +82,15 @@ where
     F: Fn(&Stmt) -> bool,
 {
     struct C<'a, F> {
+        ast: &'a Ast,
         pred: F,
         out: Vec<&'a Stmt>,
     }
     impl<'a, F: Fn(&Stmt) -> bool> Visitor<'a> for C<'a, F> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
         fn visit_stmt(&mut self, s: &'a Stmt) {
             if (self.pred)(s) {
                 self.out.push(s);
@@ -76,6 +99,7 @@ where
         }
     }
     let mut c = C {
+        ast: root.ast(),
         pred,
         out: Vec::new(),
     };
@@ -86,15 +110,23 @@ where
 /// Collects every variable declarator (globals, locals, for-init).
 pub fn all_var_decls(ast: &Ast) -> Vec<&VarDecl> {
     struct C<'a> {
+        ast: &'a Ast,
         out: Vec<&'a VarDecl>,
     }
     impl<'a> Visitor<'a> for C<'a> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
         fn visit_var_decl(&mut self, v: &'a VarDecl) {
             self.out.push(v);
             visit::walk_var_decl(self, v);
         }
     }
-    let mut c = C { out: Vec::new() };
+    let mut c = C {
+        ast,
+        out: Vec::new(),
+    };
     ast.walk(&mut c);
     c.out
 }
@@ -103,7 +135,7 @@ pub fn all_var_decls(ast: &Ast) -> Vec<&VarDecl> {
 pub fn calls_to<'a>(ast: &'a Ast, name: &str) -> Vec<&'a Expr> {
     exprs_matching(ast, |e| match &e.kind {
         ExprKind::Call { callee, .. } => {
-            matches!(&callee.unparenthesized().kind, ExprKind::Ident(n) if n == name)
+            matches!(&ast[*callee].unparenthesized(ast).kind, ExprKind::Ident(n) if n == name)
         }
         _ => false,
     })
@@ -179,11 +211,11 @@ int main(void) {
         let ast = parse("t.c", SRC).unwrap();
         let is_return = |s: &Stmt| matches!(s.kind, StmtKind::Return(_));
         let main = ast.find_function("main").unwrap();
-        assert_eq!(stmts_matching(main, is_return).len(), 1);
+        assert_eq!(stmts_matching((&ast, main), is_return).len(), 1);
         let helper = ast.find_function("helper").unwrap();
-        assert_eq!(stmts_matching(helper, is_return).len(), 1);
+        assert_eq!(stmts_matching((&ast, helper), is_return).len(), 1);
         assert_eq!(stmts_matching(&ast, is_return).len(), 2);
-        let calls = exprs_matching(main, |e| matches!(e.kind, ExprKind::Call { .. }));
+        let calls = exprs_matching((&ast, main), |e| matches!(e.kind, ExprKind::Call { .. }));
         assert_eq!(calls.len(), 2);
     }
 
@@ -194,7 +226,10 @@ int main(void) {
         assert_eq!(uses.len(), 1);
         // The same node the parser built, not a copy of it.
         let main = ast.find_function("main").unwrap();
-        let in_main = exprs_matching(main, |e| matches!(&e.kind, ExprKind::Ident(n) if n == "g"));
+        let in_main = exprs_matching(
+            (&ast, main),
+            |e| matches!(&e.kind, ExprKind::Ident(n) if n == "g"),
+        );
         assert!(std::ptr::eq(uses[0], in_main[0]));
     }
 }

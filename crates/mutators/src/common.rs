@@ -37,11 +37,16 @@ pub fn function_names(ast: &Ast) -> HashSet<&str> {
 }
 
 /// All identifier names referenced inside a statement.
-pub fn idents_in_stmt(s: &Stmt) -> HashSet<&str> {
+pub fn idents_in_stmt<'a>(ast: &'a Ast, s: &'a Stmt) -> HashSet<&'a str> {
     struct C<'a> {
+        ast: &'a Ast,
         out: HashSet<&'a str>,
     }
     impl<'a> Visitor<'a> for C<'a> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
         fn visit_expr(&mut self, e: &'a Expr) {
             if let ExprKind::Ident(n) = &e.kind {
                 self.out.insert(n.as_str());
@@ -50,6 +55,7 @@ pub fn idents_in_stmt(s: &Stmt) -> HashSet<&str> {
         }
     }
     let mut c = C {
+        ast,
         out: HashSet::new(),
     };
     c.visit_stmt(s);
@@ -59,12 +65,17 @@ pub fn idents_in_stmt(s: &Stmt) -> HashSet<&str> {
 /// Whether a statement contains any of: `return`, `break`, `continue`,
 /// `goto`, labels, or local declarations — the things that make it unsafe
 /// to move or duplicate across control-flow boundaries.
-pub fn stmt_is_relocatable(s: &Stmt) -> bool {
-    struct C {
+pub fn stmt_is_relocatable(ast: &Ast, s: &Stmt) -> bool {
+    struct C<'a> {
+        ast: &'a Ast,
         ok: bool,
     }
-    impl Visitor<'_> for C {
-        fn visit_stmt(&mut self, s: &Stmt) {
+    impl<'a> Visitor<'a> for C<'a> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
+        fn visit_stmt(&mut self, s: &'a Stmt) {
             match &s.kind {
                 StmtKind::Return(_)
                 | StmtKind::Break
@@ -84,7 +95,7 @@ pub fn stmt_is_relocatable(s: &Stmt) -> bool {
             visit::walk_stmt(self, s);
         }
     }
-    let mut c = C { ok: true };
+    let mut c = C { ast, ok: true };
     c.visit_stmt(s);
     c.ok
 }
@@ -109,17 +120,25 @@ pub fn is_int_literal(e: &Expr, v: i128) -> bool {
 /// scope), in source order.
 pub fn local_decl_groups(ast: &Ast) -> Vec<&DeclGroup> {
     struct C<'a> {
+        ast: &'a Ast,
         out: Vec<&'a DeclGroup>,
     }
     impl<'a> Visitor<'a> for C<'a> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
         fn visit_decl_group(&mut self, g: &'a DeclGroup) {
             self.out.push(g);
             visit::walk_decl_group(self, g);
         }
     }
-    let mut c = C { out: Vec::new() };
+    let mut c = C {
+        ast,
+        out: Vec::new(),
+    };
     for f in ast.function_defs() {
-        f.walk(&mut c);
+        (ast, f).walk(&mut c);
     }
     c.out
 }
@@ -127,27 +146,35 @@ pub fn local_decl_groups(ast: &Ast) -> Vec<&DeclGroup> {
 /// Spans inside which an identifier must not be replaced by a literal:
 /// assignment targets, increment/decrement and address-of operands, array
 /// bases and member bases.
-pub fn non_rvalue_spans(f: &FunctionDef) -> Vec<metamut_lang::source::Span> {
-    struct C {
+pub fn non_rvalue_spans(ast: &Ast, f: &FunctionDef) -> Vec<metamut_lang::source::Span> {
+    struct C<'a> {
+        ast: &'a Ast,
         out: Vec<metamut_lang::source::Span>,
     }
-    impl Visitor<'_> for C {
-        fn visit_expr(&mut self, e: &Expr) {
+    impl<'a> Visitor<'a> for C<'a> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
+        fn visit_expr(&mut self, e: &'a Expr) {
             match &e.kind {
-                ExprKind::Assign { lhs, .. } => self.out.push(lhs.span),
+                ExprKind::Assign { lhs, .. } => self.out.push(self.ast[*lhs].span),
                 ExprKind::Unary { op, operand } if op.is_inc_dec() || *op == UnaryOp::AddrOf => {
-                    self.out.push(operand.span)
+                    self.out.push(self.ast[*operand].span)
                 }
-                ExprKind::Index { base, .. } => self.out.push(base.span),
-                ExprKind::Member { base, .. } => self.out.push(base.span),
-                ExprKind::Call { callee, .. } => self.out.push(callee.span),
+                ExprKind::Index { base, .. } => self.out.push(self.ast[*base].span),
+                ExprKind::Member { base, .. } => self.out.push(self.ast[*base].span),
+                ExprKind::Call { callee, .. } => self.out.push(self.ast[*callee].span),
                 _ => {}
             }
             visit::walk_expr(self, e);
         }
     }
-    let mut c = C { out: Vec::new() };
-    f.walk(&mut c);
+    let mut c = C {
+        ast,
+        out: Vec::new(),
+    };
+    (ast, f).walk(&mut c);
     c.out
 }
 
@@ -188,19 +215,24 @@ pub(crate) use mutator;
 /// Whether a loop body contains no `continue` that would bind to it.
 /// Conservative: any `continue` anywhere in the body (even in nested loops)
 /// disqualifies the body.
-pub fn stmts_in_span_free_of_continue(body: &Stmt) -> bool {
-    struct C {
+pub fn stmts_in_span_free_of_continue(ast: &Ast, body: &Stmt) -> bool {
+    struct C<'a> {
+        ast: &'a Ast,
         ok: bool,
     }
-    impl Visitor<'_> for C {
-        fn visit_stmt(&mut self, s: &Stmt) {
+    impl<'a> Visitor<'a> for C<'a> {
+        fn ast(&self) -> &'a Ast {
+            self.ast
+        }
+
+        fn visit_stmt(&mut self, s: &'a Stmt) {
             if matches!(s.kind, StmtKind::Continue) {
                 self.ok = false;
             }
             visit::walk_stmt(self, s);
         }
     }
-    let mut c = C { ok: true };
+    let mut c = C { ast, ok: true };
     c.visit_stmt(body);
     c.ok
 }
@@ -235,17 +267,17 @@ mod tests {
             BlockItem::Stmt(s) => s,
             _ => panic!(),
         };
-        assert!(stmt_is_relocatable(stmt(0))); // x++;
-        assert!(!stmt_is_relocatable(stmt(1))); // contains return
-        assert!(!stmt_is_relocatable(stmt(2))); // contains break
-        assert!(!stmt_is_relocatable(stmt(3))); // contains local decl
+        assert!(stmt_is_relocatable(&ast, stmt(0))); // x++;
+        assert!(!stmt_is_relocatable(&ast, stmt(1))); // contains return
+        assert!(!stmt_is_relocatable(&ast, stmt(2))); // contains break
+        assert!(!stmt_is_relocatable(&ast, stmt(3))); // contains local decl
     }
 
     #[test]
     fn idents_collected() {
         let ast = parse("t.c", "void f(int a, int b) { a = b + g(); }").unwrap();
         let f = ast.find_function("f").unwrap();
-        let ids = idents_in_stmt(f.body.as_ref().unwrap());
+        let ids = idents_in_stmt(&ast, f.body.as_ref().unwrap());
         assert!(ids.contains("a") && ids.contains("b") && ids.contains("g"));
     }
 

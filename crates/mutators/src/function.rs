@@ -54,7 +54,9 @@ impl ModifyFunctionReturnTypeToVoid {
 
         // Step 2: remove all return statements (GPT-4's fixed version keeps
         // them per-function, Figure 4 line 24).
-        for ret in collect::stmts_matching(func, |s| matches!(s.kind, StmtKind::Return(_))) {
+        for ret in
+            collect::stmts_matching((ctx.ast(), func), |s| matches!(s.kind, StmtKind::Return(_)))
+        {
             ctx.replace(ret.span, ";");
         }
 
@@ -146,11 +148,13 @@ impl SimpleUninliner {
         let funcs = common::function_names(ctx.ast());
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
-            for s in collect::stmts_matching(f, |s| matches!(s.kind, StmtKind::Expr(_))) {
-                if !common::stmt_is_relocatable(s) {
+            for s in
+                collect::stmts_matching((ctx.ast(), f), |s| matches!(s.kind, StmtKind::Expr(_)))
+            {
+                if !common::stmt_is_relocatable(ctx.ast(), s) {
                     continue;
                 }
-                let idents = common::idents_in_stmt(s);
+                let idents = common::idents_in_stmt(ctx.ast(), s);
                 if idents
                     .iter()
                     .all(|n| globals.contains(n) || funcs.contains(n))
@@ -199,7 +203,7 @@ impl InlineFunctionCall {
             let StmtKind::Return(Some(expr)) = &only.kind else {
                 continue;
             };
-            let idents = common::idents_in_stmt(only);
+            let idents = common::idents_in_stmt(ctx.ast(), only);
             if !idents
                 .iter()
                 .all(|n| globals.contains(n) || funcs.contains(n))
@@ -211,7 +215,7 @@ impl InlineFunctionCall {
                     continue;
                 };
                 if args.is_empty() && !f.span.contains_span(call.span) {
-                    spots.push((call.span, expr.span));
+                    spots.push((call.span, ctx.ast()[*expr].span));
                 }
             }
         }
@@ -652,13 +656,15 @@ impl ReturnViaTemporary {
             let StmtKind::Return(Some(e)) = &s.kind else {
                 continue;
             };
-            let Some(t) = ctx.type_of(e) else { continue };
+            let Some(t) = ctx.type_of(&ctx.ast()[*e]) else {
+                continue;
+            };
             let d = t.ty.decayed();
             // Only spell types whose Display form is a valid C specifier.
             let simple = d.is_integer() && !matches!(d, metamut_lang::types::Type::Enum { .. })
                 || d.is_floating();
             if simple {
-                spots.push((s.span, e.span, d.to_string()));
+                spots.push((s.span, ctx.ast()[*e].span, d.to_string()));
             }
         }
         let Some((span, expr, ty)) = ctx.rng().take(&mut spots) else {
@@ -710,7 +716,10 @@ impl AddFunctionPrototype {
         let Some(f) = ctx.rng().pick(&spots).copied() else {
             return false;
         };
-        ctx.insert_before(0, format!("{};\n", printer::format_function_decl(f)));
+        ctx.insert_before(
+            0,
+            format!("{};\n", printer::format_function_decl(ctx.ast(), f)),
+        );
         true
     }
 }

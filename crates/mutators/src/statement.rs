@@ -86,7 +86,7 @@ impl TransformSwitchToIfElse {
             loop {
                 match &cur.kind {
                     StmtKind::Case { expr, stmt } => {
-                        labels_here.push(Some(expr.span));
+                        labels_here.push(Some(ctx.ast()[*expr].span));
                         cur = stmt;
                     }
                     StmtKind::Default { stmt } => {
@@ -119,7 +119,7 @@ impl TransformSwitchToIfElse {
             return None;
         }
         // Every arm must end with a break for if-else equivalence.
-        let cond_text = ctx.source_text(cond.span);
+        let cond_text = ctx.source_text(ctx.ast()[*cond].span);
         let mut out = String::new();
         let mut first = true;
         let mut default_body: Option<String> = None;
@@ -186,8 +186,8 @@ impl UnrollLoopOnce {
             let StmtKind::While { cond, body } = &s.kind else {
                 continue;
             };
-            if common::stmt_is_relocatable(body) {
-                spots.push((s.span, cond.span, body.span));
+            if common::stmt_is_relocatable(ctx.ast(), body) {
+                spots.push((s.span, ctx.ast()[*cond].span, body.span));
             }
         }
         let Some(&(loop_span, cond_span, body_span)) = ctx.rng().pick(&spots) else {
@@ -292,7 +292,7 @@ impl WrapStatementInDoWhile {
         let stmts = collect::stmts_matching(ctx.ast(), |s| matches!(s.kind, StmtKind::Expr(_)));
         let eligible: Vec<&Stmt> = stmts
             .into_iter()
-            .filter(|s| common::stmt_is_relocatable(s))
+            .filter(|s| common::stmt_is_relocatable(ctx.ast(), s))
             .collect();
         let Some(s) = ctx.rng().pick(&eligible).copied() else {
             return false;
@@ -324,7 +324,7 @@ impl InverseIfBranches {
                 // `else if` chains would need re-bracing; only swap when the
                 // else branch is not itself an if.
                 if !matches!(else_stmt.kind, StmtKind::If { .. }) {
-                    spots.push((cond.span, then_stmt.span, else_stmt.span));
+                    spots.push((ctx.ast()[*cond].span, then_stmt.span, else_stmt.span));
                 }
             }
         }
@@ -359,7 +359,7 @@ impl ConvertWhileToFor {
             unreachable!()
         };
         // Rewrite only the head: `while (c)` → `for (; c; )`.
-        let head = Span::new(s.span.lo, cond.span.lo);
+        let head = Span::new(s.span.lo, ctx.ast()[*cond].span.lo);
         let head_text = ctx.source_text(head);
         let Some(paren) = head_text.find('(') else {
             return false;
@@ -368,7 +368,7 @@ impl ConvertWhileToFor {
             Span::new(s.span.lo, s.span.lo + paren as u32 + 1),
             "for (; ",
         );
-        ctx.insert_after(cond.span.hi, "; ");
+        ctx.insert_after(ctx.ast()[*cond].span.hi, "; ");
         true
     }
 }
@@ -399,21 +399,21 @@ impl ConvertForToWhile {
             if !matches!(body.kind, StmtKind::Compound(_)) {
                 continue;
             }
-            if !common::stmts_in_span_free_of_continue(body) {
+            if !common::stmts_in_span_free_of_continue(ctx.ast(), body) {
                 continue;
             }
             let init_text = match init.as_deref() {
                 None => String::new(),
                 Some(ForInit::Decl(g)) => ctx.source_text(g.span).to_string(),
-                Some(ForInit::Expr(e)) => format!("{};", ctx.source_text(e.span)),
+                Some(ForInit::Expr(e)) => format!("{};", ctx.source_text(ctx.ast()[*e].span)),
             };
             let cond_text = cond
                 .as_ref()
-                .map(|c| ctx.source_text(c.span).to_string())
+                .map(|c| ctx.source_text(ctx.ast()[*c].span).to_string())
                 .unwrap_or_else(|| "1".to_string());
             let step_text = step
                 .as_ref()
-                .map(|st| format!("{};", ctx.source_text(st.span)))
+                .map(|st| format!("{};", ctx.source_text(ctx.ast()[*st].span)))
                 .unwrap_or_default();
             let body_text = ctx.source_text(body.span);
             // Inject the step before the body's closing brace.
@@ -441,7 +441,7 @@ impl InsertDeadBranch {
         let stmts = block_expr_stmts(ctx.ast());
         let eligible: Vec<&Stmt> = stmts
             .into_iter()
-            .filter(|s| common::stmt_is_relocatable(s))
+            .filter(|s| common::stmt_is_relocatable(ctx.ast(), s))
             .collect();
         let Some(s) = ctx.rng().pick(&eligible).copied() else {
             return false;
@@ -572,7 +572,9 @@ impl AddCaseToSwitch {
                 matches!(x.kind, StmtKind::Case { .. }) && body.span.contains_span(x.span)
             }) {
                 if let StmtKind::Case { expr, .. } = &cs.kind {
-                    if let ExprKind::IntLit { value, .. } = expr.unparenthesized().kind {
+                    if let ExprKind::IntLit { value, .. } =
+                        ctx.ast()[*expr].unparenthesized(ctx.ast()).kind
+                    {
                         taken.push(value);
                     } else {
                         // Non-literal labels: can't guarantee freshness.
@@ -893,8 +895,8 @@ impl ShiftCaseValues {
                 let StmtKind::Case { expr, .. } = &cs.kind else {
                     continue;
                 };
-                match expr.unparenthesized().kind {
-                    ExprKind::IntLit { value, .. } => labels.push((expr.span, value)),
+                match ctx.ast()[*expr].unparenthesized(ctx.ast()).kind {
+                    ExprKind::IntLit { value, .. } => labels.push((ctx.ast()[*expr].span, value)),
                     _ => all_literal = false,
                 }
             }
@@ -930,8 +932,10 @@ impl ConvertWhileToGotoLoop {
                 continue;
             };
             // break/continue would bind to a loop that no longer exists.
-            if common::stmt_is_relocatable(body) && matches!(body.kind, StmtKind::Compound(_)) {
-                spots.push((s.span, cond.span, body.span));
+            if common::stmt_is_relocatable(ctx.ast(), body)
+                && matches!(body.kind, StmtKind::Compound(_))
+            {
+                spots.push((s.span, ctx.ast()[*cond].span, body.span));
             }
         }
         let Some(&(span, cond, body)) = ctx.rng().pick(&spots) else {
@@ -982,7 +986,7 @@ impl SplitDeclGroup {
             out.push_str(&ctx.format_as_decl(&v.ty, &v.name));
             if let Some(init) = &v.init {
                 out.push_str(" = ");
-                out.push_str(ctx.source_text(init.span()));
+                out.push_str(ctx.source_text(init.span(ctx.ast())));
             }
             out.push_str("; ");
         }

@@ -78,7 +78,7 @@ impl ReduceArrayDimension {
             }
             // The bracket range sits between the name and the initializer.
             let end = match &v.init {
-                Some(i) => i.span().lo,
+                Some(i) => i.span(ctx.ast()).lo,
                 None => v.span.hi,
             };
             let Some(open) = ctx.find_str_from(v.name_span.hi, "[") else {
@@ -103,7 +103,7 @@ impl ReduceArrayDimension {
         // Rewrite every subscript of this variable: `r[i]` → `r`.
         for e in collect::exprs_matching(ctx.ast(), |e| {
             matches!(&e.kind, ExprKind::Index { base, .. }
-                if matches!(&base.unparenthesized().kind, ExprKind::Ident(n) if n == name))
+                if matches!(&ctx.ast()[*base].unparenthesized(ctx.ast()).kind, ExprKind::Ident(n) if n == name))
         }) {
             ctx.replace(e.span, name);
         }
@@ -129,9 +129,11 @@ impl IncreaseArraySize {
                 size: Some(size), ..
             } = &v.ty
             {
-                if let ExprKind::IntLit { value, .. } = size.unparenthesized().kind {
+                if let ExprKind::IntLit { value, .. } =
+                    ctx.ast()[*size].unparenthesized(ctx.ast()).kind
+                {
                     if value > 0 && value < 1 << 20 {
-                        spots.push((size.span, value * 2));
+                        spots.push((ctx.ast()[*size].span, value * 2));
                     }
                 }
             }

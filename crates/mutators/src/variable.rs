@@ -6,9 +6,9 @@ use metamut_lang::source::Span;
 use metamut_muast::{collect, MutCtx};
 use std::collections::HashMap;
 
-fn init_expr_span(v: &VarDecl) -> Option<Span> {
+fn init_expr_span(ast: &Ast, v: &VarDecl) -> Option<Span> {
     match &v.init {
-        Some(Initializer::Expr(e)) => Some(e.span),
+        Some(Initializer::Expr(e)) => Some(ast[*e].span),
         Some(Initializer::List { span, .. }) => Some(*span),
         None => None,
     }
@@ -34,7 +34,9 @@ impl SwitchInitExpr {
                     let (Some(va), Some(vb)) = (decls.get(&a), decls.get(&b)) else {
                         continue;
                     };
-                    let (Some(sa), Some(sb)) = (init_expr_span(va), init_expr_span(vb)) else {
+                    let (Some(sa), Some(sb)) =
+                        (init_expr_span(ctx.ast(), va), init_expr_span(ctx.ast(), vb))
+                    else {
                         continue;
                     };
                     let (Some(ta), Some(tb)) = (ctx.decl_type(a), ctx.decl_type(b)) else {
@@ -109,8 +111,8 @@ impl ModifyVarInitialValue {
         let mut spots = Vec::new();
         for v in &vars {
             if let Some(Initializer::Expr(e)) = &v.init {
-                if matches!(e.kind, ExprKind::IntLit { .. }) {
-                    spots.push(e.span);
+                if matches!(ctx.ast()[*e].kind, ExprKind::IntLit { .. }) {
+                    spots.push(ctx.ast()[*e].span);
                 }
             }
         }
@@ -153,7 +155,7 @@ impl RemoveVarInit {
                 if unsized_array || v.init.is_none() {
                     continue;
                 }
-                let init_span = init_expr_span(v).expect("init present");
+                let init_span = init_expr_span(ctx.ast(), v).expect("init present");
                 if let Some(eq) = ctx.find_str_from(v.name_span.hi, "=") {
                     if eq < init_span.lo {
                         spots.push(Span::new(eq, init_span.hi));
@@ -194,7 +196,7 @@ impl PromoteLocalToGlobal {
             let v = &g.vars[0];
             let simple_init = match &v.init {
                 None => true,
-                Some(Initializer::Expr(e)) => e.is_literal(),
+                Some(Initializer::Expr(e)) => ctx.ast()[*e].is_literal(),
                 Some(Initializer::List { .. }) => false,
             };
             let simple_ty = matches!(
@@ -280,7 +282,7 @@ impl InlineVarInit {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let mut spots = Vec::new();
         for f in ctx.ast().function_defs() {
-            let excluded = common::non_rvalue_spans(f);
+            let excluded = common::non_rvalue_spans(ctx.ast(), f);
             for g in common::local_decl_groups(ctx.ast()) {
                 for v in &g.vars {
                     if !f.span.contains_span(v.span) {
@@ -290,7 +292,7 @@ impl InlineVarInit {
                         continue;
                     };
                     if !matches!(
-                        init.kind,
+                        ctx.ast()[*init].kind,
                         ExprKind::IntLit { .. }
                             | ExprKind::FloatLit { .. }
                             | ExprKind::CharLit { .. }
@@ -298,11 +300,11 @@ impl InlineVarInit {
                         continue;
                     }
                     for u in collect::exprs_matching(
-                        f,
+                        (ctx.ast(), f),
                         |e| matches!(&e.kind, ExprKind::Ident(n) if *n == v.name),
                     ) {
                         if u.span.lo >= v.span.hi && !common::span_excluded(u.span, &excluded) {
-                            spots.push((u.span, init.span));
+                            spots.push((u.span, ctx.ast()[*init].span));
                         }
                     }
                 }
@@ -328,8 +330,9 @@ impl SwapVarUses {
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
         let mut spots: Vec<(Span, Span)> = Vec::new();
         for f in ctx.ast().function_defs() {
-            let excluded = common::non_rvalue_spans(f);
-            let uses = collect::exprs_matching(f, |e| matches!(e.kind, ExprKind::Ident(_)));
+            let excluded = common::non_rvalue_spans(ctx.ast(), f);
+            let uses =
+                collect::exprs_matching((ctx.ast(), f), |e| matches!(e.kind, ExprKind::Ident(_)));
             let usable: Vec<&Expr> = uses
                 .into_iter()
                 .filter(|u| !common::span_excluded(u.span, &excluded))
@@ -342,7 +345,7 @@ impl SwapVarUses {
                     if na == nb || a.span.overlaps(b.span) {
                         continue;
                     }
-                    if ctx.types_interchangeable(a, b) {
+                    if ctx.types_interchangeable(*a, *b) {
                         spots.push((a.span, b.span));
                     }
                 }
@@ -378,18 +381,24 @@ impl AggregateMemberToScalarVariable {
             let ExprKind::Index { base, index } = &e.kind else {
                 return false;
             };
-            matches!(base.unparenthesized().kind, ExprKind::Ident(_))
-                && matches!(index.unparenthesized().kind, ExprKind::IntLit { .. })
+            matches!(
+                ctx.ast()[*base].unparenthesized(ctx.ast()).kind,
+                ExprKind::Ident(_)
+            ) && matches!(
+                ctx.ast()[*index].unparenthesized(ctx.ast()).kind,
+                ExprKind::IntLit { .. }
+            )
         });
         let mut candidates = Vec::new();
         for s in &subs {
             let ExprKind::Index { base, index } = &s.kind else {
                 continue;
             };
-            let ExprKind::Ident(name) = &base.unparenthesized().kind else {
+            let ExprKind::Ident(name) = &ctx.ast()[*base].unparenthesized(ctx.ast()).kind else {
                 continue;
             };
-            let ExprKind::IntLit { value, .. } = &index.unparenthesized().kind else {
+            let ExprKind::IntLit { value, .. } = &ctx.ast()[*index].unparenthesized(ctx.ast()).kind
+            else {
                 continue;
             };
             let Some(v) = vars.get(name.as_str()) else {
@@ -413,8 +422,8 @@ impl AggregateMemberToScalarVariable {
             let ExprKind::Index { base, index } = &s.kind else {
                 continue;
             };
-            let matches_target = matches!(&base.unparenthesized().kind, ExprKind::Ident(n) if n == name)
-                && matches!(index.unparenthesized().kind, ExprKind::IntLit { value: v2, .. } if v2 == value);
+            let matches_target = matches!(&ctx.ast()[*base].unparenthesized(ctx.ast()).kind, ExprKind::Ident(n) if n == name)
+                && matches!(ctx.ast()[*index].unparenthesized(ctx.ast()).kind, ExprKind::IntLit { value: v2, .. } if v2 == value);
             if matches_target {
                 ctx.replace(s.span, fresh.clone());
             }

@@ -431,7 +431,7 @@ fn reprint(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let Ok(ast) = parse("<reduce>", best) else {
         return 0;
     };
-    try_candidate(oracle, best, printer::print_unit(&ast.unit))
+    try_candidate(oracle, best, printer::print_unit(&ast))
 }
 
 fn ddmin_lines(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 {

@@ -47,9 +47,9 @@ proptest! {
         let mut rng = MutRng::new(seed);
         let src = gen.generate(&mut rng);
         let (ast, _) = compile(&src).expect("generator output compiles");
-        let printed = metamut_lang::printer::print_unit(&ast.unit);
+        let printed = metamut_lang::printer::print_unit(&ast);
         let reparsed = parse("p.c", &printed).expect("printed output parses");
-        let printed2 = metamut_lang::printer::print_unit(&reparsed.unit);
+        let printed2 = metamut_lang::printer::print_unit(&reparsed);
         prop_assert_eq!(printed, printed2);
     }
 
