@@ -49,7 +49,7 @@ pub use analyses::{
 };
 pub use callgraph::CallGraph;
 pub use findings::{ub_keys, ChainLink, Finding, FindingKey, Severity};
-pub use gate::{QueryDb, UbGate};
+pub use gate::{QueryDb, UbGate, UbVerdict};
 pub use summary::{summarize_unit, Chain, FnSummary, Summaries};
 
 use metamut_lang::{parse, Diagnostics};

@@ -103,10 +103,7 @@ impl TestGenerator for AflPlusPlus {
         }
         // The compiler takes UTF-8; lossily repair like AFL harnesses do.
         let program = String::from_utf8_lossy(&buf).into_owned();
-        Candidate {
-            program,
-            parent: Some(parent_idx),
-        }
+        Candidate::new(program, Some(parent_idx))
     }
 
     fn feedback(&mut self, candidate: &Candidate, new_coverage: bool, _compiled: bool) {

@@ -12,7 +12,7 @@
 use crate::generator::TestGenerator;
 use crate::parallel::ExchangeHub;
 use metamut_analyze::{QueryDb, UbGate};
-use metamut_muast::MutRng;
+use metamut_muast::{MutRng, ParsedProgram};
 use metamut_simcomp::{AtomicCoverage, Claim, Compiler, CrashInfo, DedupCache, Stage, Verdict};
 use metamut_telemetry::{SeriesPoint, Telemetry};
 use parking_lot::Mutex;
@@ -420,7 +420,7 @@ pub(crate) fn fuzz_iteration(
     let telemetry = &shared.telemetry;
     let config = &shared.config;
     let _iteration_span = telemetry.span_fast("iteration");
-    let candidate = {
+    let mut candidate = {
         let _mutate_span = telemetry.span_fast("mutate");
         generator.next_candidate(rng)
     };
@@ -458,23 +458,24 @@ pub(crate) fn fuzz_iteration(
             // Every credited bit and every registered crash (hence every
             // pooled seed and every witness) has therefore passed the
             // gate, for any worker count.
-            let gated = shared.ub_gate.as_ref().is_some_and(|g| {
+            let judged = shared.ub_gate.as_ref().and_then(|g| {
                 let changes_campaign = shared.coverage.would_add(&result.coverage)
                     || crash.is_some_and(|(_, sig)| !shared.crashes.lock().0.contains(&sig));
                 if !changes_campaign {
-                    return false;
+                    return None;
                 }
                 let _ub_span = telemetry.span_fast("ub_filter");
                 telemetry.counter_add("ub_checked", 1);
                 let seed = candidate.parent.and_then(|i| generator.seed_source(i));
-                let gated =
-                    g.introduces_new_ub_parsed(seed, &candidate.program, result.ast.as_ref());
-                if gated {
+                let seed_ast = candidate.parent_parse.as_deref().map(ParsedProgram::ast);
+                let verdict =
+                    g.judge_parsed(seed, seed_ast, &candidate.program, result.ast.as_ref());
+                if verdict.new_ub {
                     telemetry.counter_add("ub_filtered", 1);
                 }
-                gated
+                Some(verdict)
             });
-            if gated {
+            if judged.is_some_and(|v| v.new_ub) {
                 // A mutant with new undefined behavior changes nothing:
                 // no coverage, no crash and no verdict. Release the claim
                 // so the next occurrence is gated and accounted the same
@@ -505,6 +506,15 @@ pub(crate) fn fuzz_iteration(
                 let verdict = Verdict::of(&result);
                 if let Some(cache) = shared.dedup.as_ref() {
                     cache.insert_hashed(mutant_hash, verdict);
+                }
+                if new_bits > 0 {
+                    // The candidate may join the pool: hand over the
+                    // front end's work and the gate's finding bit, so
+                    // the pool neither parses nor analyzes it again.
+                    if let (Some(ast), Some(sema)) = (result.ast, result.sema) {
+                        candidate.parse = Some(Arc::new(ParsedProgram::from_parts(ast, sema)));
+                    }
+                    candidate.any_finding = judged.map(|v| v.any_finding);
                 }
                 (verdict.compiled, new_bits)
             }
@@ -717,10 +727,7 @@ mod tests {
             "ub-emitter"
         }
         fn next_candidate(&mut self, _rng: &mut MutRng) -> crate::generator::Candidate {
-            crate::generator::Candidate {
-                program: "int f(void) { return 1 / 0; }".to_string(),
-                parent: None,
-            }
+            crate::generator::Candidate::new("int f(void) { return 1 / 0; }".to_string(), None)
         }
         fn feedback(&mut self, _c: &crate::generator::Candidate, _n: bool, _k: bool) {}
     }
@@ -791,11 +798,11 @@ mod tests {
                 "inheritor"
             }
             fn next_candidate(&mut self, _rng: &mut MutRng) -> crate::generator::Candidate {
-                crate::generator::Candidate {
-                    // The parent's uninit read, plus a harmless edit.
-                    program: self.seed.replace("return x;", "return x + 1;"),
-                    parent: Some(0),
-                }
+                // The parent's uninit read, plus a harmless edit.
+                crate::generator::Candidate::new(
+                    self.seed.replace("return x;", "return x + 1;"),
+                    Some(0),
+                )
             }
             fn feedback(&mut self, _c: &crate::generator::Candidate, _n: bool, _k: bool) {}
             fn seed_source(&self, i: usize) -> Option<&str> {
@@ -880,10 +887,7 @@ mod tests {
                 "fixed"
             }
             fn next_candidate(&mut self, _rng: &mut MutRng) -> crate::generator::Candidate {
-                crate::generator::Candidate {
-                    program: self.0.clone(),
-                    parent: None,
-                }
+                crate::generator::Candidate::new(self.0.clone(), None)
             }
             fn feedback(&mut self, _c: &crate::generator::Candidate, _n: bool, _k: bool) {}
         }

@@ -61,28 +61,28 @@ impl TestGenerator for GrayCLike {
             // Consume the attempt seed even when the parent never parsed,
             // matching the per-attempt RNG stream of the re-parsing path.
             let attempt_seed = rng.next_u64();
-            let Some(parsed) = parsed.as_deref() else {
+            let Some(parsed) = parsed.as_ref() else {
                 continue;
             };
             match mutate_parsed(self.mutators[mi].as_ref(), parsed, attempt_seed) {
                 Ok(MutationOutcome::Mutated(p)) => {
-                    return Candidate {
-                        program: p,
-                        parent: Some(parent_idx),
-                    }
+                    let mut candidate = Candidate::new(p, Some(parent_idx));
+                    candidate.parent_parse = Some(Arc::clone(parsed));
+                    return candidate;
                 }
                 _ => continue,
             }
         }
-        Candidate {
-            program: parent,
-            parent: Some(parent_idx),
-        }
+        Candidate::new(parent, Some(parent_idx))
     }
 
     fn feedback(&mut self, candidate: &Candidate, new_coverage: bool, _compiled: bool) {
         if new_coverage {
-            self.pool.push(candidate.program.clone());
+            self.pool.push_judged(
+                candidate.program.clone(),
+                candidate.parse.clone(),
+                candidate.any_finding,
+            );
         }
     }
 

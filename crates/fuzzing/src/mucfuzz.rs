@@ -109,7 +109,8 @@ impl TestGenerator for MuCFuzz {
         let telemetry = metamut_telemetry::handle();
         // Algorithm 1 line 4: P ← random_choice(pool), down-weighting
         // parents with static-analysis findings unless disabled.
-        let (parent_idx, parent) = self.pool.pick_weighted(rng, self.lint_penalty);
+        let parent_idx = self.pool.pick_weighted(rng, self.lint_penalty);
+        let parent = self.pool.get(parent_idx).expect("picked index in range");
         let parent_ast = if self.cache_parses {
             match self.pool.parsed(parent_idx) {
                 Some(p) => ParentAst::Cached(p),
@@ -145,10 +146,11 @@ impl TestGenerator for MuCFuzz {
             match outcome {
                 Ok(MutationOutcome::Mutated(p)) => {
                     telemetry.counter_add("mutate_applied", 1);
-                    return Candidate {
-                        program: p,
-                        parent: Some(parent_idx),
-                    };
+                    let mut candidate = Candidate::new(p, Some(parent_idx));
+                    if let ParentAst::Cached(parse) = parent_ast {
+                        candidate.parent_parse = Some(parse);
+                    }
+                    return candidate;
                 }
                 Ok(MutationOutcome::NotApplicable) => continue,
                 Err(_) => {
@@ -159,14 +161,13 @@ impl TestGenerator for MuCFuzz {
         }
         // Nothing applied: re-emit the parent (counts as a dud).
         telemetry.counter_add("mutate_duds", 1);
-        Candidate {
-            program: parent.to_string(),
-            parent: Some(parent_idx),
-        }
+        Candidate::new(parent.to_string(), Some(parent_idx))
     }
 
     fn feedback(&mut self, candidate: &Candidate, new_coverage: bool, _compiled: bool) {
-        // Algorithm 1 lines 8–9: pool ← pool ∪ {P'} on new branches.
+        // Algorithm 1 lines 8–9: pool ← pool ∪ {P'} on new branches. The
+        // entry adopts the parse and lint verdict the campaign already
+        // made for the candidate, when it carries them.
         if new_coverage
             && candidate
                 .parent
@@ -174,7 +175,11 @@ impl TestGenerator for MuCFuzz {
                 .map(|p| p != candidate.program)
                 .unwrap_or(true)
         {
-            self.pool.push(candidate.program.clone());
+            self.pool.push_judged(
+                candidate.program.clone(),
+                candidate.parse.clone(),
+                candidate.any_finding,
+            );
         }
     }
 

@@ -101,10 +101,7 @@ impl TestGenerator for YarpGenLike {
 
     fn next_candidate(&mut self, rng: &mut MutRng) -> Candidate {
         self.emitted += 1;
-        Candidate {
-            program: self.generate(rng),
-            parent: None,
-        }
+        Candidate::new(self.generate(rng), None)
     }
 
     fn feedback(&mut self, _candidate: &Candidate, _new_coverage: bool, _compiled: bool) {}

@@ -276,10 +276,7 @@ fn exchange_propagates_seeds_across_shards() {
             } else {
                 "int g(void) { return 0; }".to_string()
             };
-            Candidate {
-                program,
-                parent: None,
-            }
+            Candidate::new(program, None)
         }
         fn feedback(&mut self, candidate: &Candidate, new_coverage: bool, _compiled: bool) {
             if new_coverage {

@@ -144,6 +144,13 @@ impl ParsedProgram {
         Ok(ParsedProgram { ast, sema })
     }
 
+    /// A program some other pass already front-ended: `ast` and the
+    /// `sema` analysis of it, as a compile hands them back. Parses
+    /// nothing, so it bumps no counter.
+    pub fn from_parts(ast: metamut_lang::ast::Ast, sema: metamut_lang::sema::SemaResult) -> Self {
+        ParsedProgram { ast, sema }
+    }
+
     /// The parsed AST.
     pub fn ast(&self) -> &metamut_lang::ast::Ast {
         &self.ast

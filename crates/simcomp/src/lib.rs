@@ -42,6 +42,7 @@ pub use query::QueryCache;
 
 use coverage::{feature_hash, feature_hash_display, feature_hash_str};
 use metamut_lang::fxhash::FxHashSet;
+use metamut_lang::sema::SemaResult;
 use metamut_lang::Ast;
 
 /// Command-line-equivalent options for one compilation.
@@ -157,6 +158,12 @@ pub struct CompileResult {
     /// tree (the UB gate, the reduction oracle) take it from here instead
     /// of parsing the same text again.
     pub ast: Option<Ast>,
+    /// The front end's semantic tables for `ast`; `None` when the input
+    /// did not get through semantic analysis (rejected, or crashed in
+    /// the front end before it ran). With `ast`, this is everything a
+    /// mutator needs, so a campaign pools a program without running its
+    /// front end again.
+    pub sema: Option<SemaResult>,
 }
 
 /// An instrumented compiler instance.
@@ -304,6 +311,7 @@ impl Compiler {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
                 ast: parsed.ok(),
+                sema: None,
             };
         }
 
@@ -314,6 +322,7 @@ impl Compiler {
                     outcome: Outcome::rejected(&diags),
                     coverage: cov,
                     ast: None,
+                    sema: None,
                 }
             }
         };
@@ -352,6 +361,7 @@ impl Compiler {
                     outcome: Outcome::rejected(&diags),
                     coverage: cov,
                     ast: Some(ast),
+                    sema: None,
                 };
             }
         };
@@ -378,6 +388,7 @@ impl Compiler {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
                 ast: Some(ast),
+                sema: Some(sema),
             };
         }
 
@@ -408,6 +419,7 @@ impl Compiler {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
                 ast: Some(ast),
+                sema: Some(sema),
             };
         }
 
@@ -431,6 +443,7 @@ impl Compiler {
                 outcome: Outcome::Crash(crash),
                 coverage: cov,
                 ast: Some(ast),
+                sema: Some(sema),
             };
         }
 
@@ -441,6 +454,7 @@ impl Compiler {
             },
             coverage: cov,
             ast: Some(ast),
+            sema: Some(sema),
         }
     }
 }
