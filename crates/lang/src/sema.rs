@@ -204,6 +204,9 @@ struct Scope<'a> {
 struct Checker<'a> {
     ast: &'a Ast,
     scopes: Vec<Scope<'a>>,
+    /// Symbol maps of popped scopes, cleared but keeping their capacity,
+    /// for the next scopes to reuse.
+    spare_maps: Vec<FxHashMap<&'a str, Symbol>>,
     next_scope: u32,
     anon_tags: u32,
     diags: Diagnostics,
@@ -357,6 +360,7 @@ impl<'a> Checker<'a> {
                 id: ScopeId(0),
                 symbols: FxHashMap::default(),
             }],
+            spare_maps: Vec::new(),
             next_scope: 1,
             anon_tags: 0,
             diags: Diagnostics::new(),
@@ -403,15 +407,16 @@ impl<'a> Checker<'a> {
     fn push_scope(&mut self) -> ScopeId {
         let id = ScopeId(self.next_scope);
         self.next_scope += 1;
-        self.scopes.push(Scope {
-            id,
-            symbols: FxHashMap::default(),
-        });
+        let symbols = self.spare_maps.pop().unwrap_or_default();
+        self.scopes.push(Scope { id, symbols });
         id
     }
 
     fn pop_scope(&mut self) {
-        self.scopes.pop();
+        if let Some(mut scope) = self.scopes.pop() {
+            scope.symbols.clear();
+            self.spare_maps.push(scope.symbols);
+        }
     }
 
     fn current_scope_id(&self) -> ScopeId {
@@ -793,8 +798,8 @@ impl<'a> Checker<'a> {
 
     fn check_function(&mut self, f: &'a FunctionDef) {
         let ret = self.lower_ty(&f.ret_ty, f.span);
-        let mut params = Vec::new();
-        let mut param_names = Vec::new();
+        let mut params = Vec::with_capacity(f.params.len());
+        let mut param_names = Vec::with_capacity(f.params.len());
         for p in &f.params {
             let qt = self.lower_ty(&p.ty, p.span).decayed();
             if qt.ty.is_void() {
@@ -805,40 +810,46 @@ impl<'a> Checker<'a> {
             param_names.push(p.name.clone());
         }
 
-        let prev = self.result.functions.get(&f.name).cloned();
-        if let Some(prev) = &prev {
-            if prev.defined && f.is_definition() {
-                self.error(f.name_span, format!("redefinition of '{}'", f.name));
-            }
-            if !prev.unprototyped
-                && !prev.params.is_empty()
-                && prev.params.len() == params.len()
-                && prev
-                    .params
-                    .iter()
-                    .zip(&params)
-                    .any(|(a, b)| assign_compat(&a.ty, &b.ty) == Compat::Error)
-            {
-                self.warn(f.name_span, format!("conflicting types for '{}'", f.name));
-            }
+        // What the previous declaration says, read in place.
+        let (prev_defined, conflicting) = match self.result.functions.get(&f.name) {
+            Some(prev) => (
+                prev.defined,
+                !prev.unprototyped
+                    && !prev.params.is_empty()
+                    && prev.params.len() == params.len()
+                    && prev
+                        .params
+                        .iter()
+                        .zip(&params)
+                        .any(|(a, b)| assign_compat(&a.ty, &b.ty) == Compat::Error),
+            ),
+            None => (false, false),
+        };
+        if prev_defined && f.is_definition() {
+            self.error(f.name_span, format!("redefinition of '{}'", f.name));
+        }
+        if conflicting {
+            self.warn(f.name_span, format!("conflicting types for '{}'", f.name));
         }
 
         let unprototyped = f.params.is_empty() && !f.variadic;
-        let sig = FuncSig {
-            name: f.name.clone(),
-            ret: ret.clone(),
-            params: params.clone(),
-            param_names,
-            variadic: f.variadic,
-            unprototyped,
-            defined: f.is_definition() || prev.as_ref().map(|p| p.defined).unwrap_or(false),
-            node: Some(f.id),
-        };
         let fty = Type::Function {
             ret: Box::new(ret.clone()),
             params: params.clone(),
             variadic: f.variadic,
             unprototyped,
+        };
+        // The signature owns the only other copy of the parameter types;
+        // a body's parameter symbols are declared from it below.
+        let sig = FuncSig {
+            name: f.name.clone(),
+            ret: ret.clone(),
+            params,
+            param_names,
+            variadic: f.variadic,
+            unprototyped,
+            defined: f.is_definition() || prev_defined,
+            node: Some(f.id),
         };
         self.result.functions.insert(f.name.clone(), sig);
         // File-scope symbol (allow redeclaration).
@@ -860,12 +871,13 @@ impl<'a> Checker<'a> {
         self.switch_depth = 0;
 
         let scope = self.push_scope();
-        for (p, qt) in f.params.iter().zip(params) {
+        for (i, p) in f.params.iter().enumerate() {
             if let Some(name) = &p.name {
+                let qty = self.result.functions[&f.name].params[i].clone();
                 self.declare(
                     name,
                     Symbol {
-                        qty: qt.clone(),
+                        qty,
                         kind: SymbolKind::Var,
                         node: Some(p.id),
                     },
