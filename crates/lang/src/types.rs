@@ -2,6 +2,7 @@
 
 use crate::ast::Quals;
 use crate::name::Name;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Width of an integer type.
@@ -228,6 +229,15 @@ impl Type {
         }
     }
 
+    /// [`Type::decayed`], borrowing every type that decay leaves as it
+    /// is (all but arrays and functions) instead of copying it.
+    pub fn decay(&self) -> Cow<'_, Type> {
+        match self {
+            Type::Array(..) | Type::Function { .. } => Cow::Owned(self.decayed()),
+            other => Cow::Borrowed(other),
+        }
+    }
+
     /// Integer promotion (C11 6.3.1.1p2): small integers become `int`.
     pub fn promoted(&self) -> Type {
         match self {
@@ -422,8 +432,8 @@ pub enum Compat {
 /// Checks assignment compatibility `dst = src` after decay of `src`.
 pub fn assign_compat(dst: &Type, src: &Type) -> Compat {
     use Type::*;
-    let src = src.decayed();
-    match (dst, &src) {
+    let src = src.decay();
+    match (dst, src.as_ref()) {
         (a, b) if a == b => Compat::Ok,
         (a, b) if a.is_arithmetic() && b.is_arithmetic() => Compat::Ok,
         (Pointer(_), Pointer(_)) => {

@@ -290,9 +290,43 @@ mutator!(
     Expression
 );
 
+/// One candidate leaf of [`CopyExpr`]: an identifier or literal, its
+/// decayed type, its text, and whether it may be overwritten.
+struct Leaf<'a> {
+    span: Span,
+    ty: Option<QType>,
+    text: &'a str,
+    writable: bool,
+}
+
 impl CopyExpr {
+    /// The sources that may replace destination `i`, among the leaves of
+    /// its function (`range`): assignable, and not the same text. Leaves
+    /// never contain one another, so distinct ones never overlap.
+    fn sources<'l>(
+        ctx: &'l MutCtx<'_>,
+        leaves: &'l [Leaf<'_>],
+        i: usize,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = usize> + 'l {
+        let dst = &leaves[i];
+        let dst_ty = dst.ty.as_ref().filter(|_| dst.writable);
+        range.filter(move |&j| {
+            let src = &leaves[j];
+            match (dst_ty, &src.ty) {
+                (Some(td), Some(ts)) => {
+                    i != j && ctx.check_assignment(td, ts) && dst.text != src.text
+                }
+                _ => false,
+            }
+        })
+    }
+
     fn run(&self, ctx: &mut MutCtx<'_>) -> bool {
-        let mut spots = Vec::new();
+        // Every function's leaves, back to back; `ends[f]` is where
+        // function `f`'s leaves end.
+        let mut leaves = Vec::new();
+        let mut ends = Vec::new();
         for f in ctx.ast().function_defs() {
             let excluded = common::non_rvalue_spans(ctx.ast(), f);
             let exprs = collect::exprs_matching((ctx.ast(), f), |e| {
@@ -304,41 +338,44 @@ impl CopyExpr {
                         | ExprKind::FloatLit { .. }
                 )
             });
-            // Each candidate's decayed type and text, once rather than
-            // once per pair.
-            let facts: Vec<_> = exprs
-                .iter()
-                .map(|e| {
-                    let ty = ctx.type_of(*e).map(QType::decayed);
-                    (ty, ctx.source_text(e.span))
-                })
-                .collect();
-            for (i, dst) in exprs.iter().enumerate() {
-                let (Some(td), dst_text) = &facts[i] else {
-                    continue;
-                };
-                if common::span_excluded(dst.span, &excluded) {
-                    continue;
-                }
-                for (j, src) in exprs.iter().enumerate() {
-                    if i == j || dst.span.overlaps(src.span) {
-                        continue;
-                    }
-                    let (Some(ts), src_text) = &facts[j] else {
-                        continue;
-                    };
-                    if ctx.check_assignment(td, ts) && dst_text != src_text {
-                        spots.push((dst.span, src.span));
-                    }
-                }
-            }
+            leaves.extend(exprs.iter().map(|e| Leaf {
+                span: e.span,
+                ty: ctx.type_of(*e).map(QType::decayed),
+                text: ctx.source_text(e.span),
+                writable: !common::span_excluded(e.span, &excluded),
+            }));
+            ends.push(leaves.len());
         }
-        let Some(&(dst, src)) = ctx.rng().pick(&spots) else {
+        // Count each destination's sources instead of listing every
+        // (destination, source) pair, draw the index the list would have
+        // been drawn with, then find that pair.
+        let mut counts = Vec::with_capacity(leaves.len());
+        let mut start = 0;
+        for &end in &ends {
+            counts.extend((start..end).map(|i| Self::sources(ctx, &leaves, i, start..end).count()));
+            start = end;
+        }
+        let total: usize = counts.iter().sum();
+        if total == 0 {
             return false;
-        };
-        let text = ctx.source_text(src);
-        ctx.replace(dst, text);
-        true
+        }
+        let mut k = ctx.rng().index(total);
+        let mut start = 0;
+        for &end in &ends {
+            for i in start..end {
+                if k < counts[i] {
+                    let j = Self::sources(ctx, &leaves, i, start..end)
+                        .nth(k)
+                        .expect("counted");
+                    let text = leaves[j].text;
+                    ctx.replace(leaves[i].span, text);
+                    return true;
+                }
+                k -= counts[i];
+            }
+            start = end;
+        }
+        unreachable!("the pair counts sum to the drawn total")
     }
 }
 
