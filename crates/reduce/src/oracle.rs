@@ -159,11 +159,10 @@ impl ReductionOracle {
             // UB guard: the right crash on an *invalid* program is still a
             // failed candidate.
             if same_crash
-                && self.ub_gate.introduces_new_ub_parsed(
-                    Some(&self.original),
-                    src,
-                    result.ast.as_ref(),
-                )
+                && self
+                    .ub_gate
+                    .judge_parsed(Some(&self.original), None, src, result.ast.as_ref())
+                    .new_ub
             {
                 self.ub_rejects.fetch_add(1, Ordering::Relaxed);
                 metamut_telemetry::handle().counter_add("reduce_ub_rejects", 1);

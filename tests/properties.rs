@@ -279,7 +279,7 @@ proptest! {
         let parsed_gate = shared_parsed_gate();
         for (parent, text_verdict) in [(Some(parent), with_parent), (None, without_parent)] {
             prop_assert_eq!(
-                parsed_gate.introduces_new_ub_parsed(parent, &mutant, ast.as_ref()),
+                parsed_gate.judge_parsed(parent, None, &mutant, ast.as_ref()).new_ub,
                 text_verdict,
                 "mutant:\n{}", mutant
             );
