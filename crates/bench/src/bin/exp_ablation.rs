@@ -4,7 +4,10 @@
 //!     the same mutators applied blindly to the fixed seed pool.
 //! A2. Mutator provenance: supervised (M_s) vs unsupervised (M_u) vs both.
 //! A3. Macro-fuzzer havoc depth: 1 mutation round vs stacked rounds.
-//! A4. Macro-fuzzer flag sampling: fixed -O2 vs sampled command lines.
+//!
+//! Flag sampling has no run here: the A1 and A2 campaigns fix -O2, and
+//! `tests/end_to_end.rs::macro_fuzzer_flag_sampling_matters` asserts that
+//! the macro fuzzer's sampled command lines find a bug -O2 alone cannot.
 
 use metamut_bench::{render_table, write_json, ExpOptions};
 use metamut_fuzzing::campaign::{run_campaign, CampaignConfig};
@@ -43,7 +46,6 @@ struct AblationRow {
 
 fn main() {
     let opts = ExpOptions::from_args();
-    std::panic::set_hook(Box::new(|_| {}));
     let seeds: Vec<String> = seed_corpus().iter().map(|s| s.to_string()).collect();
     let compiler = Compiler::new(Profile::Gcc, CompileOptions::o2());
     let cfg = CampaignConfig {
@@ -107,7 +109,7 @@ fn main() {
         render_table(&["Config", "Coverage", "Crashes"], &table)
     );
 
-    // A3/A4: macro-fuzzer knobs (bug counts over a short field run).
+    // A3: macro-fuzzer havoc depth (bug counts over a short field run).
     println!("-- macro fuzzer knobs --");
     let mut macro_rows = Vec::new();
     for (label, havoc) in [("A3 havoc=1", 1usize), ("A3 havoc=4", 4)] {

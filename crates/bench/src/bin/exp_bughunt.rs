@@ -13,7 +13,6 @@ fn main() {
         "== Table 6: field experiment with the macro fuzzer (seed {}) ==\n",
         opts.seed
     );
-    std::panic::set_hook(Box::new(|_| {}));
 
     let mutators = Arc::new(metamut_mutators::full_registry());
     let seeds: Vec<String> = corpus::seed_corpus()
@@ -39,7 +38,6 @@ fn main() {
         );
         reports.push((profile, report));
     }
-    let _ = std::panic::take_hook();
     println!();
 
     let clang_bugs = &reports[0].1;

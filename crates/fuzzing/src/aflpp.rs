@@ -112,20 +112,12 @@ impl TestGenerator for AflPlusPlus {
         }
     }
 
-    fn pool_len(&self) -> usize {
-        self.pool.len()
+    fn seed_pool(&self) -> Option<&SeedPool> {
+        Some(&self.pool)
     }
 
-    fn seed_source(&self, index: usize) -> Option<&str> {
-        self.pool.get(index)
-    }
-
-    fn drain_new_seeds(&mut self) -> Vec<String> {
-        self.pool.take_new_seeds()
-    }
-
-    fn adopt_seeds(&mut self, seeds: Vec<String>) {
-        self.pool.adopt(seeds);
+    fn seed_pool_mut(&mut self) -> Option<&mut SeedPool> {
+        Some(&mut self.pool)
     }
 }
 

@@ -112,6 +112,8 @@ pub struct CrashRecord {
     pub first_iteration: usize,
     /// The mutant that first triggered this crash (the reduction input).
     pub witness: String,
+    /// The command line the witness crashed under.
+    pub options: metamut_simcomp::CompileOptions,
 }
 
 /// One corpus entry: a candidate that grew the seed pool, with the
@@ -298,6 +300,16 @@ impl CampaignShared {
         }
     }
 
+    /// Claims the next iteration to run; `None` once the budget is spent
+    /// or the stop flag is raised.
+    pub(crate) fn claim_iteration(&self) -> Option<usize> {
+        if (self.config.stop.as_ref()).is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+            return None;
+        }
+        let iter = self.next_iter.fetch_add(1, Ordering::Relaxed);
+        (iter < self.config.iterations).then_some(iter)
+    }
+
     /// Assembles the final report once all workers have joined. Series and
     /// crash lists are canonicalized by iteration so the outcome does not
     /// depend on worker finishing order; for a single worker every fix-up
@@ -379,16 +391,7 @@ pub(crate) fn run_worker(
     let mut shard_span = telemetry.span_fast_under("shard", campaign_span);
     shard_span.attr("worker", worker.to_string());
 
-    loop {
-        if let Some(stop) = &config.stop {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-        }
-        let iter = shared.next_iter.fetch_add(1, Ordering::Relaxed);
-        if iter >= config.iterations {
-            break;
-        }
+    while let Some(iter) = shared.claim_iteration() {
         fuzz_iteration(iter, generator, shared, &mut rng, &mut mutants);
 
         local_done += 1;
@@ -425,8 +428,16 @@ pub(crate) fn fuzz_iteration(
         generator.next_candidate(rng)
     };
 
-    // One content hash per mutant, the dedup cache's key.
-    let mutant_hash = metamut_lang::chash::hash128(candidate.program.as_bytes());
+    // A candidate with its own command line compiles under it. One content
+    // hash per mutant, of that command line and the text, is the dedup key.
+    let sampled = (candidate.options.as_ref()).map(|o| shared.compiler.with_options(o.clone()));
+    let compiler = sampled.as_ref().unwrap_or(&shared.compiler);
+    let mut key = metamut_lang::chash::Sip128::default();
+    if let Some(options) = &candidate.options {
+        key.write_str(&options.render());
+    }
+    key.write(candidate.program.as_bytes());
+    let mutant_hash = key.finish128();
 
     // A byte-identical mutant was already compiled, its coverage merged
     // and its crash (if any) registered — the stored verdict is all that
@@ -446,20 +457,22 @@ pub(crate) fn fuzz_iteration(
             }
             let result = {
                 let _compile_span = telemetry.span_fast("compile");
-                shared.compiler.compile(&candidate.program)
+                compiler.compile(&candidate.program)
             };
             let crash = result.outcome.crash().map(|info| (info, info.signature()));
+            // One read-only probe: whether the candidate sets a coverage
+            // bit nobody has yet. Covered bits and registered signatures
+            // only ever grow, so a candidate that adds nothing now can
+            // never credit a bit or register a signature later, on this
+            // worker or any other, and needs neither a merge nor the gate.
+            let adds_bits = shared.coverage.would_add(&result.coverage);
             // UB gate, asked only about a candidate that would change the
-            // campaign: one that sets a coverage bit or registers a crash
-            // signature nobody has yet. The probe writes nothing. Covered
-            // bits and registered signatures only ever grow, so a
-            // candidate that adds nothing now can never credit a bit or
-            // register a signature later, on this worker or any other.
-            // Every credited bit and every registered crash (hence every
-            // pooled seed and every witness) has therefore passed the
-            // gate, for any worker count.
+            // campaign: one that adds bits or registers a crash signature
+            // nobody has yet. Every credited bit and every registered
+            // crash (hence every pooled seed and every witness) has
+            // therefore passed the gate, for any worker count.
             let judged = shared.ub_gate.as_ref().and_then(|g| {
-                let changes_campaign = shared.coverage.would_add(&result.coverage)
+                let changes_campaign = adds_bits
                     || crash.is_some_and(|(_, sig)| !shared.crashes.lock().0.contains(&sig));
                 if !changes_campaign {
                     return None;
@@ -497,10 +510,15 @@ pub(crate) fn fuzz_iteration(
                             signature: sig,
                             first_iteration: iter,
                             witness: candidate.program.clone(),
+                            options: compiler.options().clone(),
                         });
                     }
                 }
-                let new_bits = shared.coverage.merge(&result.coverage);
+                let new_bits = if adds_bits {
+                    shared.coverage.merge(&result.coverage)
+                } else {
+                    0
+                };
                 // Publish the verdict only now: a concurrent worker that
                 // sees the cache entry may skip merging entirely.
                 let verdict = Verdict::of(&result);
@@ -510,10 +528,16 @@ pub(crate) fn fuzz_iteration(
                 if new_bits > 0 {
                     // The candidate may join the pool: hand over the
                     // front end's work and the gate's finding bit, so
-                    // the pool neither parses nor analyzes it again.
-                    if let (Some(ast), Some(sema)) = (result.ast, result.sema) {
-                        candidate.parse = Some(Arc::new(ParsedProgram::from_parts(ast, sema)));
-                    }
+                    // the pool neither parses nor analyzes it again. With
+                    // no sema and no crash the front end rejected it, and
+                    // it rejects exactly what does not parse; a front-end
+                    // crash may still parse.
+                    candidate.parse = match (result.ast, result.sema) {
+                        (Some(ast), Some(sema)) => {
+                            Some(Some(Arc::new(ParsedProgram::from_parts(ast, sema))))
+                        }
+                        _ => crash.is_none().then_some(None),
+                    };
                     candidate.any_finding = judged.map(|v| v.any_finding);
                 }
                 (verdict.compiled, new_bits)
@@ -909,6 +933,51 @@ mod tests {
         assert_eq!(report.crashes[0].first_iteration, 0);
         // Every repeat of the same crasher is a dedup hit.
         assert_eq!(report.dedup.unwrap().hits, 9);
+    }
+
+    #[test]
+    fn a_candidate_compiles_under_its_own_options() {
+        // The §5.2 strlen case crashes gcc-sim at -O2 but not at -O0. The
+        // generator alternates the two command lines on the same text,
+        // under a campaign compiler at -O0.
+        struct Alternating(usize);
+        impl TestGenerator for Alternating {
+            fn name(&self) -> &'static str {
+                "alternating"
+            }
+            fn next_candidate(&mut self, _rng: &mut MutRng) -> crate::generator::Candidate {
+                let strlen = "char buffer[32];\n\
+                    int test4(void) { return sprintf(buffer, \"%s\", buffer); }\n\
+                    int main(void) { memset(buffer, 'A', 32); \
+                    if (test4() != 3) abort(); return 0; }";
+                let mut c = crate::generator::Candidate::new(strlen.to_string(), None);
+                self.0 += 1;
+                c.options = Some(if self.0.is_multiple_of(2) {
+                    CompileOptions::o0()
+                } else {
+                    CompileOptions::o2()
+                });
+                c
+            }
+            fn feedback(&mut self, _c: &crate::generator::Candidate, _n: bool, _k: bool) {}
+        }
+        let compiler = Compiler::new(Profile::Gcc, CompileOptions::o0());
+        let report = run_campaign(
+            &mut Alternating(0),
+            &compiler,
+            &CampaignConfig {
+                iterations: 10,
+                seed: 3,
+                sample_every: 5,
+                ..Default::default()
+            },
+        );
+        assert_eq!(report.crashes.len(), 1);
+        assert_eq!(report.crashes[0].info.bug_id, "gcc-strlen-verify-range");
+        assert_eq!(report.crashes[0].options, CompileOptions::o2());
+        // One compile per command line; every repeat is a dedup hit.
+        let dedup = report.dedup.unwrap();
+        assert_eq!((dedup.misses, dedup.hits), (2, 8));
     }
 
     #[test]

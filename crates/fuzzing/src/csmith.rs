@@ -8,14 +8,12 @@ use std::fmt::Write;
 
 /// The program generator.
 #[derive(Debug, Default)]
-pub struct CsmithLike {
-    emitted: usize,
-}
+pub struct CsmithLike;
 
 impl CsmithLike {
     /// Creates the generator.
     pub fn new() -> Self {
-        CsmithLike::default()
+        CsmithLike
     }
 
     /// Generates one complete program.
@@ -37,7 +35,6 @@ impl TestGenerator for CsmithLike {
     }
 
     fn next_candidate(&mut self, rng: &mut MutRng) -> Candidate {
-        self.emitted += 1;
         Candidate::new(self.generate(rng), None)
     }
 

@@ -3,6 +3,7 @@
 //! AFL++, GrayC, Csmith and YARPGen identically.
 
 use metamut_muast::{MutRng, ParsedProgram};
+use metamut_simcomp::CompileOptions;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -17,8 +18,8 @@ fn program_hash(program: &str) -> u64 {
 
 /// One produced test program plus bookkeeping for feedback.
 ///
-/// Two candidates are equal when their program and parent are: the other
-/// fields only carry work already done on them.
+/// Two candidates are equal when their program, parent and options are:
+/// the other fields only carry work already done on them.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// The program text handed to the compiler.
@@ -31,13 +32,18 @@ pub struct Candidate {
     pub(crate) parent_parse: Option<Arc<ParsedProgram>>,
     /// The program's own parse, which the campaign engine hands back
     /// before [`TestGenerator::feedback`] when the candidate set new
-    /// coverage bits and its compile got through semantic analysis. A
-    /// pool adopts it instead of parsing the program again.
-    pub(crate) parse: Option<Arc<ParsedProgram>>,
+    /// coverage bits: `Some(Some(_))` when its compile got through
+    /// semantic analysis, `Some(None)` when the front end rejected it (so
+    /// it does not parse either). A pool adopts it instead of parsing the
+    /// program again.
+    pub(crate) parse: Option<Option<Arc<ParsedProgram>>>,
     /// Whether the program has any static-analysis finding, as the UB
     /// gate found while judging it; set by the engine alongside
     /// [`Candidate::parse`], and `None` when the gate did not judge it.
     pub(crate) any_finding: Option<bool>,
+    /// The command line to compile this candidate with, in place of the
+    /// campaign compiler's (the macro fuzzer's flag sampling).
+    pub(crate) options: Option<CompileOptions>,
 }
 
 impl Candidate {
@@ -49,13 +55,16 @@ impl Candidate {
             parent_parse: None,
             parse: None,
             any_finding: None,
+            options: None,
         }
     }
 }
 
 impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
-        self.program == other.program && self.parent == other.parent
+        self.program == other.program
+            && self.parent == other.parent
+            && self.options == other.options
     }
 }
 
@@ -78,9 +87,20 @@ pub trait TestGenerator: Send {
     /// grow their pool here (Algorithm 1, line 9).
     fn feedback(&mut self, candidate: &Candidate, new_coverage: bool, compiled: bool);
 
+    /// The seed pool of a mutation-based fuzzer, which the pool methods
+    /// below read by default. Generation-based fuzzers have none.
+    fn seed_pool(&self) -> Option<&SeedPool> {
+        None
+    }
+
+    /// [`TestGenerator::seed_pool`], mutably.
+    fn seed_pool_mut(&mut self) -> Option<&mut SeedPool> {
+        None
+    }
+
     /// Current pool size (1 for pure generators).
     fn pool_len(&self) -> usize {
-        1
+        self.seed_pool().map_or(1, SeedPool::len)
     }
 
     /// The source text of pool entry `index` — the program a candidate's
@@ -88,14 +108,15 @@ pub trait TestGenerator: Send {
     /// mutant against it, so only UB the parent lacks filters the mutant.
     /// Generation-based fuzzers (no pool, no parents) return `None`.
     fn seed_source(&self, index: usize) -> Option<&str> {
-        let _ = index;
-        None
+        self.seed_pool()?.get(index)
     }
 
     /// Seeds this generator discovered since the last drain, for cross-shard
     /// exchange. Pure generators have nothing to share.
     fn drain_new_seeds(&mut self) -> Vec<String> {
-        Vec::new()
+        self.seed_pool_mut()
+            .map(SeedPool::take_new_seeds)
+            .unwrap_or_default()
     }
 
     /// Adopts seeds discovered by other campaign shards. Adopted seeds are
@@ -103,7 +124,9 @@ pub trait TestGenerator: Send {
     /// rounds cannot echo programs back and forth. Pure generators ignore
     /// them.
     fn adopt_seeds(&mut self, seeds: Vec<String>) {
-        let _ = seeds;
+        if let Some(pool) = self.seed_pool_mut() {
+            pool.adopt(seeds);
+        }
     }
 
     /// A serializable snapshot of the generator's pool state, for campaign
@@ -154,7 +177,7 @@ pub struct PoolSnapshot {
 /// most once, from one of two sources: what the campaign already learned
 /// when the program joined ([`SeedPool::push_judged`]), or the pool's own
 /// lazy parse and analysis on first use.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PoolEntry {
     program: String,
     /// `None` inside the lock means the program does not parse; the outer
@@ -205,19 +228,6 @@ pub struct SeedPool {
 impl Default for SeedPool {
     fn default() -> Self {
         SeedPool::new([])
-    }
-}
-
-impl Clone for SeedPool {
-    fn clone(&self) -> Self {
-        SeedPool {
-            items: self.items.clone(),
-            hashes: self.hashes.clone(),
-            export_mark: self.export_mark,
-            parses: AtomicU64::new(self.parses.load(Ordering::Relaxed)),
-            classified: self.classified,
-            linty_starts: self.linty_starts.clone(),
-        }
     }
 }
 
@@ -338,30 +348,28 @@ impl SeedPool {
 
     /// Adds a program that covered new branches (Algorithm 1, line 9).
     pub fn push(&mut self, program: String) {
-        self.push_judged(program, None, None);
+        self.hashes.insert(program_hash(&program));
+        self.items.push(PoolEntry::new(program, false));
     }
 
-    /// [`SeedPool::push`] with what the campaign already knows about the
-    /// program: its parse, and whether it has any static-analysis
-    /// finding. The entry keeps them, so neither [`SeedPool::parsed`] nor
-    /// a weighted draw front-ends or analyzes the program again; `None`
-    /// leaves that to them, as for a plain push.
-    pub fn push_judged(
-        &mut self,
-        program: String,
-        parse: Option<Arc<ParsedProgram>>,
-        linty: Option<bool>,
-    ) {
-        debug_assert!(parse.as_ref().is_none_or(|p| p.source() == program));
-        self.hashes.insert(program_hash(&program));
-        let entry = PoolEntry::new(program, false);
-        if let Some(parse) = parse {
-            let _ = entry.parsed.set(Some(parse));
+    /// [`SeedPool::push`] of a candidate's program with what the campaign
+    /// already knows about it: its parse (or that it does not parse), and
+    /// whether it has any static-analysis finding. The entry keeps them,
+    /// so neither [`SeedPool::parsed`] nor a weighted draw front-ends or
+    /// analyzes the program again; what the candidate does not carry is
+    /// left to them, as for a plain push.
+    pub fn push_judged(&mut self, candidate: &Candidate) {
+        self.push(candidate.program.clone());
+        let entry = self.items.last().expect("just pushed");
+        if let Some(parse) = &candidate.parse {
+            debug_assert!(parse
+                .as_ref()
+                .is_none_or(|p| p.source() == candidate.program));
+            let _ = entry.parsed.set(parse.clone());
         }
-        if let Some(linty) = linty {
+        if let Some(linty) = candidate.any_finding {
             let _ = entry.linty.set(linty);
         }
-        self.items.push(entry);
     }
 
     /// Locally discovered programs added since the last call (foreign
@@ -578,7 +586,9 @@ mod tests {
             let mut slow = MutRng::new(seed);
             for batch in &batches {
                 for &l in batch {
-                    pool.push_judged(format!("int v{};", linty.len()), None, Some(l));
+                    let mut c = Candidate::new(format!("int v{};", linty.len()), None);
+                    c.any_finding = Some(l);
+                    pool.push_judged(&c);
                     linty.push(l);
                 }
                 for _ in 0..25 {
@@ -599,7 +609,10 @@ mod tests {
         let clean = "int f(void) { return 1; }".to_string();
         let parse = Arc::new(ParsedProgram::parse(&clean).unwrap());
         let mut pool = SeedPool::new([clean.clone()]);
-        pool.push_judged(clean.clone(), Some(Arc::clone(&parse)), Some(true));
+        let mut c = Candidate::new(clean.clone(), None);
+        c.parse = Some(Some(Arc::clone(&parse)));
+        c.any_finding = Some(true);
+        pool.push_judged(&c);
         let mut rng = MutRng::new(3);
         let mut counts = [0usize; 2];
         for _ in 0..3000 {
@@ -610,6 +623,11 @@ mod tests {
             "the pre-filled verdict must weigh, got {counts:?}"
         );
         assert!(Arc::ptr_eq(&pool.parsed(1).unwrap(), &parse));
+        // A program handed in as not parsing is not parsed either.
+        let mut bad = Candidate::new("int f( {".to_string(), None);
+        bad.parse = Some(None);
+        pool.push_judged(&bad);
+        assert!(pool.parsed(2).is_none());
         assert_eq!(pool.parse_count(), 0);
     }
 

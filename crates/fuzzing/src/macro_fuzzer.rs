@@ -2,25 +2,29 @@
 //! engineering — Havoc-style multi-round mutation, random compiler-flag
 //! sampling, a shared coverage map across parallel workers, and resource
 //! limits. This is the harness behind the paper's eight-month field
-//! experiment (RQ2, Table 6).
+//! experiment (RQ2, Table 6). It is a [`TestGenerator`] like every other
+//! fuzzer: the campaign engine supplies the workers and the shared
+//! coverage map, and compiles each candidate under its sampled command
+//! line.
 
-use crate::generator::SeedPool;
-use metamut_muast::{mutate_source, MutRng, MutationOutcome, MutatorRegistry};
-use metamut_simcomp::{
-    AtomicCoverage, CompileOptions, Compiler, OptFlags, Outcome, Profile, Stage,
-};
-use parking_lot::Mutex;
+use crate::campaign::CampaignConfig;
+use crate::generator::{Candidate, SeedPool, TestGenerator};
+use crate::parallel::run_parallel_campaign;
+use metamut_muast::{mutate_parsed, mutate_source, MutRng, MutationOutcome, MutatorRegistry};
+use metamut_simcomp::{CompileOptions, Compiler, OptFlags, Profile, Stage};
 use serde::Serialize;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Configuration for a field experiment.
 #[derive(Debug, Clone)]
 pub struct MacroConfig {
-    /// Iterations per worker.
+    /// Iteration budget per worker: the workers claim
+    /// `iterations_per_worker * workers` iterations from one shared
+    /// counter, so a faster worker may run more of them.
     pub iterations_per_worker: usize,
-    /// Parallel workers (the paper used 60 CPUs; scale down locally).
+    /// Parallel workers (the paper used 60 CPUs; scale down locally). Each
+    /// fuzzes its own shard of the seeds and they exchange discoveries.
     pub workers: usize,
     /// Base RNG seed.
     pub seed: u64,
@@ -102,103 +106,113 @@ fn sample_options(rng: &mut MutRng) -> CompileOptions {
     }
 }
 
-/// Runs the macro fuzzer against one compiler profile.
-///
-/// Workers share one [`AtomicCoverage`]; a program joins the pool iff its
-/// merge credits at least one new bit, so each bit pools exactly one
-/// program however the workers interleave. A read-only `would_add` probe
-/// goes first, so the common compile that adds nothing writes no shared
-/// word.
+/// The §3.4 generator: picks a parent uniformly, stacks 1 to
+/// `max_havoc_rounds` mutations on it (#2), stopping at the first round
+/// that fails or outgrows `max_program_len` (#4), and samples the command
+/// line it is compiled under (#1). Every candidate that credits new bits
+/// joins the pool.
+struct MacroFuzzer {
+    mutators: Arc<MutatorRegistry>,
+    pool: SeedPool,
+    config: MacroConfig,
+}
+
+impl TestGenerator for MacroFuzzer {
+    fn name(&self) -> &'static str {
+        "macro"
+    }
+
+    fn next_candidate(&mut self, rng: &mut MutRng) -> Candidate {
+        let (parent, parent_text) = self.pool.pick(rng);
+        let rounds = rng.index(self.config.max_havoc_rounds) + 1;
+        // `None` while the program is still the parent, whose parse the
+        // pool caches.
+        let mut program: Option<String> = None;
+        for _ in 0..rounds {
+            let mi = rng.index(self.mutators.len());
+            let m = self.mutators.iter().nth(mi).expect("index in range");
+            let seed = rng.next_u64();
+            let outcome = match &program {
+                Some(text) => mutate_source(m.mutator.as_ref(), text, seed),
+                None => match self.pool.parsed(parent) {
+                    Some(parsed) => mutate_parsed(m.mutator.as_ref(), &parsed, seed),
+                    None => break,
+                },
+            };
+            match outcome {
+                Ok(MutationOutcome::Mutated(p)) if p.len() <= self.config.max_program_len => {
+                    program = Some(p)
+                }
+                _ => break,
+            }
+        }
+        let program = program.unwrap_or_else(|| parent_text.to_string());
+        let mut candidate = Candidate::new(program, Some(parent));
+        candidate.options = Some(sample_options(rng));
+        candidate
+    }
+
+    fn feedback(&mut self, candidate: &Candidate, new_coverage: bool, _compiled: bool) {
+        if new_coverage {
+            self.pool.push_judged(candidate);
+        }
+    }
+
+    fn seed_pool(&self) -> Option<&SeedPool> {
+        Some(&self.pool)
+    }
+
+    fn seed_pool_mut(&mut self) -> Option<&mut SeedPool> {
+        Some(&mut self.pool)
+    }
+}
+
+/// Runs the macro fuzzer against one compiler profile on the parallel
+/// campaign engine, without mutant dedup or the UB gate. Each unique
+/// planted bug is reported once, with the command line of its first
+/// witness.
 pub fn run_field_experiment(
     profile: Profile,
     mutators: Arc<MutatorRegistry>,
     seeds: Vec<String>,
     config: &MacroConfig,
 ) -> FieldReport {
-    let telemetry = metamut_telemetry::handle();
-    let _field_span = telemetry.span("macro_fuzz");
-    let coverage = AtomicCoverage::new();
-    let pool = Mutex::new(SeedPool::new(seeds));
-    let found = Mutex::new(Vec::<FoundBug>::new());
-    let compiles = AtomicUsize::new(0);
-    let mutators: &MutatorRegistry = &mutators;
-
-    std::thread::scope(|scope| {
-        for w in 0..config.workers {
-            let (coverage, pool, found, compiles) = (&coverage, &pool, &found, &compiles);
-            scope.spawn(move || {
-                let mut rng = MutRng::new(config.seed ^ (w as u64).wrapping_mul(0x9E37_79B9));
-                let base = Compiler::new(profile, CompileOptions::o2());
-                for _ in 0..config.iterations_per_worker {
-                    // Pick a parent from the shared pool.
-                    let parent = {
-                        let pool = pool.lock();
-                        let (_, p) = pool.pick(&mut rng);
-                        p.to_string()
-                    };
-                    // Havoc: stack several mutation rounds (§3.4 #2).
-                    let rounds = rng.index(config.max_havoc_rounds) + 1;
-                    let mut program = parent;
-                    for _ in 0..rounds {
-                        let mi = rng.index(mutators.len());
-                        let m = mutators
-                            .iter()
-                            .nth(mi)
-                            .expect("index in range")
-                            .mutator
-                            .as_ref();
-                        match mutate_source(m, &program, rng.next_u64()) {
-                            Ok(MutationOutcome::Mutated(p)) => program = p,
-                            _ => break,
-                        }
-                        if program.len() > config.max_program_len {
-                            break; // resource limit (§3.4 #4)
-                        }
-                    }
-                    if program.len() > config.max_program_len {
-                        continue;
-                    }
-                    // Random command line (§3.4 #1).
-                    let compiler = base.with_options(sample_options(&mut rng));
-                    let result = compiler.compile(&program);
-                    compiles.fetch_add(1, Ordering::Relaxed);
-                    telemetry.counter_add("fuzz_execs", 1);
-                    if let Outcome::Crash(info) = &result.outcome {
-                        let mut found = found.lock();
-                        if !found.iter().any(|b| b.bug_id == info.bug_id) {
-                            telemetry.counter_add(
-                                &metamut_telemetry::labeled("crashes_unique", info.stage.label()),
-                                1,
-                            );
-                            found.push(FoundBug {
-                                bug_id: info.bug_id.to_string(),
-                                compiler: profile.name().to_string(),
-                                stage: info.stage,
-                                consequence: info.kind.label().to_string(),
-                                flags: compiler.options().render(),
-                                program: program.clone(),
-                            });
-                        }
-                    }
-                    // Shared coverage map (§3.4 #3).
-                    let local = &result.coverage;
-                    if coverage.would_add(local) && coverage.merge(local) > 0 {
-                        let mut pool = pool.lock();
-                        pool.push(program);
-                        if telemetry.enabled() {
-                            telemetry.gauge_set("fuzz_coverage", coverage.count() as f64);
-                            telemetry.gauge_set("fuzz_corpus", pool.len() as f64);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
+    let _field_span = metamut_telemetry::handle().span("macro_fuzz");
+    let report = run_parallel_campaign(
+        &seeds,
+        |_w, shard| MacroFuzzer {
+            mutators: Arc::clone(&mutators),
+            pool: SeedPool::new(shard),
+            config: config.clone(),
+        },
+        &Compiler::new(profile, CompileOptions::o2()),
+        &CampaignConfig {
+            iterations: config.iterations_per_worker * config.workers,
+            seed: config.seed,
+            workers: config.workers,
+            dedup: false,
+            ub_filter: false,
+            ..Default::default()
+        },
+    );
+    let mut seen = HashSet::new();
+    let bugs = report
+        .crashes
+        .into_iter()
+        .filter(|c| seen.insert(c.info.bug_id))
+        .map(|c| FoundBug {
+            bug_id: c.info.bug_id.to_string(),
+            compiler: profile.name().to_string(),
+            stage: c.info.stage,
+            consequence: c.info.kind.label().to_string(),
+            flags: c.options.render(),
+            program: c.witness,
+        })
+        .collect();
     FieldReport {
-        bugs: found.into_inner(),
-        total_compiles: compiles.into_inner(),
-        final_coverage: coverage.count(),
+        bugs,
+        total_compiles: report.mutants.total,
+        final_coverage: report.final_coverage,
     }
 }
 

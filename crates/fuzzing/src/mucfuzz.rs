@@ -175,28 +175,16 @@ impl TestGenerator for MuCFuzz {
                 .map(|p| p != candidate.program)
                 .unwrap_or(true)
         {
-            self.pool.push_judged(
-                candidate.program.clone(),
-                candidate.parse.clone(),
-                candidate.any_finding,
-            );
+            self.pool.push_judged(candidate);
         }
     }
 
-    fn pool_len(&self) -> usize {
-        self.pool.len()
+    fn seed_pool(&self) -> Option<&SeedPool> {
+        Some(&self.pool)
     }
 
-    fn seed_source(&self, index: usize) -> Option<&str> {
-        self.pool.get(index)
-    }
-
-    fn drain_new_seeds(&mut self) -> Vec<String> {
-        self.pool.take_new_seeds()
-    }
-
-    fn adopt_seeds(&mut self, seeds: Vec<String>) {
-        self.pool.adopt(seeds);
+    fn seed_pool_mut(&mut self) -> Option<&mut SeedPool> {
+        Some(&mut self.pool)
     }
 
     fn pool_snapshot(&self) -> Option<PoolSnapshot> {

@@ -100,9 +100,7 @@ where
     let shared = CampaignShared::new_with(compiler, config, telemetry.clone());
     let hub = (workers > 1 && config.exchange_every > 0).then(|| ExchangeHub::new(workers));
 
-    let mut name = "";
-    let mut mutants = MutantStats::default();
-    let worker_stats: Vec<(&'static str, MutantStats)> = std::thread::scope(|scope| {
+    let (name, mutants) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let shard: Vec<String> = seeds
@@ -120,15 +118,14 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
+        let mut total = ("", MutantStats::default());
+        for h in handles {
+            let (name, stats) = h.join().expect("campaign worker panicked");
+            total.0 = name;
+            total.1.absorb(stats);
+        }
+        total
     });
-    for (n, stats) in worker_stats {
-        name = n;
-        mutants.absorb(stats);
-    }
     shared.into_report(name, mutants, workers)
 }
 

@@ -303,17 +303,10 @@ impl SteppedCampaign {
     /// (less than `max_iters` only when the budget ran out or the config's
     /// stop flag was raised).
     pub fn step(&mut self, max_iters: usize) -> usize {
-        let mut done = 0;
-        while done < max_iters {
-            if let Some(stop) = &self.shared.config.stop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            let iter = self.shared.next_iter.fetch_add(1, Ordering::Relaxed);
-            if iter >= self.shared.config.iterations {
-                break;
-            }
+        for done in 0..max_iters {
+            let Some(iter) = self.shared.claim_iteration() else {
+                return done;
+            };
             let pooled = self.generator.pool_len();
             let new_bits = fuzz_iteration(
                 iter,
@@ -329,9 +322,8 @@ impl SteppedCampaign {
                     new_bits,
                 });
             }
-            done += 1;
         }
-        done
+        max_iters
     }
 
     /// Whether the iteration budget is exhausted.
@@ -530,6 +522,7 @@ impl SteppedCampaign {
                     signature: seed.signature,
                     first_iteration: seed.first_iteration,
                     witness: seed.witness,
+                    options: compiler.options().clone(),
                 });
             }
         }

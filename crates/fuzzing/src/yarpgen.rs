@@ -9,14 +9,12 @@ use std::fmt::Write;
 
 /// The loop-kernel generator.
 #[derive(Debug, Default)]
-pub struct YarpGenLike {
-    emitted: usize,
-}
+pub struct YarpGenLike;
 
 impl YarpGenLike {
     /// Creates the generator.
     pub fn new() -> Self {
-        YarpGenLike::default()
+        YarpGenLike
     }
 
     /// Generates one loop-heavy program.
@@ -100,7 +98,6 @@ impl TestGenerator for YarpGenLike {
     }
 
     fn next_candidate(&mut self, rng: &mut MutRng) -> Candidate {
-        self.emitted += 1;
         Candidate::new(self.generate(rng), None)
     }
 

@@ -7,8 +7,10 @@
 //!   exactly "a whole-unit analysis finds something", which is the lint
 //!   verdict the pool would otherwise compute itself;
 //! - pool parses per campaign are bounded by the programs the pool holds
-//!   without a parse the campaign made (initial seeds and pooled mutants
-//!   that did not get through semantic analysis).
+//!   without a parse the campaign made: initial seeds, and pooled mutants
+//!   that crashed the front end. A pooled mutant the front end rejected
+//!   is handed over as not parsing, which is sound because the front end
+//!   rejects exactly what `ParsedProgram::parse` fails on.
 
 use metamut_analyze::{analyze_unit, UbGate};
 use metamut_fuzzing::corpus::seed_corpus;
@@ -16,9 +18,13 @@ use metamut_fuzzing::csmith::CsmithLike;
 use metamut_fuzzing::generator::TestGenerator;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
 use metamut_fuzzing::{run_campaign, CampaignConfig};
-use metamut_muast::MutRng;
-use metamut_simcomp::{CompileOptions, Compiler, Profile};
+use metamut_muast::{MutRng, ParsedProgram};
+use metamut_simcomp::{CompileOptions, Compiler, Outcome, Profile};
 use std::sync::Arc;
+
+fn gcc_o2() -> Compiler {
+    Compiler::new(Profile::Gcc, CompileOptions::o2())
+}
 
 /// The canonical campaign: μCFuzz, full registry, seed corpus, gcc-sim
 /// -O2, one worker.
@@ -34,11 +40,7 @@ fn campaign(iterations: usize) -> MuCFuzz {
         workers: 1,
         ..Default::default()
     };
-    run_campaign(
-        &mut fuzzer,
-        &Compiler::new(Profile::Gcc, CompileOptions::o2()),
-        &config,
-    );
+    run_campaign(&mut fuzzer, &gcc_o2(), &config);
     fuzzer
 }
 
@@ -88,8 +90,21 @@ fn a_campaign_pool_parses_few_programs_itself() {
     let parses = fuzzer.parse_count();
     println!("pool parses: {parses} of {} programs", fuzzer.pool_len());
     assert!(
-        parses <= 60,
+        parses <= 31,
         "the pool parsed {parses} of {} programs itself",
         fuzzer.pool_len()
     );
+    // Every mutant pooled as rejected, hence as not parsing, indeed does
+    // not parse.
+    let seeds = seed_corpus().len();
+    let pooled = fuzzer.pool_snapshot().expect("μCFuzz snapshots its pool");
+    let mut rejected = 0;
+    for program in &pooled.programs[seeds..] {
+        if matches!(gcc_o2().compile(program).outcome, Outcome::Rejected { .. }) {
+            assert!(ParsedProgram::parse(program).is_err(), "parses:\n{program}");
+            rejected += 1;
+        }
+    }
+    println!("pooled as not parsing: {rejected}");
+    assert!(rejected > 0);
 }

@@ -330,6 +330,7 @@ mod tests {
             info,
             first_iteration: 0,
             witness: witness.to_string(),
+            options: options.clone(),
         }
     }
 

@@ -907,6 +907,7 @@ fn run_triage(inner: &Arc<Inner>, spec: &JobSpec) -> Result<Value, String> {
                 info: info.clone(),
                 first_iteration: i,
                 witness: program.clone(),
+                options: compiler.options().clone(),
             });
         }
     }

@@ -98,6 +98,13 @@ impl CompileOptions {
     }
 }
 
+/// Serializes as the rendered command line (`"-O2 -fstrict-aliasing"`).
+impl serde::Serialize for CompileOptions {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.serialize_str(&self.render())
+    }
+}
+
 /// The result classification of one compiler invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
@@ -189,7 +196,9 @@ impl Compiler {
         &self.options
     }
 
-    /// Replaces the options (used by the macro fuzzer's flag sampling).
+    /// The same profile under other options. The campaign engine compiles
+    /// a candidate that carries its own command line (the macro fuzzer's
+    /// flag sampling) with it.
     pub fn with_options(&self, options: CompileOptions) -> Compiler {
         Compiler {
             profile: self.profile,

@@ -14,7 +14,6 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(400);
-    std::panic::set_hook(Box::new(|_| {}));
 
     let mutators = Arc::new(metamut_mutators::full_registry());
     let seeds: Vec<String> = corpus::seed_corpus()

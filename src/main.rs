@@ -516,6 +516,7 @@ fn triage_cmd(rest: &[String]) -> ExitCode {
                 info: info.clone(),
                 first_iteration: records.len(),
                 witness: src,
+                options: options.clone(),
             }),
             None => eprintln!(
                 "triage: {file} does not crash {} {} — skipped",

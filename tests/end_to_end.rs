@@ -135,7 +135,6 @@ fn campaigns_are_deterministic() {
 /// cannot reach (the -O3 -fno-tree-vrp vectorizer hang).
 #[test]
 fn macro_fuzzer_flag_sampling_matters() {
-    std::panic::set_hook(Box::new(|_| {}));
     let report = metamut_fuzzing::run_field_experiment(
         Profile::Gcc,
         Arc::new(metamut::mutators::full_registry()),
@@ -149,7 +148,6 @@ fn macro_fuzzer_flag_sampling_matters() {
             ..Default::default()
         },
     );
-    let _ = std::panic::take_hook();
     assert!(report.bugs.len() >= 2, "bugs: {:?}", report.bugs.len());
     // Some found bug requires a non -O2 configuration.
     assert!(
