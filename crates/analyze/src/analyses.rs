@@ -303,12 +303,6 @@ fn collect_sanctioned(
     out
 }
 
-/// Runs the full per-function suite **intraprocedurally** (empty summary
-/// environment: every callee unknown).
-pub fn analyze_function(ast: &Ast, fun: &FunctionDef, globals: &GlobalInfo) -> Vec<Finding> {
-    analyze_function_with(ast, fun, globals, &Summaries::default())
-}
-
 /// Runs the full per-function suite against a summary environment.
 pub fn analyze_function_with(
     ast: &Ast,

@@ -44,8 +44,7 @@ pub mod summary;
 
 pub use alpha::{alpha_equivalent, check_noop_mutant};
 pub use analyses::{
-    analyze_function, analyze_function_with, analyze_unit, analyze_unit_with, collect_globals,
-    GlobalInfo,
+    analyze_function_with, analyze_unit, analyze_unit_with, collect_globals, GlobalInfo,
 };
 pub use callgraph::CallGraph;
 pub use findings::{ub_keys, ChainLink, Finding, FindingKey, Severity};

@@ -122,7 +122,6 @@ fn main() {
                 workers: 2,
                 seed: opts.seed,
                 max_havoc_rounds: havoc,
-                ..Default::default()
             },
         );
         macro_rows.push(vec![

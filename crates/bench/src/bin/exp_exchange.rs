@@ -63,7 +63,6 @@ fn main() {
             sample_every: opts.iterations,
             workers,
             exchange_every,
-            dedup: opts.dedup,
             ..Default::default()
         };
         let started = Instant::now();

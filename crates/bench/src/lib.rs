@@ -26,12 +26,10 @@ pub struct ExpOptions {
     pub iterations: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Campaign worker threads (`0` = one per CPU; campaigns run through
-    /// the serial engine when 1).
+    /// Worker threads for `exp_exchange`'s parallel campaigns (`--workers`;
+    /// it runs 4 when this is 0 or 1). No other bin reads it: their
+    /// campaigns run on the serial engine.
     pub workers: usize,
-    /// Mutant-dedup cache in front of the compiler (on unless
-    /// `--no-dedup`).
-    pub dedup: bool,
     /// Telemetry JSONL path, when `--telemetry` (or `METAMUT_TELEMETRY`)
     /// enabled the global pipeline.
     pub telemetry: Option<PathBuf>,
@@ -56,7 +54,6 @@ impl Default for ExpOptions {
             iterations: 1500,
             seed: 20240427, // ASPLOS'24 opening day
             workers: 1,
-            dedup: true,
             telemetry: None,
             trace_out: None,
             timeseries_out: None,
@@ -68,10 +65,10 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `--iterations N`, `--seed N`, `--workers N`, `--no-dedup`,
-    /// `--smoke`, `--repeats N`, `--mutants N`, `--status-every SECS`,
-    /// `--telemetry PATH`, `--trace-out PATH`, and `--timeseries-out PATH`
-    /// from `std::env::args`, enabling the global telemetry pipeline when
+    /// Parses `--iterations N`, `--seed N`, `--workers N`, `--smoke`,
+    /// `--repeats N`, `--mutants N`, `--status-every SECS`, `--telemetry
+    /// PATH`, `--trace-out PATH`, and `--timeseries-out PATH` from
+    /// `std::env::args`, enabling the global telemetry pipeline when
     /// any output path is given (or `METAMUT_TELEMETRY` is set).
     pub fn from_args() -> Self {
         Self::from_args_with(|_| ExpOptions::default())
@@ -103,9 +100,6 @@ impl ExpOptions {
                 "--workers" | "-w" if i + 1 < args.len() => {
                     opts.workers = args[i + 1].parse().unwrap_or(opts.workers);
                     i += 1;
-                }
-                "--no-dedup" => {
-                    opts.dedup = false;
                 }
                 "--repeats" if i + 1 < args.len() => {
                     opts.repeats = args[i + 1].parse().unwrap_or(opts.repeats);
@@ -149,8 +143,6 @@ impl ExpOptions {
             iterations: self.iterations,
             seed: self.seed,
             sample_every: (self.iterations / 24).max(1),
-            workers: self.workers,
-            dedup: self.dedup,
             ..Default::default()
         }
     }

@@ -33,7 +33,8 @@ pub struct CampaignConfig {
     /// Record a coverage sample every this many iterations.
     pub sample_every: usize,
     /// Worker threads for the parallel engine; `0` means one per available
-    /// CPU. [`run_campaign`] ignores this (always one inline worker).
+    /// CPU (see [`crate::resolve_workers`]). [`run_campaign`] ignores this
+    /// (always one inline worker).
     pub workers: usize,
     /// Skip recompilation of byte-identical mutants via a shared
     /// [`DedupCache`]. Reports are unaffected either way — the compiler is
@@ -72,20 +73,6 @@ impl Default for CampaignConfig {
             ub_filter: true,
             query_db: None,
             stop: None,
-        }
-    }
-}
-
-impl CampaignConfig {
-    /// The worker count with `0` resolved to the machine's available
-    /// parallelism.
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
         }
     }
 }
@@ -626,22 +613,7 @@ pub fn run_campaign(
     compiler: &Compiler,
     config: &CampaignConfig,
 ) -> CampaignReport {
-    run_campaign_with(
-        generator,
-        compiler,
-        config,
-        metamut_telemetry::handle().clone(),
-    )
-}
-
-/// [`run_campaign`] reporting into an explicit telemetry pipeline instead
-/// of the process-global handle (tests, embedded observers).
-pub fn run_campaign_with(
-    generator: &mut dyn TestGenerator,
-    compiler: &Compiler,
-    config: &CampaignConfig,
-    telemetry: Telemetry,
-) -> CampaignReport {
+    let telemetry = metamut_telemetry::handle().clone();
     let campaign_span = telemetry.span("campaign");
     let shared = CampaignShared::new_with(compiler, config, telemetry);
     let mutants = run_worker(0, generator, &shared, None, campaign_span.id());
@@ -874,7 +846,18 @@ mod tests {
         let telemetry = Telemetry::new();
         telemetry.series().set_enabled(true);
         telemetry.spans().set_recording(true);
-        let observed = run_campaign_with(&mut fuzzer(), &compiler, &cfg, telemetry.clone());
+        let seeds: Vec<String> = seed_corpus().iter().map(|s| s.to_string()).collect();
+        let one_worker = CampaignConfig {
+            workers: 1,
+            ..cfg.clone()
+        };
+        let observed = crate::parallel::run_parallel_campaign_with(
+            &seeds,
+            |_, _| fuzzer(),
+            &compiler,
+            &one_worker,
+            telemetry.clone(),
+        );
         assert_eq!(observed, plain, "observability changed the campaign");
 
         let points = telemetry.series().points();

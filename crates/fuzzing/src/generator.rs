@@ -162,7 +162,7 @@ pub trait TestGenerator: Send {
 /// resumed campaign draws the exact parent sequence the interrupted one
 /// would have. Parse caches and counters are deliberately omitted — they
 /// are throughput state, invisible in the candidate stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolSnapshot {
     /// Pooled programs in insertion order (order matters: picks index it).
     pub programs: Vec<String>,

@@ -62,12 +62,10 @@ pub mod parallel;
 pub mod resume;
 pub mod yarpgen;
 
-pub use campaign::{
-    run_campaign, run_campaign_with, CampaignConfig, CampaignReport, CorpusEntry, DedupStats,
-};
+pub use campaign::{run_campaign, CampaignConfig, CampaignReport, CorpusEntry, DedupStats};
 pub use generator::{PoolSnapshot, TestGenerator};
 pub use macro_fuzzer::{run_field_experiment, FieldReport, MacroConfig};
-pub use parallel::{run_parallel_campaign, run_parallel_campaign_with};
+pub use parallel::{resolve_workers, run_parallel_campaign, run_parallel_campaign_with};
 pub use resume::{
     CampaignCheckpoint, CheckpointDelta, StepProgress, SteppedCampaign, CHECKPOINT_VERSION,
 };

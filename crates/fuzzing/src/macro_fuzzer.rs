@@ -30,9 +30,10 @@ pub struct MacroConfig {
     pub seed: u64,
     /// Havoc: maximum mutation rounds stacked per candidate (§3.4 #2).
     pub max_havoc_rounds: usize,
-    /// Resource limit: maximum mutant size in bytes (§3.4 #4).
-    pub max_program_len: usize,
 }
+
+/// Resource limit: maximum mutant size in bytes (§3.4 #4).
+const MAX_PROGRAM_LEN: usize = 1 << 15;
 
 impl Default for MacroConfig {
     fn default() -> Self {
@@ -41,7 +42,6 @@ impl Default for MacroConfig {
             workers: 2,
             seed: 0xF1E1D,
             max_havoc_rounds: 4,
-            max_program_len: 1 << 15,
         }
     }
 }
@@ -108,13 +108,13 @@ fn sample_options(rng: &mut MutRng) -> CompileOptions {
 
 /// The §3.4 generator: picks a parent uniformly, stacks 1 to
 /// `max_havoc_rounds` mutations on it (#2), stopping at the first round
-/// that fails or outgrows `max_program_len` (#4), and samples the command
+/// that fails or outgrows [`MAX_PROGRAM_LEN`] (#4), and samples the command
 /// line it is compiled under (#1). Every candidate that credits new bits
 /// joins the pool.
 struct MacroFuzzer {
     mutators: Arc<MutatorRegistry>,
     pool: SeedPool,
-    config: MacroConfig,
+    max_havoc_rounds: usize,
 }
 
 impl TestGenerator for MacroFuzzer {
@@ -124,7 +124,7 @@ impl TestGenerator for MacroFuzzer {
 
     fn next_candidate(&mut self, rng: &mut MutRng) -> Candidate {
         let (parent, parent_text) = self.pool.pick(rng);
-        let rounds = rng.index(self.config.max_havoc_rounds) + 1;
+        let rounds = rng.index(self.max_havoc_rounds) + 1;
         // `None` while the program is still the parent, whose parse the
         // pool caches.
         let mut program: Option<String> = None;
@@ -140,9 +140,7 @@ impl TestGenerator for MacroFuzzer {
                 },
             };
             match outcome {
-                Ok(MutationOutcome::Mutated(p)) if p.len() <= self.config.max_program_len => {
-                    program = Some(p)
-                }
+                Ok(MutationOutcome::Mutated(p)) if p.len() <= MAX_PROGRAM_LEN => program = Some(p),
                 _ => break,
             }
         }
@@ -183,7 +181,7 @@ pub fn run_field_experiment(
         |_w, shard| MacroFuzzer {
             mutators: Arc::clone(&mutators),
             pool: SeedPool::new(shard),
-            config: config.clone(),
+            max_havoc_rounds: config.max_havoc_rounds,
         },
         &Compiler::new(profile, CompileOptions::o2()),
         &CampaignConfig {
@@ -240,6 +238,34 @@ mod tests {
         let ids: std::collections::HashSet<&String> =
             report.bugs.iter().map(|b| &b.bug_id).collect();
         assert_eq!(ids.len(), report.bugs.len());
+    }
+
+    /// A resumed run would rebuild every crash's command line from the
+    /// campaign compiler, so the macro generator must keep refusing to
+    /// checkpoint until `CrashSeed` persists each crash's options.
+    #[test]
+    fn macro_generator_refuses_to_checkpoint() {
+        use crate::resume::SteppedCampaign;
+        let generator = MacroFuzzer {
+            mutators: Arc::new(metamut_mutators::full_registry()),
+            pool: SeedPool::new(seed_corpus().iter().map(|s| s.to_string())),
+            max_havoc_rounds: 4,
+        };
+        let mut campaign = SteppedCampaign::new(
+            Box::new(generator),
+            &Compiler::new(Profile::Gcc, CompileOptions::o2()),
+            &CampaignConfig {
+                iterations: 20,
+                seed: 5,
+                dedup: false,
+                ub_filter: false,
+                ..Default::default()
+            },
+            metamut_telemetry::Telemetry::disabled(),
+        );
+        campaign.step(10);
+        assert!(campaign.checkpoint().is_err());
+        assert!(campaign.checkpoint_delta().is_err());
     }
 
     #[test]

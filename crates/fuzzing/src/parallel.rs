@@ -50,8 +50,19 @@ impl ExchangeHub {
     }
 }
 
-/// Runs one campaign across `config.resolved_workers()` threads (clamped
-/// to the seed count so every shard starts non-empty).
+/// The worker count `workers` asks for: `0` means one per available CPU.
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        workers
+    }
+}
+
+/// Runs one campaign across [`resolve_workers`]`(config.workers)` threads
+/// (clamped to the seed count so every shard starts non-empty).
 ///
 /// `factory` builds each worker's generator from its worker index and its
 /// round-robin shard of `seeds`; worker `w` takes `seeds[i]` for every
@@ -92,7 +103,7 @@ where
     G: TestGenerator,
     F: Fn(usize, Vec<String>) -> G + Sync,
 {
-    let workers = config.resolved_workers().max(1).min(seeds.len().max(1));
+    let workers = resolve_workers(config.workers).min(seeds.len().max(1));
     let campaign_span = telemetry.span("campaign");
     let campaign_span_id = campaign_span.id();
     telemetry.gauge_set("fuzz_workers", workers as f64);

@@ -23,7 +23,8 @@
 //! the last checkpoint (full or delta), so a periodic checkpoint costs the
 //! work since the previous one; replaying the deltas over the full image
 //! with [`CheckpointDelta::apply`] yields exactly the full checkpoint taken
-//! at the same point.
+//! at the same point. Both share one capture path: a full checkpoint is
+//! the delta from an empty campaign applied to the bare header.
 //!
 //! Dedup caches, UB-gate summary memos, and UB-gate verdicts are
 //! deliberately *not* checkpointed: they are pure throughput state, proven
@@ -186,20 +187,6 @@ struct Persisted {
     coverage: Vec<(u32, u64)>,
 }
 
-impl Persisted {
-    /// Everything `image` holds.
-    fn of(image: &CampaignCheckpoint) -> Persisted {
-        Persisted {
-            next_iteration: image.next_iteration,
-            pool: image.pool.programs.len(),
-            corpus: image.corpus.len(),
-            series: image.series.len(),
-            crashes: image.crashes.len(),
-            coverage: image.coverage.clone(),
-        }
-    }
-}
-
 /// The entries of an append-only list past `mark`, or an error when the
 /// list shrank below it (an image already holds entries that are gone).
 fn appended<'a, T>(what: &str, list: &'a [T], mark: usize) -> Result<&'a [T], String> {
@@ -355,34 +342,36 @@ impl SteppedCampaign {
     /// from it. Fails when the generator cannot expose its pool (hidden
     /// mutable state would make the resumed run diverge silently).
     pub fn checkpoint(&mut self) -> Result<CampaignCheckpoint, String> {
-        let pool = self
-            .generator
-            .pool_snapshot()
-            .ok_or_else(|| self.no_pool())?;
-        let checkpoint = CampaignCheckpoint {
+        // The full image is the delta from nothing, applied to the header.
+        let previous = std::mem::take(&mut self.persisted);
+        let delta = self.checkpoint_delta().inspect_err(|_| {
+            self.persisted = previous;
+        })?;
+        let mut image = CampaignCheckpoint {
             version: CHECKPOINT_VERSION,
             fuzzer: self.generator.name().to_string(),
             iterations: self.shared.config.iterations,
-            next_iteration: self.completed(),
+            next_iteration: 0,
             seed: self.shared.config.seed,
             sample_every: self.shared.config.sample_every,
-            rng: self.rng.state().to_vec(),
-            pool,
-            coverage: self.shared.coverage.snapshot().to_sparse_words(),
-            crashes: crash_seeds(&self.shared.crashes.lock().1),
-            series: self.shared.series.lock().clone(),
-            mutants: self.mutants,
-            corpus: self.corpus.clone(),
+            rng: Vec::new(),
+            pool: PoolSnapshot::default(),
+            coverage: Vec::new(),
+            crashes: Vec::new(),
+            series: Vec::new(),
+            mutants: MutantStats::default(),
+            corpus: Vec::new(),
         };
-        self.persisted = Persisted::of(&checkpoint);
-        Ok(checkpoint)
+        delta.apply(&mut image)?;
+        Ok(image)
     }
 
     /// What changed since the last checkpoint (full or delta), counted as
     /// persisted in turn. Its size follows the work done since then, not
-    /// the campaign's. Fails like [`SteppedCampaign::checkpoint`], and
-    /// when state the last checkpoint holds has disappeared (a list shrank
-    /// or a coverage bit was cleared), which no delta can express.
+    /// the campaign's. Fails like [`SteppedCampaign::checkpoint`] when the
+    /// generator cannot expose its pool, and when state the last checkpoint
+    /// holds has disappeared (a list shrank or a coverage bit was cleared),
+    /// which no delta can express.
     pub fn checkpoint_delta(&mut self) -> Result<CheckpointDelta, String> {
         let from = &self.persisted;
         if self.generator.pool_len() < from.pool {

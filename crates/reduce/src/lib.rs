@@ -16,7 +16,9 @@
 //!   inline trivial calls, simplify expressions to constants, shrink array
 //!   dimensions and initializers, and reprint normalization. Unparseable
 //!   witnesses (raw byte crashers) fall back to line- and character-level
-//!   ddmin.
+//!   ddmin. The reducer has no knobs: every witness is reduced under one
+//!   fixed round cap, oracle-call budget and adaptive pass order
+//!   ([`ReduceConfig`] is a fieldless stand-in kept for one caller).
 //! - [`triage::triage_crashes`] — buckets `CrashRecord`s by signature,
 //!   reduces the smallest witness per bucket across N worker threads, and
 //!   emits a [`triage::TriageReport`] (JSON + markdown).

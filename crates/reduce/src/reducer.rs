@@ -15,36 +15,23 @@ use metamut_lang::{parse, printer, Span};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Knobs for one reduction run.
-#[derive(Debug, Clone)]
-pub struct ReduceConfig {
-    /// Maximum pass-pipeline rounds before giving up (each round re-parses).
-    pub max_rounds: usize,
-    /// Hard cap on oracle compiler invocations for this witness.
-    pub max_oracle_calls: u64,
-    /// Maximum expression-simplification attempts per round.
-    pub expr_attempts: usize,
-    /// Character-level ddmin is only attempted on witnesses at most this
-    /// many bytes long (it is quadratic in the worst case).
-    pub char_ddmin_limit: usize,
-    /// Reorder passes after the first round so the cheapest highest-yield
-    /// ones run first (bytes removed per oracle call, measured on *this*
-    /// witness — deterministic, no wall clocks). The fixpoint is the same
-    /// either way; only the oracle calls spent getting there change.
-    pub adaptive_pass_order: bool,
-}
+/// Pass-pipeline rounds before giving up (each round re-parses).
+const MAX_ROUNDS: usize = 8;
+/// Hard cap on oracle compiler invocations per witness.
+const MAX_ORACLE_CALLS: u64 = 5_000;
+/// Expression-simplification attempts per round.
+const EXPR_ATTEMPTS: usize = 64;
+/// Character-level ddmin is only attempted on witnesses at most this many
+/// bytes long (it is quadratic in the worst case).
+const CHAR_DDMIN_LIMIT: usize = 4_096;
 
-impl Default for ReduceConfig {
-    fn default() -> Self {
-        ReduceConfig {
-            max_rounds: 8,
-            max_oracle_calls: 5_000,
-            expr_attempts: 64,
-            char_ddmin_limit: 4_096,
-            adaptive_pass_order: true,
-        }
-    }
-}
+/// A fieldless stand-in for the reducer's removed knobs: every reduction
+/// runs under the constants above with the adaptive pass order. It exists
+/// only because the standalone `exp_perf` benchmark still calls
+/// `reduce(&oracle, src, &ReduceConfig::default())`, and goes with the next
+/// change that edits `exp_perf`.
+#[derive(Debug, Clone, Default)]
+pub struct ReduceConfig {}
 
 /// The outcome of reducing one witness.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -78,8 +65,19 @@ impl ReduceResult {
 /// Reduces `witness` under `oracle`, preserving its crash signature.
 ///
 /// The caller guarantees `oracle.reproduces(witness)`; if it does not, the
-/// witness is returned unchanged (zero-size reductions never lie).
-pub fn reduce(oracle: &ReductionOracle, witness: &str, config: &ReduceConfig) -> ReduceResult {
+/// witness is returned unchanged (zero-size reductions never lie). The
+/// [`ReduceConfig`] carries nothing.
+pub fn reduce(oracle: &ReductionOracle, witness: &str, _config: &ReduceConfig) -> ReduceResult {
+    reduce_scheduled(oracle, witness, true)
+}
+
+/// [`reduce`] with the pass schedule chosen: `adaptive` reorders passes
+/// after the first round so the cheapest highest-yield ones run first
+/// (bytes removed per oracle call, measured on *this* witness —
+/// deterministic, no wall clocks). The fixpoint is the same either way;
+/// only the oracle calls spent getting there change. The canonical order
+/// (`false`) is the tests' reference.
+fn reduce_scheduled(oracle: &ReductionOracle, witness: &str, adaptive: bool) -> ReduceResult {
     let start = Instant::now();
     let original_bytes = witness.len();
     let mut best = witness.to_string();
@@ -88,7 +86,7 @@ pub fn reduce(oracle: &ReductionOracle, witness: &str, config: &ReduceConfig) ->
     let mut rounds = 0usize;
 
     if oracle.reproduces(&best) {
-        for round in 0..config.max_rounds {
+        for round in 0..MAX_ROUNDS {
             rounds += 1;
             let before = best.len();
             run_round(
@@ -96,10 +94,10 @@ pub fn reduce(oracle: &ReductionOracle, witness: &str, config: &ReduceConfig) ->
                 &mut best,
                 &mut pass_bytes,
                 &mut stats,
-                config,
+                adaptive,
                 round,
             );
-            if best.len() >= before || oracle.calls() >= config.max_oracle_calls {
+            if best.len() >= before || oracle.calls() >= MAX_ORACLE_CALLS {
                 break;
             }
         }
@@ -118,31 +116,19 @@ pub fn reduce(oracle: &ReductionOracle, witness: &str, config: &ReduceConfig) ->
     }
 }
 
-/// Uniform signature every structural pass is wrapped into so the
-/// scheduler can reorder them.
-type PassFn = fn(&ReductionOracle, &mut String, &ReduceConfig) -> u64;
+/// The signature every structural pass shares, so the scheduler can
+/// reorder them.
+type PassFn = fn(&ReductionOracle, &mut String) -> u64;
 
 /// The structural pass pipeline in canonical (first-round) order.
 const STRUCTURAL_PASSES: [(&str, PassFn); 7] = [
-    ("drop-unused", |o, b, c| {
-        drop_unused(o, b, c.max_oracle_calls)
-    }),
-    ("ddmin-decls", |o, b, c| {
-        ddmin_decls(o, b, c.max_oracle_calls)
-    }),
-    ("ddmin-stmts", |o, b, c| {
-        ddmin_stmts(o, b, c.max_oracle_calls)
-    }),
-    ("inline-calls", |o, b, c| {
-        inline_calls(o, b, c.max_oracle_calls)
-    }),
-    ("shrink-arrays", |o, b, c| {
-        shrink_arrays(o, b, c.max_oracle_calls)
-    }),
-    ("simplify-exprs", |o, b, c| {
-        simplify_exprs(o, b, c.max_oracle_calls, c.expr_attempts)
-    }),
-    ("reprint", |o, b, _| reprint(o, b)),
+    ("drop-unused", drop_unused),
+    ("ddmin-decls", ddmin_decls),
+    ("ddmin-stmts", ddmin_stmts),
+    ("inline-calls", inline_calls),
+    ("shrink-arrays", shrink_arrays),
+    ("simplify-exprs", simplify_exprs),
+    ("reprint", reprint),
 ];
 
 /// Per-pass yield/cost bookkeeping for one witness, accumulated across
@@ -164,11 +150,12 @@ impl PassStats {
 }
 
 /// The round's pass schedule: canonical on the first round (no evidence
-/// yet), then cheapest-highest-yield first. Zero-yield passes score 0 and
-/// sink to the back in canonical order (the sort is stable).
-fn pass_order(stats: &[PassStats], config: &ReduceConfig, round: usize) -> Vec<usize> {
+/// yet), then, if `adaptive`, cheapest-highest-yield first. Zero-yield
+/// passes score 0 and sink to the back in canonical order (the sort is
+/// stable).
+fn pass_order(stats: &[PassStats], adaptive: bool, round: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..stats.len()).collect();
-    if config.adaptive_pass_order && round > 0 {
+    if adaptive && round > 0 {
         order.sort_by_key(|&i| std::cmp::Reverse(stats[i].score()));
     }
     order
@@ -180,22 +167,21 @@ fn run_round(
     best: &mut String,
     pass_bytes: &mut BTreeMap<String, u64>,
     stats: &mut [PassStats],
-    config: &ReduceConfig,
+    adaptive: bool,
     round: usize,
 ) {
-    let budget = config.max_oracle_calls;
     if parse("<reduce>", best).is_err() {
         // Textual fallback for witnesses our front end cannot parse.
-        record(pass_bytes, "ddmin-lines", ddmin_lines(oracle, best, budget));
-        if best.len() <= config.char_ddmin_limit {
-            record(pass_bytes, "ddmin-chars", ddmin_chars(oracle, best, budget));
+        record(pass_bytes, "ddmin-lines", ddmin_lines(oracle, best));
+        if best.len() <= CHAR_DDMIN_LIMIT {
+            record(pass_bytes, "ddmin-chars", ddmin_chars(oracle, best));
         }
         return;
     }
 
-    for idx in pass_order(stats, config, round) {
-        run_pass(idx, oracle, best, pass_bytes, stats, config);
-        if oracle.calls() >= budget {
+    for idx in pass_order(stats, adaptive, round) {
+        run_pass(idx, oracle, best, pass_bytes, stats);
+        if oracle.calls() >= MAX_ORACLE_CALLS {
             break;
         }
     }
@@ -210,7 +196,6 @@ fn run_pass(
     best: &mut String,
     pass_bytes: &mut BTreeMap<String, u64>,
     stats: &mut [PassStats],
-    config: &ReduceConfig,
 ) {
     let (name, pass) = STRUCTURAL_PASSES[idx];
     let telemetry = metamut_telemetry::handle();
@@ -218,7 +203,7 @@ fn run_pass(
     span.attr("pass", name);
     let start = telemetry.enabled().then(Instant::now);
     let calls_before = oracle.calls();
-    let removed = pass(oracle, best, config);
+    let removed = pass(oracle, best);
     stats[idx].bytes += removed;
     stats[idx].calls += oracle.calls().saturating_sub(calls_before);
     record(pass_bytes, name, removed);
@@ -255,12 +240,7 @@ fn try_candidate(oracle: &ReductionOracle, best: &mut String, candidate: String)
 
 /// Runs ddmin over a set of deletable spans of `best`; spans must be
 /// pairwise disjoint. Returns bytes removed.
-fn ddmin_span_deletion(
-    oracle: &ReductionOracle,
-    best: &mut String,
-    spans: Vec<Span>,
-    budget: u64,
-) -> u64 {
+fn ddmin_span_deletion(oracle: &ReductionOracle, best: &mut String, spans: Vec<Span>) -> u64 {
     if spans.is_empty() {
         return 0;
     }
@@ -270,7 +250,7 @@ fn ddmin_span_deletion(
     }
     let all = spans.clone();
     let kept = ddmin(spans, |subset| {
-        if oracle.calls() >= budget {
+        if oracle.calls() >= MAX_ORACLE_CALLS {
             return false;
         }
         let deleted = complement(&all, subset);
@@ -319,12 +299,11 @@ fn greedy_edit_groups(
     best: &mut String,
     snapshot: &str,
     groups: Vec<Vec<(Span, String)>>,
-    budget: u64,
 ) -> u64 {
     let mut accepted: Vec<(Span, String)> = Vec::new();
     let mut removed_total = 0u64;
     for group in groups {
-        if oracle.calls() >= budget {
+        if oracle.calls() >= MAX_ORACLE_CALLS {
             break;
         }
         let accepted_spans: Vec<Span> = accepted.iter().map(|(s, _)| *s).collect();
@@ -346,7 +325,7 @@ fn greedy_edit_groups(
     removed_total
 }
 
-fn drop_unused(oracle: &ReductionOracle, best: &mut String, _budget: u64) -> u64 {
+fn drop_unused(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let Ok(ast) = parse("<reduce>", best) else {
         return 0;
     };
@@ -363,14 +342,14 @@ fn drop_unused(oracle: &ReductionOracle, best: &mut String, _budget: u64) -> u64
     )
 }
 
-fn ddmin_decls(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 {
+fn ddmin_decls(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let Ok(ast) = parse("<reduce>", best) else {
         return 0;
     };
-    ddmin_span_deletion(oracle, best, passes::decl_spans(&ast), budget)
+    ddmin_span_deletion(oracle, best, passes::decl_spans(&ast))
 }
 
-fn ddmin_stmts(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 {
+fn ddmin_stmts(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let mut removed = 0u64;
     let mut depth = 0usize;
     // Hierarchical descent: finish a depth, re-parse (spans shifted), go
@@ -380,25 +359,25 @@ fn ddmin_stmts(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 
         if depth >= levels.len() {
             break;
         }
-        removed += ddmin_span_deletion(oracle, best, levels[depth].clone(), budget);
+        removed += ddmin_span_deletion(oracle, best, levels[depth].clone());
         depth += 1;
-        if oracle.calls() >= budget {
+        if oracle.calls() >= MAX_ORACLE_CALLS {
             break;
         }
     }
     removed
 }
 
-fn inline_calls(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 {
+fn inline_calls(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let Ok(ast) = parse("<reduce>", best) else {
         return 0;
     };
     let groups = passes::trivial_call_edits(&ast);
     let snapshot = best.clone();
-    greedy_edit_groups(oracle, best, &snapshot, groups, budget)
+    greedy_edit_groups(oracle, best, &snapshot, groups)
 }
 
-fn shrink_arrays(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 {
+fn shrink_arrays(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let Ok(ast) = parse("<reduce>", best) else {
         return 0;
     };
@@ -407,24 +386,19 @@ fn shrink_arrays(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u6
         .map(|e| vec![e])
         .collect();
     let snapshot = best.clone();
-    greedy_edit_groups(oracle, best, &snapshot, groups, budget)
+    greedy_edit_groups(oracle, best, &snapshot, groups)
 }
 
-fn simplify_exprs(
-    oracle: &ReductionOracle,
-    best: &mut String,
-    budget: u64,
-    attempts: usize,
-) -> u64 {
+fn simplify_exprs(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let Ok(ast) = parse("<reduce>", best) else {
         return 0;
     };
-    let groups: Vec<Vec<(Span, String)>> = passes::expr_simplify_spans(&ast, 3, attempts)
+    let groups: Vec<Vec<(Span, String)>> = passes::expr_simplify_spans(&ast, 3, EXPR_ATTEMPTS)
         .into_iter()
         .map(|s| vec![(s, "0".to_string())])
         .collect();
     let snapshot = best.clone();
-    greedy_edit_groups(oracle, best, &snapshot, groups, budget)
+    greedy_edit_groups(oracle, best, &snapshot, groups)
 }
 
 fn reprint(oracle: &ReductionOracle, best: &mut String) -> u64 {
@@ -434,16 +408,11 @@ fn reprint(oracle: &ReductionOracle, best: &mut String) -> u64 {
     try_candidate(oracle, best, printer::print_unit(&ast))
 }
 
-fn ddmin_lines(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 {
-    ddmin_span_deletion(
-        oracle,
-        best,
-        passes::line_spans(best.clone().as_str()),
-        budget,
-    )
+fn ddmin_lines(oracle: &ReductionOracle, best: &mut String) -> u64 {
+    ddmin_span_deletion(oracle, best, passes::line_spans(best.clone().as_str()))
 }
 
-fn ddmin_chars(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 {
+fn ddmin_chars(oracle: &ReductionOracle, best: &mut String) -> u64 {
     let snapshot = best.clone();
     let chars: Vec<Span> = (0..snapshot.len() as u32)
         .filter(|&i| snapshot.is_char_boundary(i as usize))
@@ -456,7 +425,7 @@ fn ddmin_chars(oracle: &ReductionOracle, best: &mut String, budget: u64) -> u64 
             Span::new(lo as u32, hi as u32)
         })
         .collect();
-    ddmin_span_deletion(oracle, best, chars, budget)
+    ddmin_span_deletion(oracle, best, chars)
 }
 
 #[cfg(test)]
@@ -526,23 +495,15 @@ int trailer(void) { return dead_global[0] + helper_b(3); }\n";
         ];
         for (i, witness) in witnesses.iter().enumerate() {
             let profile = if i == 0 { Profile::Clang } else { Profile::Gcc };
-            let canonical_cfg = ReduceConfig {
-                adaptive_pass_order: false,
-                ..ReduceConfig::default()
-            };
-            let adaptive_cfg = ReduceConfig {
-                adaptive_pass_order: true,
-                ..ReduceConfig::default()
-            };
-            let canonical = reduce(
+            let canonical = reduce_scheduled(
                 &oracle_for(profile, CompileOptions::o0(), witness),
                 witness,
-                &canonical_cfg,
+                false,
             );
             let adaptive = reduce(
                 &oracle_for(profile, CompileOptions::o0(), witness),
                 witness,
-                &adaptive_cfg,
+                &ReduceConfig::default(),
             );
             assert_eq!(
                 canonical.reduced, adaptive.reduced,
@@ -553,7 +514,7 @@ int trailer(void) { return dead_global[0] + helper_b(3); }\n";
             let again = reduce(
                 &oracle_for(profile, CompileOptions::o0(), witness),
                 witness,
-                &adaptive_cfg,
+                &ReduceConfig::default(),
             );
             assert_eq!(again.reduced, adaptive.reduced);
             assert_eq!(again.oracle_calls, adaptive.oracle_calls);
@@ -566,16 +527,11 @@ int trailer(void) { return dead_global[0] + helper_b(3); }\n";
     /// passes and sink zero-yield ones to the back in canonical order.
     #[test]
     fn pass_order_ranks_by_yield_per_call() {
-        let config = ReduceConfig::default();
         let mut stats = vec![PassStats::default(); STRUCTURAL_PASSES.len()];
-        // Round 0 (and the non-adaptive config) always run canonically.
+        // Round 0 (and the canonical schedule) always run canonically.
         let canonical: Vec<usize> = (0..STRUCTURAL_PASSES.len()).collect();
-        assert_eq!(pass_order(&stats, &config, 0), canonical);
-        let frozen = ReduceConfig {
-            adaptive_pass_order: false,
-            ..ReduceConfig::default()
-        };
-        assert_eq!(pass_order(&stats, &frozen, 3), canonical);
+        assert_eq!(pass_order(&stats, true, 0), canonical);
+        assert_eq!(pass_order(&stats, false, 3), canonical);
 
         // Pass 2 removed the most per call, pass 4 a little; the rest did
         // nothing (with varying costs — cost alone must not promote).
@@ -591,7 +547,7 @@ int trailer(void) { return dead_global[0] + helper_b(3); }\n";
             bytes: 40,
             calls: 20,
         };
-        let order = pass_order(&stats, &config, 1);
+        let order = pass_order(&stats, true, 1);
         assert_eq!(order[0], 2, "highest yield-per-call first");
         assert_eq!(order[1], 4);
         assert_eq!(

@@ -22,8 +22,6 @@ pub struct TriageConfig {
     /// Reduction workers; `0` means one per available CPU (capped at the
     /// bucket count).
     pub workers: usize,
-    /// Per-witness reduction knobs.
-    pub reduce: ReduceConfig,
     /// Query database the oracles' UB guards memoize into. Pass the
     /// campaign's shared database so reduction starts from the function
     /// summaries fuzzing already built; `None` gives every oracle a
@@ -232,7 +230,7 @@ fn triage_bucket(
         });
     let reproduced = oracle.is_some();
     let result = match &oracle {
-        Some(oracle) => reduce(oracle, &record.witness, &config.reduce),
+        Some(oracle) => reduce(oracle, &record.witness, &ReduceConfig::default()),
         None => ReduceResult {
             reduced: record.witness.clone(),
             original_bytes: record.witness.len(),
@@ -275,15 +273,9 @@ pub fn triage_crashes(
     let telemetry = metamut_telemetry::handle();
     let _span = telemetry.span("triage");
     let buckets = bucket_records(records);
-    let workers = if config.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.workers
-    }
-    .min(buckets.len())
-    .max(1);
+    let workers = metamut_fuzzing::resolve_workers(config.workers)
+        .min(buckets.len())
+        .max(1);
 
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, BugReport)>> = Mutex::new(Vec::new());

@@ -38,7 +38,9 @@ use metamut_analyze::QueryDb;
 use metamut_fuzzing::campaign::CrashRecord;
 use metamut_fuzzing::corpus::seed_corpus;
 use metamut_fuzzing::mucfuzz::MuCFuzz;
-use metamut_fuzzing::{CampaignConfig, StepProgress, SteppedCampaign, TestGenerator};
+use metamut_fuzzing::{
+    resolve_workers, CampaignConfig, StepProgress, SteppedCampaign, TestGenerator,
+};
 use metamut_muast::MutatorRegistry;
 use metamut_reduce::{reduce, triage_crashes, ReductionOracle, TriageConfig};
 use metamut_simcomp::Compiler;
@@ -80,18 +82,6 @@ impl Default for DaemonConfig {
             workers: 2,
             slice: 32,
             checkpoint_every: 4,
-        }
-    }
-}
-
-impl DaemonConfig {
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
         }
     }
 }
@@ -246,7 +236,7 @@ impl Daemon {
                 .name("metamut-serve-accept".to_string())
                 .spawn(move || accept_loop(inner, listener))?
         };
-        let workers = (0..inner.config.resolved_workers())
+        let workers = (0..resolve_workers(inner.config.workers))
             .map(|i| {
                 let inner = inner.clone();
                 std::thread::Builder::new()
@@ -816,7 +806,6 @@ fn job_triage(
     let config = TriageConfig {
         workers: 1,
         query_db: Some(inner.query_db.clone()),
-        ..Default::default()
     };
     let report = triage_crashes(crashes, profile, &options, &config);
     if let Err(e) = inner.store.merge_triage(report.clone()) {
@@ -1152,7 +1141,7 @@ fn status_value(inner: &Arc<Inner>) -> Value {
         "done": (count(STATUS_DONE)),
         "failed": (count(STATUS_FAILED)),
         "cancelled": (count(STATUS_CANCELLED)),
-        "workers": (inner.config.resolved_workers()),
+        "workers": (resolve_workers(inner.config.workers)),
         "query_db": {
             "memos": (inner.query_db.len()),
             "hits": (inner.query_db.hits()),

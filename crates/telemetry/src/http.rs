@@ -174,46 +174,26 @@ fn serve_connection(
     stream.flush()
 }
 
-/// Client-side limits for [`fetch_with`]: how long to wait for a wedged
-/// daemon and how often to retry a transport failure before giving up.
-#[derive(Debug, Clone, Copy)]
-pub struct FetchOptions {
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// Per-read socket timeout (a stalled response fails instead of
-    /// blocking the CLI forever).
-    pub read_timeout: Duration,
-    /// Extra attempts after a *transport* failure (connect refused, reset,
-    /// timeout). HTTP error statuses are real answers and never retried.
-    pub retries: u32,
-}
-
-impl Default for FetchOptions {
-    fn default() -> Self {
-        FetchOptions {
-            connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(5),
-            retries: 1,
-        }
-    }
-}
+/// [`fetch`]'s TCP connect (and write) timeout.
+const FETCH_CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// [`fetch`]'s per-read socket timeout: a stalled response fails instead of
+/// blocking the caller forever.
+const FETCH_READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Extra attempts after a *transport* failure (connect refused, reset,
+/// timeout). HTTP error statuses are real answers and never retried.
+const FETCH_RETRIES: u32 = 1;
 
 /// Tiny HTTP GET client for the endpoint above (used by `metamut status`
 /// and the smoke tests): returns the response body, or an error including
-/// any non-2xx status line. Applies [`FetchOptions::default`] — bounded
-/// timeouts plus one retry — so a wedged daemon cannot hang the caller.
+/// any non-2xx status line. Timeouts are bounded and a transport failure is
+/// retried once, so a wedged daemon cannot hang the caller.
 pub fn fetch(addr: &str, path: &str) -> std::io::Result<String> {
-    fetch_with(addr, path, FetchOptions::default())
-}
-
-/// [`fetch`] with explicit timeouts and retry budget.
-pub fn fetch_with(addr: &str, path: &str, options: FetchOptions) -> std::io::Result<String> {
     let mut last_err = None;
-    for attempt in 0..=options.retries {
+    for attempt in 0..=FETCH_RETRIES {
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(50));
         }
-        match fetch_once(addr, path, options) {
+        match fetch_once(addr, path) {
             Ok(body) => return Ok(body),
             // A served HTTP error is a definitive answer — do not retry.
             Err(FetchError::Status(msg)) => return Err(std::io::Error::other(msg)),
@@ -236,14 +216,14 @@ impl From<std::io::Error> for FetchError {
     }
 }
 
-fn fetch_once(addr: &str, path: &str, options: FetchOptions) -> Result<String, FetchError> {
+fn fetch_once(addr: &str, path: &str) -> Result<String, FetchError> {
     let target = addr
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad address"))?;
-    let mut stream = TcpStream::connect_timeout(&target, options.connect_timeout)?;
-    stream.set_read_timeout(Some(options.read_timeout))?;
-    stream.set_write_timeout(Some(options.connect_timeout))?;
+    let mut stream = TcpStream::connect_timeout(&target, FETCH_CONNECT_TIMEOUT)?;
+    stream.set_read_timeout(Some(FETCH_READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(FETCH_CONNECT_TIMEOUT))?;
     stream.write_all(format!("GET {path} HTTP/1.0\r\nHost: {addr}\r\n\r\n").as_bytes())?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;

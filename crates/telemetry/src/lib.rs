@@ -46,7 +46,7 @@ mod sink;
 mod span;
 
 pub use event::{Event, EventKind};
-pub use http::{fetch, fetch_with, ExtraRoutes, FetchOptions, StatusServer};
+pub use http::{fetch, ExtraRoutes, StatusServer};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, Snapshot, DEFAULT_MS_BOUNDS};
 pub use series::{parse_jsonl, SeriesPoint, SeriesRecorder, DEFAULT_SERIES_CAPACITY};
 pub use sink::{JsonlSink, Sink, SinkContext, StatusSink};

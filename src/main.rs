@@ -5,7 +5,7 @@
 //! metamut mutate FILE -m NAME [-s N]    # apply one mutator to a C file
 //! metamut compile FILE [-p gcc|clang] [-O N] [--flags ...]
 //! metamut generate [-n N] [-s N]        # run the MetaMut pipeline
-//! metamut fuzz [-i N] [-s N] [-p gcc|clang] [-w N] [--no-dedup]
+//! metamut fuzz [-i N] [-s N] [-p gcc|clang] [-w N]
 //!              [--no-ub-filter] [--no-lint-penalty] [--reduce]
 //!              [--status-addr HOST:PORT]
 //! metamut analyze FILE [--json]         # dataflow UB/validity findings
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
                  \n  mutate FILE -m NAME [-s N]   apply one mutator to a C file\
                  \n  compile FILE [-p gcc|clang] [-O N] [--no-tree-vrp] [--unroll-loops]\
                  \n  generate [-n N] [-s N]       run the MetaMut generation pipeline\
-                 \n  fuzz [-i N] [-s N] [-p gcc|clang] [-w N] [--no-dedup]  run a μCFuzz campaign\
+                 \n  fuzz [-i N] [-s N] [-p gcc|clang] [-w N]  run a μCFuzz campaign\
                  \n                               -w N: worker threads (0 = one per CPU; default 1)\
                  \n                               --no-ub-filter: compile UB mutants too\
                  \n                               --no-lint-penalty: uniform seed picks (ignore lints)\
@@ -1017,17 +1017,12 @@ fn fuzz_args(rest: &[String]) -> Result<(usize, u64, usize), ExitCode> {
         "--status-addr",
         "--status-addr-out",
     ];
-    let switches = [
-        "--no-dedup",
-        "--no-ub-filter",
-        "--no-lint-penalty",
-        "--reduce",
-    ];
+    let switches = ["--no-ub-filter", "--no-lint-penalty", "--reduce"];
     check_args("fuzz", rest, &value_flags, &switches, 0)?;
     Ok((
         num_opt("fuzz", rest, &["-i"], 500)?,
         num_opt("fuzz", rest, &["-s"], 7)?,
-        // Default to one worker: the serial engine is bit-for-bit
+        // Default to one worker: a one-worker campaign is bit-for-bit
         // reproducible for a given seed. `-w 0` asks for one worker per CPU.
         num_opt("fuzz", rest, &["-w", "--workers"], 1)?,
     ))
@@ -1057,7 +1052,6 @@ fn fuzz(rest: &[String]) -> ExitCode {
         seed,
         sample_every: (iterations / 10).max(1),
         workers,
-        dedup: !rest.iter().any(|a| a == "--no-dedup"),
         ub_filter: !rest.iter().any(|a| a == "--no-ub-filter"),
         query_db: Some(Arc::clone(&query_db)),
         ..Default::default()
@@ -1093,23 +1087,13 @@ fn fuzz(rest: &[String]) -> ExitCode {
         None => None,
     };
     let lint_penalty = !rest.iter().any(|a| a == "--no-lint-penalty");
-    let report = if config.resolved_workers() > 1 {
-        let registry = Arc::new(metamut::mutators::full_registry());
-        run_parallel_campaign(
-            &seeds,
-            |_w, shard| MuCFuzz::new("uCFuzz", registry.clone(), shard).lint_penalty(lint_penalty),
-            &compiler,
-            &config,
-        )
-    } else {
-        let mut fuzzer = MuCFuzz::new(
-            "uCFuzz",
-            Arc::new(metamut::mutators::full_registry()),
-            seeds.iter().cloned(),
-        )
-        .lint_penalty(lint_penalty);
-        run_campaign(&mut fuzzer, &compiler, &config)
-    };
+    let registry = Arc::new(metamut::mutators::full_registry());
+    let report = run_parallel_campaign(
+        &seeds,
+        |_w, shard| MuCFuzz::new("uCFuzz", registry.clone(), shard).lint_penalty(lint_penalty),
+        &compiler,
+        &config,
+    );
     let dedup_note = report
         .dedup
         .map(|d| format!(", {:.0}% dedup hits", 100.0 * d.hit_rate()))
@@ -1141,7 +1125,6 @@ fn fuzz(rest: &[String]) -> ExitCode {
         let config = TriageConfig {
             workers,
             query_db: Some(Arc::clone(&query_db)),
-            ..Default::default()
         };
         let triage = triage_crashes(&report.crashes, profile, &options, &config);
         println!(

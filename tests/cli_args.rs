@@ -48,7 +48,7 @@ fn unknown_profile_is_a_usage_error() {
 /// count or seed that does not parse.
 #[test]
 fn fuzz_rejects_bad_arguments() {
-    let invocations: [(&[&str], &str); 8] = [
+    let invocations: [(&[&str], &str); 9] = [
         (&["fuzz", "-i", "5k"], "invalid value \"5k\" for -i"),
         (&["fuzz", "-s", "abc"], "invalid value \"abc\" for -s"),
         (&["fuzz", "-w", "two"], "invalid value \"two\" for -w"),
@@ -59,6 +59,10 @@ fn fuzz_rejects_bad_arguments() {
         (
             &["fuzz", "-i", "1", "--cache-cap", "64"],
             "unknown flag \"--cache-cap\"",
+        ),
+        (
+            &["fuzz", "-i", "1", "--no-dedup"],
+            "unknown flag \"--no-dedup\"",
         ),
         (&["fuzz", "-i"], "-i needs a value"),
         // Rejected before any connection attempt.
@@ -84,13 +88,7 @@ fn fuzz_rejects_bad_arguments() {
     let events = dir.join("events.jsonl");
     let out = metamut()
         .args(["fuzz", "-i", "20", "-s", "3", "-p", "clang", "-w", "1"])
-        .args([
-            "--no-dedup",
-            "--no-ub-filter",
-            "--no-lint-penalty",
-            "--status-every",
-            "0",
-        ])
+        .args(["--no-ub-filter", "--no-lint-penalty", "--status-every", "0"])
         .arg("--telemetry")
         .arg(&events)
         .output()
